@@ -7,6 +7,9 @@ experiment to report a failing closed-form ratio check: the published
 approximation it tabulates does not satisfy its own defining equation at
 these sample sizes, and the report records that instead of hiding it.
 
+Exits 1 when any check fails that is not listed in EXPECTED_FAILURES (the
+summary prints that list), 0 otherwise.
+
 Usage:
     python scripts/run_all_experiments.py [--outdir reports] [--only NAME]
 """
@@ -18,6 +21,9 @@ from pathlib import Path
 
 from flatclust.experiments import experiment_names, run_experiment
 from flatclust.io import write_json_document
+
+# Checks that fail by design; every other failed check fails the run.
+EXPECTED_FAILURES = {("compensating", "closed_form_ratio_in_band")}
 
 
 def main(argv=None) -> int:
@@ -31,6 +37,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
+    unexpected = []
     for name in names:
         t0 = time.perf_counter()
         report = run_experiment(name)
@@ -46,8 +53,16 @@ def main(argv=None) -> int:
         slope = f" slope={report.slope:.4f}" if report.slope is not None else ""
         print(f"{name:20s} {status}{slope}  ({elapsed:.1f}s)")
         for check, ok in report.checks.items():
-            print(f"    {'ok  ' if ok else 'FAIL'} {check}")
+            expected = (name, check) in EXPECTED_FAILURES
+            note = "  (expected)" if expected and not ok else ""
+            print(f"    {'ok  ' if ok else 'FAIL'} {check}{note}")
+            if not ok and not expected:
+                unexpected.append(f"{name}.{check}")
     print(f"\n{len(names) - failures}/{len(names)} experiments passed; reports in {outdir}/")
+    print("expected failures: " + ", ".join(f"{n}.{c}" for n, c in sorted(EXPECTED_FAILURES)))
+    if unexpected:
+        print("unexpected failures: " + ", ".join(unexpected))
+        return 1
     return 0
 
 

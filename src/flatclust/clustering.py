@@ -112,21 +112,6 @@ class ClusterRef:
     members: frozenset
 
 
-def _neighbor_edges(pts: np.ndarray, link: float, index: GridIndex) -> tuple[np.ndarray, np.ndarray]:
-    """All point pairs within link distance, as (src, dst) with src < dst."""
-    srcs, dsts = [], []
-    for i in range(pts.shape[0]):
-        nb = index.indices_within(pts[i], link)
-        nb = nb[nb > i]
-        if nb.size:
-            srcs.append(np.full(nb.size, i, dtype=np.intp))
-            dsts.append(nb)
-    if not srcs:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    return np.concatenate(srcs), np.concatenate(dsts)
-
-
 def _assignments_for_core(
     n: int, core: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
@@ -181,36 +166,58 @@ def _assignments_1d(
     return assignments
 
 
-def core_points(points, k: int, delta: float) -> np.ndarray:
-    """Indices whose closed delta-ball holds at least k samples (self counted)."""
-    pts = flat_array(points)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    index = GridIndex(pts, cell_size=delta)
-    return np.nonzero(index.counts_within_all(delta) >= k)[0]
+def _checked_link(ks, delta: float, link_radius: float | None = None) -> float:
+    """Validate the parameters every clustering entry point shares.
 
-
-def dbscan_cluster(points, k: int, delta: float, link_radius: float | None = None) -> Labeling:
-    """Cluster the core points by link_radius connectivity; rest are NOISE."""
-    pts = flat_array(points)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    Returns the link radius, 2*delta when link_radius is None.
+    """
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     link = 2.0 * delta if link_radius is None else float(link_radius)
     if not link > 0:
         raise ValueError(f"link_radius must be positive, got {link!r}")
-    index = GridIndex(pts, cell_size=delta)
-    core = np.nonzero(index.counts_within_all(delta) >= k)[0]
-    src, dst = _neighbor_edges(pts, link, index)
-    return Labeling(
-        assignments=_assignments_for_core(pts.shape[0], core, src, dst),
-        k=k,
-        delta=delta,
-        link_radius=link,
-    )
+    return link
+
+
+def _labelings(pts: np.ndarray, delta: float, ks, link: float) -> list[Labeling]:
+    """One labeling per k from one index: counts once, link components per k.
+
+    On a line the link components are runs of consecutive core points, which
+    avoids the pair list that dense 1-D samples make quadratic.
+    """
+    index = GridIndex(pts)
+    counts = index.counts_within_all(delta)
+    if pts.shape[1] == 1:
+        order = np.argsort(pts[:, 0], kind="stable")
+        sorted_x = pts[order, 0]
+
+        def assign(k):
+            return _assignments_1d(order, sorted_x, counts >= k, link)
+
+    else:
+        src, dst = index.pairs_within(link)
+
+        def assign(k):
+            return _assignments_for_core(pts.shape[0], np.nonzero(counts >= k)[0], src, dst)
+
+    return [Labeling(assignments=assign(k), k=k, delta=delta, link_radius=link) for k in ks]
+
+
+def core_points(points, k: int, delta: float) -> np.ndarray:
+    """Indices whose closed delta-ball holds at least k samples (self counted)."""
+    pts = flat_array(points)
+    _checked_link((k,), delta)
+    return np.nonzero(GridIndex(pts).counts_within_all(delta) >= k)[0]
+
+
+def dbscan_cluster(points, k: int, delta: float, link_radius: float | None = None) -> Labeling:
+    """Cluster the core points by link_radius connectivity; rest are NOISE."""
+    pts = flat_array(points)
+    link = _checked_link((k,), delta, link_radius)
+    return _labelings(pts, delta, (k,), link)[0]
 
 
 def ball_union_components(core_pts, delta: float) -> list[frozenset]:
@@ -242,39 +249,12 @@ def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> 
     """
     pts = flat_array(points)
     ks = tuple(int(k) for k in ks)
-    if len(ks) == 0 or any(k < 1 for k in ks):
+    if len(ks) == 0:
         raise ValueError("ks must be a nonempty list of positive integers")
     if any(k1 <= k2 for k1, k2 in zip(ks[:-1], ks[1:])):
         raise ValueError(f"ks must be strictly descending, got {ks}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-    link = 2.0 * delta if link_radius is None else float(link_radius)
-    n = pts.shape[0]
-    index = GridIndex(pts, cell_size=delta)
-    counts = index.counts_within_all(delta)
-    if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        sorted_x = pts[order, 0]
-        labelings = [
-            Labeling(
-                assignments=_assignments_1d(order, sorted_x, counts >= k, link),
-                k=k,
-                delta=delta,
-                link_radius=link,
-            )
-            for k in ks
-        ]
-    else:
-        src, dst = _neighbor_edges(pts, link, index)
-        labelings = [
-            Labeling(
-                assignments=_assignments_for_core(n, np.nonzero(counts >= k)[0], src, dst),
-                k=k,
-                delta=delta,
-                link_radius=link,
-            )
-            for k in ks
-        ]
+    link = _checked_link(ks, delta, link_radius)
+    labelings = _labelings(pts, delta, ks, link)
     levels = []
     for i, lab in enumerate(labelings):
         if i + 1 < len(labelings):
@@ -323,13 +303,10 @@ def components_bruteforce(points, k: int, delta: float, link_radius: float | Non
     n = pts.shape[0]
     if n > _BRUTE_GUARD:
         raise ValueError(f"brute-force oracle refused for n={n} > {_BRUTE_GUARD}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    link = 2.0 * delta if link_radius is None else float(link_radius)
+    link = _checked_link((k,), delta, link_radius)
     if n == 0:
         return Labeling(np.empty(0, dtype=np.int64), k=k, delta=delta, link_radius=link)
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = sq_dists(pts[:, None, :], pts[None, :, :])
     counts = (sq <= delta * delta).sum(axis=1)
     core = np.nonzero(counts >= k)[0]
     is_core = np.zeros(n, dtype=bool)

@@ -52,7 +52,7 @@ class KdeModel:
         self.n = pts.shape[0]
         self.sd = pts.shape[1]
         self._norm = self.n * self.delta**self.sd * ball_volume(self.sd)
-        self._index = GridIndex(pts, cell_size=self.delta)
+        self._index = GridIndex(pts)
         self._sample_counts: np.ndarray | None = None
 
     @property
@@ -85,23 +85,16 @@ def kde_eval(model: KdeModel, x) -> float:
     return model.count_within_delta(x) / model.normalizer
 
 
-def kde_counts_batch(model: KdeModel, queries: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Ball counts for many queries at once by a chunked full scan.
+def kde_counts_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:
+    """Ball counts |B(q, delta) n sample| for every row q of queries.
 
-    Per-pair arithmetic matches the single-query path bit for bit, so batch
-    results equal looped kde_eval results exactly.
+    The index decides every count with the same exact refilter as the
+    single-query path, so batch results equal looped kde_eval results exactly.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != model.sd:
         raise ValueError(f"queries must have {model.sd} coordinates, got {queries.shape[1]}")
-    r2 = model.delta * model.delta
-    out = np.empty(queries.shape[0], dtype=np.intp)
-    for start in range(0, queries.shape[0], chunk):
-        q = queries[start : start + chunk]
-        diff = q[:, None, :] - model.points[None, :, :]
-        sq = np.einsum("qnj,qnj->qn", diff, diff)
-        out[start : start + chunk] = (sq <= r2).sum(axis=1)
-    return out
+    return model.index.counts_within(queries, model.delta)
 
 
 def kde_eval_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .density import (
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume
 from .series import flatten, grid_times
 from .smoothing import SmootherConfig, estimate_grid_series, gamma_schedule
+from .spatial import sq_dists
 from .synthetic import (
     ClusterTemplate,
     FunctionFamilySpec,
@@ -708,10 +709,8 @@ def _membership_flips(
 ) -> np.ndarray:
     """Per query: how many sample balls the estimation error moved across."""
     r2 = delta * delta
-    d1 = queries[:, None, :] - clean[None, :, :]
-    d2 = queries[:, None, :] - est[None, :, :]
-    in_clean = np.einsum("qnj,qnj->qn", d1, d1) <= r2
-    in_est = np.einsum("qnj,qnj->qn", d2, d2) <= r2
+    in_clean = sq_dists(queries[:, None, :], clean[None, :, :]) <= r2
+    in_est = sq_dists(queries[:, None, :], est[None, :, :]) <= r2
     return (in_clean != in_est).sum(axis=1)
 
 

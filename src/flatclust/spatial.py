@@ -1,129 +1,110 @@
-"""Exact radius queries over a fixed point set via uniform grid hashing.
+"""Exact closed-ball queries over a fixed point set.
 
-Both the indexed path and the brute-force path filter candidates with the
-same squared-distance routine, so their results agree bit for bit, closed
-balls included (<=, never <). Approximate neighbor answers are not allowed
+A kd-tree (Bentley 1975; `scipy.spatial.cKDTree`) only prefilters: it is
+asked for radii widened or narrowed by a relative slack, and every point it
+cannot settle is decided by `sq_dists(...) <= r * r`, the one
+squared-distance kernel shared with the brute-force paths. Indexed, batched
+and brute-force answers therefore agree bit for bit, closed balls and ties
+included (<=, never <). Approximate neighbor answers are not allowed
 anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import product
-
 import numpy as np
 
 __all__ = ["GridIndex", "sq_dists", "brute_indices_within", "brute_count_within"]
 
+# Relative radius slack of the kd prefilter. The tree's own distance
+# arithmetic differs from sq_dists by a few ulps of the distance (about
+# 1e-15 relative), far inside 1e-9, so a tree hit at r * (1 - SLACK) is
+# surely within r and every point within r is a tree hit at r * (1 + SLACK).
+SLACK = 1e-9
 
-def sq_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from each row of points to x."""
-    diff = points - x
-    return np.einsum("ij,ij->i", diff, diff)
+
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between rows of a and b, broadcast.
+
+    Coordinates are accumulated one at a time in index order, so every
+    element is the same sequence of rounded operations whatever the operand
+    shapes: `sq_dists(points, x)`, `sq_dists(p[:, None], p[None])` and
+    `sq_dists(p[src], p[dst])` agree bit for bit on the same pair.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    diff = a[..., 0] - b[..., 0]
+    acc = diff * diff
+    for j in range(1, a.shape[-1]):
+        diff = a[..., j] - b[..., j]
+        acc += diff * diff
+    return acc
 
 
 def brute_indices_within(points: np.ndarray, x, r: float) -> np.ndarray:
     """Indices of all points with |p - x| <= r, by full scan."""
-    x = np.asarray(x, dtype=float)
     return np.nonzero(sq_dists(points, x) <= r * r)[0]
 
 
 def brute_count_within(points: np.ndarray, x, r: float) -> int:
-    x = np.asarray(x, dtype=float)
     return int(np.count_nonzero(sq_dists(points, x) <= r * r))
 
 
 class GridIndex:
-    """Hash points into axis-aligned cells of a fixed edge length.
+    """Exact radius queries: a kd-tree prefilter plus the sq_dists refilter."""
 
-    Query cost is the number of candidate cells touched plus the exact
-    distance filter over their contents; when the query box spans more cells
-    than are occupied, the occupied cells are scanned instead, which keeps
-    high-dimensional queries from enumerating an exponential cell range.
-    """
+    def __init__(self, points: np.ndarray):
+        from scipy.spatial import cKDTree  # deferred: adds ~0.1 s to `import flatclust`
 
-    def __init__(self, points: np.ndarray, cell_size: float):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("points must be a nonempty (n, dim) array")
-        if not cell_size > 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size!r}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite (no NaN or inf coordinates)")
         self.points = points
-        self.cell_size = float(cell_size)
         self.dim = points.shape[1]
-        cells: dict[tuple, list[int]] = {}
-        keys = np.floor(points / self.cell_size).astype(np.int64)
-        for i, key in enumerate(map(tuple, keys)):
-            cells.setdefault(key, []).append(i)
-        self._cells = {k: np.asarray(v, dtype=np.intp) for k, v in cells.items()}
+        self._tree = cKDTree(points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def _candidates(self, x: np.ndarray, r: float) -> np.ndarray:
-        lo = np.floor((x - r) / self.cell_size).astype(np.int64)
-        hi = np.floor((x + r) / self.cell_size).astype(np.int64)
-        spans = hi - lo + 1
-        n_boxes = float(np.prod(spans.astype(float)))
-        chunks = []
-        if n_boxes <= len(self._cells):
-            for key in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-                got = self._cells.get(key)
-                if got is not None:
-                    chunks.append(got)
-        else:
-            for key, idx in self._cells.items():
-                if all(l <= k <= h for k, l, h in zip(key, lo, hi)):
-                    chunks.append(idx)
-        if not chunks:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(chunks)
-
     def indices_within(self, x, r: float) -> np.ndarray:
         """Indices (ascending) of all points with |p - x| <= r."""
         x = np.asarray(x, dtype=float)
-        cand = self._candidates(x, r)
-        if cand.size == 0:
-            return cand
-        keep = sq_dists(self.points[cand], x) <= r * r
-        return np.sort(cand[keep])
+        cand = np.asarray(self._tree.query_ball_point(x, r * (1.0 + SLACK)), dtype=np.intp)
+        return np.sort(cand[sq_dists(self.points[cand], x) <= r * r])
 
     def count_within(self, x, r: float) -> int:
-        x = np.asarray(x, dtype=float)
-        cand = self._candidates(x, r)
-        if cand.size == 0:
-            return 0
-        return int(np.count_nonzero(sq_dists(self.points[cand], x) <= r * r))
+        return int(self.indices_within(x, r).size)
+
+    def counts_within(self, queries: np.ndarray, r: float) -> np.ndarray:
+        """Ball counts |B(q, r)| for every row q of queries.
+
+        The tree counts each ball at r * (1 - SLACK), all surely inside, and
+        at r * (1 + SLACK), a superset; where the two agree that is the
+        count. Only the rows that differ fetch their candidates for the exact
+        refilter, so no full pair list is ever built.
+        """
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        lo = self._tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
+        hi = self._tree.query_ball_point(queries, r * (1.0 + SLACK), return_length=True)
+        counts = np.asarray(lo, dtype=np.intp)
+        rows = np.nonzero(lo != hi)[0]
+        if rows.size:
+            cand = self._tree.query_ball_point(queries[rows], r * (1.0 + SLACK))
+            owner = np.repeat(rows, [len(c) for c in cand])
+            idx = np.concatenate(cand).astype(np.intp)
+            inside = sq_dists(self.points[idx], queries[owner]) <= r * r
+            counts[rows] = np.bincount(owner[inside], minlength=queries.shape[0])[rows]
+        return counts
 
     def counts_within_all(self, r: float) -> np.ndarray:
-        """Neighbor counts |B(p_i, r)| for every indexed point (self included).
+        """Neighbor counts |B(p_i, r)| for every indexed point (self included)."""
+        return self.counts_within(self.points, r)
 
-        Queries are grouped by cell: all members of one cell share a
-        candidate superset, so the exact filter runs as one block per cell.
-        """
-        out = np.empty(self.points.shape[0], dtype=np.intp)
-        r2 = r * r
-        # covers floor((x +- r)/h) for every x in the cell
-        reach = int(math.floor(r / self.cell_size)) + 1
-        for key, members in self._cells.items():
-            chunks = []
-            lo = tuple(k - reach for k in key)
-            hi = tuple(k + reach for k in key)
-            n_boxes = float(np.prod([h - l + 1 for l, h in zip(lo, hi)]))
-            if n_boxes <= len(self._cells):
-                for cand_key in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-                    got = self._cells.get(cand_key)
-                    if got is not None:
-                        chunks.append(got)
-            else:
-                for cand_key, idx in self._cells.items():
-                    if all(l <= k <= h for k, l, h in zip(cand_key, lo, hi)):
-                        chunks.append(idx)
-            cand = np.concatenate(chunks)
-            cand_pts = self.points[cand]
-            for start in range(0, members.size, 256):
-                block = members[start : start + 256]
-                diff = self.points[block][:, None, :] - cand_pts[None, :, :]
-                sq = np.einsum("ckj,ckj->ck", diff, diff)
-                out[block] = (sq <= r2).sum(axis=1)
-        return out
+    def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """All index pairs with |p_src - p_dst| <= r, src < dst, in no set order."""
+        pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray")
+        src = pairs[:, 0].astype(np.intp)
+        dst = pairs[:, 1].astype(np.intp)
+        keep = sq_dists(self.points[src], self.points[dst]) <= r * r
+        return src[keep], dst[keep]

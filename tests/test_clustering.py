@@ -44,6 +44,39 @@ class TestCorePoints:
             core_points(np.zeros((3, 1)), 0, 0.1)
 
 
+_PARAM_PTS = np.random.default_rng(35).uniform(0, 1, size=(20, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cluster_tree(_PARAM_PTS, 0.06, [2, 1], link_radius=-1.0),
+        lambda: cluster_tree(_PARAM_PTS, 0.06, [2, 1], link_radius=0.0),
+        lambda: cluster_tree(_PARAM_PTS, -0.06, [2, 1]),
+        lambda: cluster_tree(_PARAM_PTS, 0.06, [2, 0]),
+        lambda: components_bruteforce(_PARAM_PTS, 2, -0.06),
+        lambda: components_bruteforce(_PARAM_PTS, 2, 0.06, link_radius=-1.0),
+        lambda: components_bruteforce(_PARAM_PTS, 2, 0.06, link_radius=0.0),
+        lambda: dbscan_cluster(_PARAM_PTS, 2, 0.06, link_radius=-1.0),
+        lambda: core_points(_PARAM_PTS, 2, float("nan")),
+    ],
+    ids=[
+        "tree-negative-link",
+        "tree-zero-link",
+        "tree-negative-delta",
+        "tree-zero-k",
+        "brute-negative-delta",
+        "brute-negative-link",
+        "brute-zero-link",
+        "dbscan-negative-link",
+        "core-nan-delta",
+    ],
+)
+def test_bad_parameters_rejected(call):
+    with pytest.raises(ValueError, match="must be"):
+        call()
+
+
 class TestDbscan:
     def test_two_coincident_groups(self):
         delta = 0.03

@@ -1,0 +1,60 @@
+"""Exit code of scripts/run_all_experiments.py, with the experiments faked."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from flatclust.experiments import ExperimentReport
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_all_experiments.py"
+
+
+@pytest.fixture
+def script():
+    spec = importlib.util.spec_from_file_location("run_all_experiments", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(script, monkeypatch, tmp_path, checks_by_name):
+    def fake_run(name):
+        checks = checks_by_name[name]
+        return ExperimentReport(
+            name=name, config={}, seed=0, rows=[], curves={}, checks=checks, passed=all(checks.values())
+        )
+
+    monkeypatch.setattr(script, "experiment_names", lambda: list(checks_by_name))
+    monkeypatch.setattr(script, "run_experiment", fake_run)
+    return script.main(["--outdir", str(tmp_path)])
+
+
+def test_expected_failure_alone_exits_zero(script, monkeypatch, tmp_path, capsys):
+    checks = {
+        "compensating": {"closed_form_ratio_in_band": False, "rate_partial_d_positive": True},
+        "kde_rate": {"slope_in_band": True},
+    }
+    assert _run(script, monkeypatch, tmp_path, checks) == 0
+    out = capsys.readouterr().out
+    assert "FAIL closed_form_ratio_in_band  (expected)" in out
+    assert "expected failures: compensating.closed_form_ratio_in_band" in out
+    assert "unexpected" not in out
+
+
+@pytest.mark.parametrize(
+    "checks, culprit",
+    [
+        (
+            {"compensating": {"closed_form_ratio_in_band": False, "rate_partial_d_positive": False}},
+            "compensating.rate_partial_d_positive",
+        ),
+        (
+            {"compensating": {"closed_form_ratio_in_band": False}, "kde_rate": {"slope_in_band": False}},
+            "kde_rate.slope_in_band",
+        ),
+    ],
+)
+def test_any_other_failed_check_exits_one(script, monkeypatch, tmp_path, capsys, checks, culprit):
+    assert _run(script, monkeypatch, tmp_path, checks) == 1
+    assert f"unexpected failures: {culprit}" in capsys.readouterr().out
