@@ -103,8 +103,6 @@ class GridIndex:
 
     def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """All index pairs with |p_src - p_dst| <= r, src < dst, in no set order."""
-        pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray")
-        src = pairs[:, 0].astype(np.intp)
-        dst = pairs[:, 1].astype(np.intp)
+        src, dst = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray").T
         keep = sq_dists(self.points[src], self.points[dst]) <= r * r
         return src[keep], dst[keep]
