@@ -16,11 +16,10 @@ Usage:
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from flatclust.experiments import experiment_names, run_experiment
-from flatclust.io import write_json_document
+from flatclust.io import emit_curves_csv, write_json_document
 
 # Checks that fail by design; every other failed check fails the run.
 EXPECTED_FAILURES = {("compensating", "closed_form_ratio_in_band")}
@@ -39,19 +38,13 @@ def main(argv=None) -> int:
     failures = 0
     unexpected = []
     for name in names:
-        t0 = time.perf_counter()
         report = run_experiment(name)
-        elapsed = time.perf_counter() - t0
         write_json_document(outdir / f"{name}_report.json", report.to_document())
-        with open(outdir / f"{name}_curves.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("curve,x,y\n")
-            for curve in sorted(report.curves):
-                for x, y in report.curves[curve]:
-                    fh.write(f"{curve},{float(x):.17g},{float(y):.17g}\n")
+        emit_curves_csv(outdir / f"{name}_curves.csv", report.curves)
         status = "pass" if report.passed else "FAIL"
         failures += not report.passed
         slope = f" slope={report.slope:.4f}" if report.slope is not None else ""
-        print(f"{name:20s} {status}{slope}  ({elapsed:.1f}s)")
+        print(f"{name:20s} {status}{slope}  ({report.wall_clock_s:.1f}s)")
         for check, ok in report.checks.items():
             expected = (name, check) in EXPECTED_FAILURES
             note = "  (expected)" if expected and not ok else ""

@@ -32,8 +32,23 @@ from .density import (
 )
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume, ball_volume, reg_inc_beta
 from .io import PipelineConfig, ingest_series_csv, run_cluster, run_smooth
-from .series import FlatPoint, GridSeries, RawSeries, flatten, grid_sup_distance, unflatten
-from .smoothing import SmootherConfig, estimate_grid_series, gamma_schedule, kernel_le, nw_weights, smooth_at
-from .synthetic import FunctionFamilySpec, MixtureSpec, sample_flat, sample_raw_series, true_density
+from .series import FlatPoint, GridSeries, RawSeries, SeriesBatch, flatten, grid_sup_distance, unflatten
+from .smoothing import (
+    SmootherConfig,
+    estimate_grid_series,
+    gamma_schedule,
+    kernel_le,
+    nw_weights,
+    smooth_at,
+    smooth_batch,
+)
+from .synthetic import (
+    FunctionFamilySpec,
+    MixtureSpec,
+    sample_flat,
+    sample_raw_series,
+    sample_series_batch,
+    true_density,
+)
 
 __version__ = "0.1.0"

@@ -124,12 +124,11 @@ def _cmd_experiment(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fio.write_json_document(outdir / f"{args.name}_report.json", report.to_document())
-    with open(outdir / f"{args.name}_curves.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("curve,x,y\n")
-        for curve in sorted(report.curves):
-            for x, y in report.curves[curve]:
-                fh.write(f"{curve},{format(float(x), '.17g')},{format(float(y), '.17g')}\n")
-    print(f"{args.name}: passed={report.passed} checks={report.checks}")
+    fio.emit_curves_csv(outdir / f"{args.name}_curves.csv", report.curves)
+    print(
+        f"{args.name}: passed={report.passed} checks={report.checks} "
+        f"wall_clock_s={report.wall_clock_s:.3f}"
+    )
     return 0
 
 

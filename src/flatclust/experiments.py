@@ -29,8 +29,8 @@ from .density import (
     kde_eval_batch,
 )
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume
-from .series import flatten, grid_times
-from .smoothing import SmootherConfig, estimate_grid_series, gamma_schedule
+from .series import grid_times
+from .smoothing import gamma_schedule, smooth_batch
 from .spatial import sq_dists
 from .synthetic import (
     ClusterTemplate,
@@ -40,10 +40,16 @@ from .synthetic import (
     gap_family,
     grid_resolution_templates,
     lipschitz_family,
-    sample_raw_series,
+    sample_series_batch,
     single_bump_mixture_1d,
     two_bump_mixture_1d,
 )
+
+# Bound here, though this module no longer calls them, because the per-layer
+# tracer in perfbench/ wraps them under this module's name.
+from .series import flatten  # noqa: F401
+from .smoothing import estimate_grid_series  # noqa: F401
+from .synthetic import sample_raw_series  # noqa: F401
 
 __all__ = [
     "ExperimentReport",
@@ -528,16 +534,12 @@ def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> ExperimentReport:
     bias_bound_ok = True
     for r, m in enumerate(ladder):
         gamma = gamma_schedule(m)
-        smoother = SmootherConfig(gamma=gamma)
         sups = []
         for t in range(cfg.trials):
-            raws, _, grids = sample_raw_series(
+            batch, _, truth = sample_series_batch(
                 fam, cfg.series_per_trial, m, _trial_rng(cfg.seed, r, t)
             )
-            worst = 0.0
-            for raw, true_grid in zip(raws, grids):
-                est = estimate_grid_series(raw, d, smoother)
-                worst = max(worst, float(np.max(np.abs(est.values - true_grid.values))))
+            worst = float(np.max(np.abs(smooth_batch(batch, d, gamma) - truth), initial=0.0))
             sups.append(worst)
             if noiseless and worst > l_f * gamma:
                 bias_bound_ok = False
@@ -645,16 +647,15 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> ExperimentReport:
     recount_ok = True
     for r, m in enumerate(ladder):
         gamma = gamma_schedule(m)
-        smoother = SmootherConfig(gamma=gamma)
         gaps = []
         eps_list = []
         pmax_list = []
         for t in range(cfg.trials):
-            raws, _, grids = sample_raw_series(fam, cfg.n, m, _trial_rng(cfg.seed, r, t))
-            clean = np.stack([flatten(g).coords for g in grids])
-            est = np.stack(
-                [flatten(estimate_grid_series(raw, d, smoother)).coords for raw in raws]
-            )
+            batch, _, truth = sample_series_batch(fam, cfg.n, m, _trial_rng(cfg.seed, r, t))
+            # flattened time-major, exactly as flatten orders one grid series
+            clean = truth.reshape(cfg.n, sd)
+            est = smooth_batch(batch, d, gamma).reshape(cfg.n, sd)
+            del batch  # so the next trial's draw does not sit beside this one
             eps_inf = float(np.max(np.abs(clean - est)))
             eps_list.append(math.sqrt(sd) * eps_inf)
             model_clean = KdeModel(clean, delta)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,8 +28,13 @@ import numpy as np
 
 from .clustering import NOISE, ClusterTree, cluster_tree, dbscan_cluster
 from .density import delta_schedule, k_of_lambda, lambda_of_k
-from .series import GridSeries, RawSeries, flatten
-from .smoothing import SmootherConfig, estimate_grid_series, gamma_schedule
+from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views
+from .smoothing import gamma_schedule, smooth_batch
+
+# Bound here, though this module no longer calls them, because the per-layer
+# tracer in perfbench/ wraps them under this module's name.
+from .series import flatten  # noqa: F401
+from .smoothing import estimate_grid_series  # noqa: F401
 
 __all__ = [
     "ParseError",
@@ -39,6 +45,7 @@ __all__ = [
     "emit_points_csv",
     "emit_assignments_csv",
     "emit_labels_csv",
+    "emit_curves_csv",
     "write_json_document",
     "read_json_document",
     "run_cluster",
@@ -148,50 +155,112 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
+# Rows parsed at a time: ingest holds one chunk of text fields, not the file's.
+INGEST_CHUNK = 8192
+
+
 def ingest_series_csv(path) -> list[RawSeries]:
-    """Parse a series CSV into RawSeries, grouped by id and sorted by time."""
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(_io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file, header required", line=1) from None
-    if len(header) < 3 or header[0] != "series_id" or header[1] != "time":
-        raise ParseError(
-            f"header must be series_id,time,v1,...,vs; got {','.join(header)}", line=1
-        )
-    s = len(header) - 2
-    expected = [f"v{i}" for i in range(1, s + 1)]
-    if header[2:] != expected:
-        raise ParseError(
-            f"value columns must be {','.join(expected)}; got {','.join(header[2:])}", line=1
-        )
-    rows: dict[str, list[tuple[float, tuple]]] = {}
-    seen: set[tuple[str, float]] = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != s + 2:
-            raise ParseError(f"expected {s + 2} fields, got {len(row)}", line=lineno)
-        sid = row[0]
+    """Parse a series CSV into RawSeries, grouped by id and sorted by time.
+
+    Series come in order of first appearance, as views into one SeriesBatch.
+    Rows are parsed in chunks and checked a column at a time; an error names
+    the first offending line in file order.
+    """
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            t = float(row[1])
-            values = tuple(float(v) for v in row[2:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if not 0.0 < t <= 1.0:
-            raise ParseError(f"time {t} outside (0, 1]", line=lineno)
-        if (sid, t) in seen:
-            raise ParseError(f"duplicate (series_id, time) = ({sid}, {t})", line=lineno)
-        seen.add((sid, t))
-        rows.setdefault(sid, []).append((t, values))
-    out = []
-    for sid, obs in rows.items():
-        obs.sort(key=lambda pair: pair[0])
-        times = np.array([t for t, _ in obs])
-        values = np.array([v for _, v in obs])
-        out.append(RawSeries(id=sid, s=s, times=times, values=values))
-    return out
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file, header required", line=1) from None
+        if len(header) < 3 or header[0] != "series_id" or header[1] != "time":
+            raise ParseError(
+                f"header must be series_id,time,v1,...,vs; got {','.join(header)}", line=1
+            )
+        s = len(header) - 2
+        expected = [f"v{i}" for i in range(1, s + 1)]
+        if header[2:] != expected:
+            raise ParseError(
+                f"value columns must be {','.join(expected)}; got {','.join(header[2:])}", line=1
+            )
+        code_of: dict[str, int] = {}  # series id -> its rank of first appearance
+        parts = []  # per chunk: (codes, lines, times, values) of its accepted rows
+        first_line = 2
+        error = None
+        while rows := list(itertools.islice(reader, INGEST_CHUNK)):
+            *part, error = _parse_rows(rows, first_line, s, code_of)
+            parts.append(part)
+            first_line += len(rows)
+            if error is not None:
+                break
+    if not parts:
+        return []
+    codes, lines, times, values = (np.concatenate([p[k] for p in parts]) for k in range(4))
+    order = np.lexsort((times, codes))
+    same = (codes[order][1:] == codes[order][:-1]) & (times[order][1:] == times[order][:-1])
+    if same.any():
+        # every later row of an equal (id, time) run repeats an earlier one
+        dup = order[1:][same][np.argmin(lines[order][1:][same])]
+        sid = list(code_of)[codes[dup]]
+        error = (int(lines[dup]), f"duplicate (series_id, time) = ({sid}, {float(times[dup])})")
+    if error is not None:
+        raise ParseError(error[1], line=error[0])
+    values = values[order]
+    sorted_times = times[order]
+    for a in (values, sorted_times):
+        a.setflags(write=False)  # handed to the batch without a copy
+    offsets = np.zeros(len(code_of) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=len(code_of)), out=offsets[1:])
+    batch = SeriesBatch(ids=list(code_of), s=s, offsets=offsets, times=sorted_times, values=values)
+    return batch.series()
+
+
+def _parse_rows(rows: list[list[str]], first_line: int, s: int, code_of: dict[str, int]):
+    """Parse one chunk of series CSV rows, the first at line first_line.
+
+    Returns (codes, lines, times, values, error) for the rows before the
+    chunk's first offending one; error is that row's (line, message), or
+    None. Ids met for the first time get the next codes in code_of.
+    """
+    width = s + 2
+    lines = np.arange(first_line, first_line + len(rows))
+    error = None
+    if set(map(len, rows)) != {width}:
+        cut = next((i for i, row in enumerate(rows) if row and len(row) != width), len(rows))
+        if cut < len(rows):
+            error = (first_line + cut, f"expected {width} fields, got {len(rows[cut])}")
+        kept = [i for i, row in enumerate(rows[:cut]) if row]  # blank rows are skipped
+        rows, lines = [rows[i] for i in kept], lines[kept]
+    columns = list(zip(*rows)) or [()] * width
+    try:
+        numbers = [np.fromiter(map(float, col), float, len(rows)) for col in columns[1:]]
+    except ValueError:
+        # the first row that fails, and its first failing field, as a row loop meets them
+        for cut, row in enumerate(rows):
+            try:
+                list(map(float, row[1:]))
+            except ValueError as exc:
+                error = (int(lines[cut]), str(exc))
+                break
+        rows, lines = rows[:cut], lines[:cut]
+        columns = list(zip(*rows)) or [()] * width
+        numbers = [np.fromiter(map(float, col), float, len(rows)) for col in columns[1:]]
+    sids, times, values = columns[0], numbers[0], np.stack(numbers[1:], axis=1)
+    bad_time = ~((times > 0.0) & (times <= 1.0))
+    bad_value = ~np.isfinite(values)
+    bad = bad_time | bad_value.any(axis=1)
+    if bad.any():
+        cut = int(np.argmax(bad))
+        if bad_time[cut]:
+            message = f"time {float(times[cut])} outside (0, 1]"
+        else:
+            j = int(np.argmax(bad_value[cut]))
+            message = f"non-finite value {float(values[cut, j])} in column v{j + 1}"
+        error = (int(lines[cut]), message)
+        sids, lines, times, values = sids[:cut], lines[:cut], times[:cut], values[:cut]
+    for sid in dict.fromkeys(sids):  # distinct ids, in order of first appearance
+        code_of.setdefault(sid, len(code_of))
+    codes = np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
+    return codes, lines, times, values, error
 
 
 def emit_series_csv(path, series: list[RawSeries] | list[GridSeries]) -> None:
@@ -235,6 +304,15 @@ def ingest_points_csv(path) -> tuple[list[str], np.ndarray]:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
     return ids, np.asarray(rows, dtype=float)
+
+
+def emit_curves_csv(path, curves: dict) -> None:
+    """Write experiment curves as `curve,x,y` rows, curves in name order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("curve,x,y\n")
+        for curve in sorted(curves):
+            for x, y in curves[curve]:
+                fh.write(f"{curve},{_fmt(x)},{_fmt(y)}\n")
 
 
 def emit_assignments_csv(path, ids: list[str], assignments) -> None:
@@ -281,16 +359,15 @@ def _resolve_k(cfg: PipelineConfig, n: int, delta: float, sd: int) -> int:
 
 
 def run_smooth(cfg: PipelineConfig, series: list[RawSeries]) -> list[GridSeries]:
-    """Smooth every raw series onto the clustering grid."""
-    out = []
+    """Smooth every raw series onto the clustering grid, as one batch."""
     for sr in series:
         if sr.s != cfg.s:
             raise ValueError(f"series {sr.id!r} has s={sr.s}, config expects {cfg.s}")
         if sr.m <= cfg.d:
             raise ValueError(f"series {sr.id!r} has m={sr.m} <= d={cfg.d}; need m > d")
-        smoother = SmootherConfig(gamma=_resolve_gamma(cfg, sr.m), clip=cfg.clip)
-        out.append(estimate_grid_series(sr, cfg.d, smoother))
-    return out
+    batch = SeriesBatch.from_series(series, s=cfg.s)
+    gammas = [_resolve_gamma(cfg, m) for m in batch.m.tolist()]
+    return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, gammas))
 
 
 def _tree_document(tree: ClusterTree, ids: list[str], n: int, sd: int) -> dict:
@@ -325,7 +402,8 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     """
     grids = run_smooth(cfg, series)
     ids = [g.id for g in grids]
-    points = np.stack([flatten(g).coords for g in grids])
+    # time-major, exactly as flatten orders one grid series
+    points = np.stack([g.values for g in grids]).reshape(len(grids), -1)
     n, sd = points.shape
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
     link = 2.0 * delta if cfg.link_radius is None else float(cfg.link_radius)

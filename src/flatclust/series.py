@@ -3,6 +3,8 @@
 RawSeries holds the noisy observed sample of one series; GridSeries holds its
 values at the d clustering timepoints t = 1/d, ..., 1; FlatPoint is the
 time-major concatenation of a GridSeries into a single point of [0,1]^(s*d).
+SeriesBatch holds many raw series in columnar form, checked once per batch;
+the per-series objects it hands out are read-only views into its arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "RawSeries",
+    "SeriesBatch",
     "GridSeries",
     "FlatPoint",
     "grid_times",
@@ -21,6 +24,7 @@ __all__ = [
     "unflatten",
     "flat_array",
     "grid_sup_distance",
+    "grid_series_views",
 ]
 
 
@@ -28,6 +32,40 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _kept_readonly(a, dtype=float) -> np.ndarray:
+    """a itself when it is already a read-only array of dtype, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+        return a
+    return _as_readonly(a, dtype)
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen series type whose fields were checked elsewhere."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_raw(s: int, times: np.ndarray, values: np.ndarray, offsets: np.ndarray) -> None:
+    """The RawSeries rules, for one series or every series of a batch at once.
+
+    Series i owns rows offsets[i]:offsets[i+1] of times and values.
+    """
+    if s < 1:
+        raise ValueError(f"component count s must be >= 1, got {s}")
+    if times.ndim != 1 or np.any(offsets[1:] <= offsets[:-1]):
+        raise ValueError("times must be a nonempty 1-d array")
+    if times.size and not (times.min() > 0.0 and times.max() <= 1.0):  # NaN fails too
+        raise ValueError("times must lie in (0, 1]")
+    rising = times[1:] > times[:-1]
+    rising[offsets[1:-1] - 1] = True  # pairs that straddle two series
+    if not np.all(rising):
+        raise ValueError("times must be strictly increasing")
+    if values.shape != (times.size, s):
+        raise ValueError(f"values must have shape (m, s) = ({times.size}, {s}), got {values.shape}")
 
 
 @dataclass(frozen=True)
@@ -45,20 +83,9 @@ class RawSeries:
     m: int = field(init=False)
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError(f"component count s must be >= 1, got {self.s}")
         times = _as_readonly(self.times)
         values = _as_readonly(self.values)
-        if times.ndim != 1 or times.size == 0:
-            raise ValueError("times must be a nonempty 1-d array")
-        if np.any(times <= 0.0) or np.any(times > 1.0):
-            raise ValueError("times must lie in (0, 1]")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if values.shape != (times.size, self.s):
-            raise ValueError(
-                f"values must have shape (m, s) = ({times.size}, {self.s}), got {values.shape}"
-            )
+        _check_raw(self.s, times, values, np.array([0, times.size]))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "m", int(times.size))
@@ -71,6 +98,68 @@ class RawSeries:
             values = values[:, None]
         m = values.shape[0]
         return cls(id=id, s=s or values.shape[1], times=np.arange(1, m + 1) / m, values=values)
+
+
+@dataclass(frozen=True, eq=False)
+class SeriesBatch:
+    """n raw series in columnar form: series i owns rows offsets[i]:offsets[i+1].
+
+    times has shape (N,) and values (N, s), N = offsets[-1]. Every RawSeries
+    rule is checked once for the whole batch, with the same messages. Arrays
+    that are already read-only are kept as they are; writable ones are copied.
+    """
+
+    ids: tuple
+    s: int
+    offsets: np.ndarray
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        offsets = _kept_readonly(self.offsets, np.intp)
+        times = _kept_readonly(self.times)
+        values = _kept_readonly(self.values)
+        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != times.size:
+            raise ValueError("offsets must run from 0 to len(times), one step per id")
+        _check_raw(self.s, times, values, offsets)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def m(self) -> np.ndarray:
+        """Observation count of every series."""
+        return np.diff(self.offsets)
+
+    @classmethod
+    def from_series(cls, series: Sequence[RawSeries], s: int | None = None) -> "SeriesBatch":
+        """Pack raw series, in order, into one batch; s defaults to the first one's."""
+        if s is None:
+            if not series:
+                raise ValueError("an empty batch needs its component count s")
+            s = series[0].s
+        offsets = np.zeros(len(series) + 1, dtype=np.intp)
+        np.cumsum([y.m for y in series], out=offsets[1:])
+        times = np.concatenate([y.times for y in series]) if series else np.empty(0)
+        values = np.concatenate([y.values for y in series]) if series else np.empty((0, s))
+        for a in (offsets, times, values):
+            a.setflags(write=False)  # owned here, so the batch keeps them without a copy
+        return cls(ids=tuple(y.id for y in series), s=s, offsets=offsets, times=times, values=values)
+
+    def series(self) -> list[RawSeries]:
+        """Every series as a RawSeries view into the batch arrays."""
+        o = self.offsets.tolist()
+        return [
+            _unchecked(
+                RawSeries, id=sid, s=self.s, times=self.times[a:b], values=self.values[a:b], m=b - a
+            )
+            for sid, a, b in zip(self.ids, o, o[1:])
+        ]
 
 
 @dataclass(frozen=True)
@@ -127,6 +216,17 @@ def grid_times(d: int) -> np.ndarray:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     return np.arange(1, d + 1) / d
+
+
+def grid_series_views(ids: Sequence[str], grid: np.ndarray) -> list[GridSeries]:
+    """GridSeries views of the rows of an (n, d, s) array, checked once as a whole."""
+    grid = _as_readonly(grid)
+    n, d, s = grid.shape
+    if len(ids) != n:
+        raise ValueError(f"need one id per grid row, got {len(ids)} ids for {n} rows")
+    if np.any(grid < 0.0) or np.any(grid > 1.0):
+        raise ValueError("grid values must lie in [0, 1]")
+    return [_unchecked(GridSeries, id=sid, s=s, d=d, values=row) for sid, row in zip(ids, grid)]
 
 
 def flatten(g: GridSeries) -> FlatPoint:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import GridSeries, RawSeries, grid_times
+from .series import GridSeries, RawSeries, SeriesBatch, grid_times
 
 __all__ = [
     "SmootherConfig",
@@ -25,6 +25,7 @@ __all__ = [
     "smooth_at",
     "smooth_at_symmetric",
     "estimate_grid_series",
+    "smooth_batch",
     "gamma_schedule",
     "gamma_schedule_power",
 ]
@@ -113,20 +114,74 @@ def smooth_at_symmetric(y: RawSeries, t: float, gamma: float) -> np.ndarray:
 def estimate_grid_series(y: RawSeries, d: int, cfg: SmootherConfig) -> GridSeries:
     """Smooth a raw series at every clustering timepoint 1/d, ..., 1.
 
-    Requires m > d. Empty windows produce zero slots and one warning per
-    slot; coordinates are clipped into [0, 1] when cfg.clip is set (and
-    always on output, since GridSeries requires it).
+    The one-series case of smooth_batch. Requires m > d; empty windows
+    produce zero slots and one warning per slot. Coordinates always end in
+    [0, 1], since GridSeries requires it, so cfg.clip does not change the
+    result.
+    """
+    grid = smooth_batch(SeriesBatch.from_series([y]), d, cfg.gamma)
+    return GridSeries(id=y.id, s=y.s, d=d, values=grid[0])
+
+
+def _rows(a: np.ndarray, offsets: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
+    """Rows of the series idx, all of length m, stacked: a view when they are adjacent."""
+    start = offsets[idx[0]]
+    if idx[-1] - idx[0] == idx.size - 1:
+        return a[start : start + idx.size * m].reshape(idx.size, m, *a.shape[1:])
+    return a[offsets[idx, None] + np.arange(m)]
+
+
+def _groups(batch: SeriesBatch, gammas: np.ndarray):
+    """(series indices, sample times, gamma) for each set of series sharing both."""
+    by_key: dict[tuple, list[int]] = {}
+    for i, key in enumerate(zip(batch.m.tolist(), gammas.tolist())):
+        by_key.setdefault(key, []).append(i)
+    for (m, gamma), members in by_key.items():
+        idx = np.array(members)
+        times = _rows(batch.times, batch.offsets, idx, m)
+        while idx.size:
+            same = (times == times[0]).all(axis=1)
+            yield idx[same], times[0], gamma
+            idx, times = idx[~same], times[~same]
+
+
+def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
+    """Smooth every series of a batch at 1/d, ..., 1 into an (n, d, s) array.
+
+    gammas is one bandwidth per series, or one for all. Series that share
+    their sample times and gamma are smoothed together: at each grid time
+    their (n_g, m, s) block is reduced by one nw_weights vector, `w @ block`,
+    which is bit-identical to smooth_at's `w @ values` per series. (A
+    windowed np.add.reduceat, or one (d, m) weight matrix for all grid
+    times, sums in another order and is off by a few ulp.) Requires m > d
+    for every series. Empty windows give zero slots and one
+    EmptyWindowWarning per series and slot; every coordinate is clipped
+    into [0, 1].
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if y.m <= d:
-        raise ValueError(f"series {y.id!r} has m={y.m} <= d={d}; need m > d")
-    out = np.empty((d, y.s))
-    for j, t in enumerate(grid_times(d)):
-        out[j] = smooth_at(y, t, cfg)
-    if not cfg.clip:
-        out = np.clip(out, 0.0, 1.0)
-    return GridSeries(id=y.id, s=y.s, d=d, values=out)
+    n = len(batch)
+    m = batch.m
+    short = np.nonzero(m <= d)[0]
+    if short.size:
+        i = short[0]
+        raise ValueError(f"series {batch.ids[i]!r} has m={int(m[i])} <= d={d}; need m > d")
+    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n,))
+    out = np.zeros((n, d, batch.s))
+    for idx, times, gamma in _groups(batch, gammas):
+        block = _rows(batch.values, batch.offsets, idx, times.size)
+        for j, t in enumerate(grid_times(d)):
+            w, empty = nw_weights(t, times, gamma)
+            if empty:
+                for i in idx:
+                    warnings.warn(
+                        f"series {batch.ids[i]!r}: no samples in [{t - gamma:.6g}, {t:.6g}]",
+                        EmptyWindowWarning,
+                        stacklevel=2,
+                    )
+            else:
+                out[idx, j] = w @ block
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def gamma_schedule(m: int) -> float:

@@ -40,12 +40,22 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _checked_radius(r) -> float:
+    """r as a float; a negative or NaN radius is an error, not the ball of |r|."""
+    r = float(r)
+    if not r >= 0.0:
+        raise ValueError(f"radius must be a nonnegative number, got {r!r}")
+    return r
+
+
 def brute_indices_within(points: np.ndarray, x, r: float) -> np.ndarray:
     """Indices of all points with |p - x| <= r, by full scan."""
+    r = _checked_radius(r)
     return np.nonzero(sq_dists(points, x) <= r * r)[0]
 
 
 def brute_count_within(points: np.ndarray, x, r: float) -> int:
+    r = _checked_radius(r)
     return int(np.count_nonzero(sq_dists(points, x) <= r * r))
 
 
@@ -69,6 +79,7 @@ class GridIndex:
 
     def indices_within(self, x, r: float) -> np.ndarray:
         """Indices (ascending) of all points with |p - x| <= r."""
+        r = _checked_radius(r)
         x = np.asarray(x, dtype=float)
         cand = np.asarray(self._tree.query_ball_point(x, r * (1.0 + SLACK)), dtype=np.intp)
         return np.sort(cand[sq_dists(self.points[cand], x) <= r * r])
@@ -84,6 +95,7 @@ class GridIndex:
         count. Only the rows that differ fetch their candidates for the exact
         refilter, so no full pair list is ever built.
         """
+        r = _checked_radius(r)
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         lo = self._tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
         hi = self._tree.query_ball_point(queries, r * (1.0 + SLACK), return_length=True)
@@ -103,6 +115,7 @@ class GridIndex:
 
     def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """All index pairs with |p_src - p_dst| <= r, src < dst, in no set order."""
+        r = _checked_radius(r)
         src, dst = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray").T
         keep = sq_dists(self.points[src], self.points[dst]) <= r * r
         return src[keep], dst[keep]

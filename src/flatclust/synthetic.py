@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import GridSeries, RawSeries, grid_times
+from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views, grid_times
 
 __all__ = [
     "Bump1D",
@@ -27,6 +27,7 @@ __all__ = [
     "ClusterTemplate",
     "FunctionFamilySpec",
     "sample_raw_series",
+    "sample_series_batch",
     "sample_series_from_template",
     "single_bump_mixture_1d",
     "two_bump_mixture_1d",
@@ -388,15 +389,21 @@ class ClusterTemplate:
         return max(c.lipschitz(1.0 + self.amp_jitter) for c in self.components)
 
     def eval(self, t, amp_scales=None, offset_shifts=None) -> np.ndarray:
-        """Values at times t: shape (len(t), s)."""
+        """Values at times t: shape (len(t), s).
+
+        With jitter arrays of shape (k, s), one row per instance, the result
+        has shape (k, len(t), s), each instance equal bit for bit to its own
+        call with one row.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        amp_scales = np.ones(self.s) if amp_scales is None else amp_scales
-        offset_shifts = np.zeros(self.s) if offset_shifts is None else offset_shifts
-        return np.column_stack(
+        amp_scales = np.ones(self.s) if amp_scales is None else np.asarray(amp_scales)
+        offset_shifts = np.zeros(self.s) if offset_shifts is None else np.asarray(offset_shifts)
+        return np.stack(
             [
-                c.eval(t, amp_scale=amp_scales[j], offset_shift=offset_shifts[j])
+                c.eval(t, amp_scale=amp_scales[..., j, None], offset_shift=offset_shifts[..., j, None])
                 for j, c in enumerate(self.components)
-            ]
+            ],
+            axis=-1,
         )
 
     def range_ok(self) -> bool:
@@ -534,13 +541,72 @@ class FunctionFamilySpec:
         )
 
 
-def sample_raw_series(
+# Series drawn per bulk draw: memory holds one chunk's uniforms, not the batch's.
+SAMPLE_CHUNK = 64
+
+
+def _sample_batch(
+    templates: tuple[ClusterTemplate, ...],
+    labels: np.ndarray,
+    m: int,
+    d: int,
+    eps_bar: float,
+    rng: np.random.Generator,
+    id_prefix: str,
+) -> tuple[SeriesBatch, np.ndarray]:
+    """Noisy series of length m for templates[labels[i]], plus their grid values at 1/d..1.
+
+    The random stream is the one of a per-series loop of `draw_jitter` and
+    `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
+    [amp scales s | offset shifts s | noise m*s] from one bulk `random`
+    draw, mapped by `low + (high - low) * u` as `uniform` maps it, so the
+    values are bit-identical to that loop's.
+    """
+    n = labels.size
+    s = templates[0].s
+    times = np.arange(1, m + 1) / m
+    noisy = eps_bar > 0
+    width = 2 * s + (m * s if noisy else 0)
+    values = np.empty((n, m, s))
+    grid = np.empty((n, d, s))
+    for start in range(0, n, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, n)
+        u = rng.random((stop - start) * width).reshape(stop - start, width)
+        for c, template in enumerate(templates):
+            rows = np.nonzero(labels[start:stop] == c)[0]
+            if rows.size == 0:
+                continue
+            lo, hi = 1.0 - template.amp_jitter, 1.0 + template.amp_jitter
+            scales = lo + (hi - lo) * u[rows, :s]
+            lo, hi = -template.offset_jitter, template.offset_jitter
+            shifts = lo + (hi - lo) * u[rows, s : 2 * s]
+            block = template.eval(times, scales, shifts)
+            if noisy:
+                lo, hi = -eps_bar, eps_bar
+                block = block + (lo + (hi - lo) * u[rows, 2 * s :]).reshape(-1, m, s)
+            values[start + rows] = block
+            grid[start + rows] = template.eval(grid_times(d), scales, shifts)
+    values = values.reshape(n * m, s)
+    all_times = np.tile(times, n)
+    for a in (values, all_times):
+        a.setflags(write=False)  # handed to the batch without a copy
+    batch = SeriesBatch(
+        ids=[f"{id_prefix}{i:05d}" for i in range(n)],
+        s=s,
+        offsets=np.arange(n + 1) * m,
+        times=all_times,
+        values=values,
+    )
+    return batch, grid
+
+
+def sample_series_batch(
     fspec: FunctionFamilySpec,
     n: int,
     m: int,
     seed,
-) -> tuple[list[RawSeries], np.ndarray, list[GridSeries]]:
-    """Draw n noisy series of length m plus their exact noiseless grid values.
+) -> tuple[SeriesBatch, np.ndarray, np.ndarray]:
+    """Draw n noisy series of length m, their labels, and their exact (n, d, s) grid values.
 
     Observation times are j/m; noise is i.i.d. uniform on [-eps_bar, eps_bar]
     across series, components, and times.
@@ -549,21 +615,19 @@ def sample_raw_series(
         raise ValueError(f"need m > d, got m={m}, d={fspec.d}")
     rng = np.random.default_rng(seed)
     labels = rng.choice(fspec.C, size=n, p=np.asarray(fspec.weights, dtype=float))
-    times = np.arange(1, m + 1) / m
-    grid = grid_times(fspec.d)
-    raws: list[RawSeries] = []
-    grids: list[GridSeries] = []
-    for i in range(n):
-        template = fspec.clusters[labels[i]]
-        scales, shifts = template.draw_jitter(rng)
-        clean = template.eval(times, scales, shifts)
-        noise = rng.uniform(-fspec.eps_bar, fspec.eps_bar, size=(m, fspec.s)) if fspec.eps_bar > 0 else 0.0
-        sid = f"series{i:05d}"
-        raws.append(RawSeries(id=sid, s=fspec.s, times=times, values=clean + noise))
-        grids.append(
-            GridSeries(id=sid, s=fspec.s, d=fspec.d, values=template.eval(grid, scales, shifts))
-        )
-    return raws, labels, grids
+    batch, grid = _sample_batch(fspec.clusters, labels, m, fspec.d, fspec.eps_bar, rng, "series")
+    return batch, labels, grid
+
+
+def sample_raw_series(
+    fspec: FunctionFamilySpec,
+    n: int,
+    m: int,
+    seed,
+) -> tuple[list[RawSeries], np.ndarray, list[GridSeries]]:
+    """sample_series_batch with per-series RawSeries and GridSeries views."""
+    batch, labels, grid = sample_series_batch(fspec, n, m, seed)
+    return batch.series(), labels, grid_series_views(batch.ids, grid)
 
 
 def sample_series_from_template(
@@ -576,16 +640,8 @@ def sample_series_from_template(
 ) -> list[RawSeries]:
     """Draw n noisy series of length m from a single template."""
     rng = np.random.default_rng(seed)
-    times = np.arange(1, m + 1) / m
-    out = []
-    for i in range(n):
-        scales, shifts = template.draw_jitter(rng)
-        clean = template.eval(times, scales, shifts)
-        noise = rng.uniform(-eps_bar, eps_bar, size=(m, template.s)) if eps_bar > 0 else 0.0
-        out.append(
-            RawSeries(id=f"{id_prefix}{i:05d}", s=template.s, times=times, values=clean + noise)
-        )
-    return out
+    batch, _ = _sample_batch((template,), np.zeros(n, dtype=int), m, 1, eps_bar, rng, id_prefix)
+    return batch.series()
 
 
 # ---------------------------------------------------------------------------

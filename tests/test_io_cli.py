@@ -1,13 +1,20 @@
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatclust import io as fio
 from flatclust.cli import main
 from flatclust.io import (
     ParseError,
     PipelineConfig,
+    emit_curves_csv,
     emit_series_csv,
     ingest_points_csv,
     ingest_series_csv,
@@ -105,6 +112,23 @@ class TestSeriesCsv:
         path = tmp_path / "s.csv"
         path.write_text("series_id,time,v1\na,0.5,abc\n")
         with pytest.raises(ParseError, match="line 2"):
+            ingest_series_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        path = tmp_path / "s.csv"
+        path.write_text(f"series_id,time,v1,v2\na,0.5,0.1,0.2\na,1.0,0.3,{bad}\n")
+        with pytest.raises(ParseError, match=f"line 3: non-finite value .* in column v2") as caught:
+            ingest_series_csv(path)
+        assert caught.value.line == 3
+
+    def test_first_offending_line_wins_across_chunks(self, tmp_path, monkeypatch):
+        # a duplicate on line 4 comes before a bad field count on line 6,
+        # though the chunk holding line 6 is read after the duplicate's
+        monkeypatch.setattr(fio, "INGEST_CHUNK", 2)
+        path = tmp_path / "s.csv"
+        path.write_text("series_id,time,v1\na,0.5,0.1\nb,0.5,0.1\na,0.5,0.2\nb,1.0,0.3\nc,0.5\n")
+        with pytest.raises(ParseError, match="line 4: duplicate"):
             ingest_series_csv(path)
 
     def test_crlf_accepted(self, tmp_path):
@@ -321,6 +345,25 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "parse-error" and err["line"] == 2
 
+    def test_non_finite_value_is_a_parse_error_with_line(self, tmp_path, capsys):
+        series_path, config_path = _write_cluster_inputs(tmp_path)
+        lines = series_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        lines[5] = ",".join(fields[:2] + ["nan"])
+        series_path.write_text("\n".join(lines) + "\n")
+        rc = main(["cluster", "--config", str(config_path), "--input", str(series_path), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse-error" and err["line"] == 6
+
+    def test_experiment_summary_shows_wall_clock(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        write_json_document(cfg, {"n_ladder": [64, 128], "trials": 1, "seed": 6})
+        assert main(["experiment", "kde_rate", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("kde_rate: passed=")
+        assert float(line.split("wall_clock_s=")[1]) > 0.0
+
     def test_malformed_config_is_machine_readable(self, tmp_path, capsys):
         series_path, _ = _write_cluster_inputs(tmp_path)
         cfg = tmp_path / "badcfg.json"
@@ -329,3 +372,102 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-argument"
+
+
+def test_curves_csv_bytes_match_the_inline_writer(tmp_path):
+    curves = {
+        "zeta": [[1, 2.5], [np.float64(0.1), np.int64(3)]],
+        "alpha": [[math.log(3.0), 1e-300], [-0.0, 1 / 3]],
+        "empty": [],
+    }
+    want = io.StringIO()
+    want.write("curve,x,y\n")
+    for curve in sorted(curves):
+        for x, y in curves[curve]:
+            want.write(f"{curve},{format(float(x), '.17g')},{format(float(y), '.17g')}\n")
+    emit_curves_csv(tmp_path / "c.csv", curves)
+    assert (tmp_path / "c.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+
+def _row_loop_ingest(path):
+    """Reference ingest: one row at a time, every rule in row order."""
+    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
+    s = len(next(reader)) - 2
+    rows, seen = {}, set()
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != s + 2:
+            raise ParseError(f"expected {s + 2} fields, got {len(row)}", line=lineno)
+        sid = row[0]
+        try:
+            t = float(row[1])
+            values = tuple(float(v) for v in row[2:])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if not 0.0 < t <= 1.0:
+            raise ParseError(f"time {t} outside (0, 1]", line=lineno)
+        bad = [j for j, v in enumerate(values) if not math.isfinite(v)]
+        if bad:
+            raise ParseError(f"non-finite value {values[bad[0]]} in column v{bad[0] + 1}", line=lineno)
+        if (sid, t) in seen:
+            raise ParseError(f"duplicate (series_id, time) = ({sid}, {t})", line=lineno)
+        seen.add((sid, t))
+        rows.setdefault(sid, []).append((t, values))
+    out = []
+    for sid, obs in rows.items():
+        obs.sort(key=lambda pair: pair[0])
+        out.append((sid, np.array([t for t, _ in obs]), np.array([v for _, v in obs]).reshape(-1, s)))
+    return out
+
+
+_TIMES = st.sampled_from(["0.25", "0.5", "0.75", "1", "1.0", "0.125", "3e-1", " 0.5 ", "1_0e-1"])
+_BAD_TIMES = st.sampled_from(["0", "0.0", "-0.5", "1.5", "nan", "inf", "", "abc", "0x1"])
+_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
+_BAD_VALUES = st.sampled_from(["nan", "-inf", "inf", "x", "", "1,5", "--1"])
+
+
+@st.composite
+def _series_csv(draw):
+    s = draw(st.integers(1, 3))
+    corrupt = draw(st.booleans())
+    times = st.one_of(_TIMES, _TIMES, _TIMES, _BAD_TIMES) if corrupt else _TIMES
+    values = st.one_of(_VALUES, _VALUES, _VALUES, _BAD_VALUES) if corrupt else _VALUES
+    row = st.tuples(st.sampled_from(["a", "b", "c", "", "d e"]), times, st.lists(values, min_size=s, max_size=s))
+    rows = [[sid, t, *vals] for sid, t, vals in draw(st.lists(row, max_size=30))]
+    if corrupt:
+        for i in draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=3)):
+            if rows:
+                rows[i] = draw(st.sampled_from([[], rows[i][:-1], rows[i] + ["0.5"]]))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["series_id", "time"] + [f"v{i}" for i in range(1, s + 1)])
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_series_csv(), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
+def test_chunked_ingest_agrees_with_the_row_loop(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("ingest") / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = _row_loop_ingest(path)
+    except ParseError as exc:
+        want = exc
+    saved = fio.INGEST_CHUNK
+    fio.INGEST_CHUNK = chunk
+    try:
+        got = ingest_series_csv(path)
+    except ParseError as exc:
+        got = exc
+    finally:
+        fio.INGEST_CHUNK = saved
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError), text
+        assert (str(got), got.line) == (str(want), want.line)
+    else:
+        assert not isinstance(got, ParseError), (text, str(got))
+        assert [(y.id, y.times.tolist(), y.values.tolist()) for y in got] == [
+            (sid, t.tolist(), v.tolist()) for sid, t, v in want
+        ]

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatclust.series import RawSeries, grid_times
+from flatclust.series import RawSeries, SeriesBatch, grid_times
 from flatclust.smoothing import (
     EmptyWindowWarning,
     SmootherConfig,
@@ -17,6 +18,7 @@ from flatclust.smoothing import (
     nw_weights,
     smooth_at,
     smooth_at_symmetric,
+    smooth_batch,
 )
 
 
@@ -187,3 +189,78 @@ class TestJumpRecovery:
             y = self._step_series(m)
             est = smooth_at_symmetric(y, 0.6, gamma_schedule(m))[0]
             assert 0.35 <= est <= 0.65
+
+
+def _per_slot_smoothing(raws, d, gammas):
+    """One nw_weights and one `w @ values` per (series, grid time); empty windows counted."""
+    out = np.zeros((len(raws), d, raws[0].s))
+    empty_slots = 0
+    for i, (y, gamma) in enumerate(zip(raws, gammas)):
+        for j, t in enumerate(grid_times(d)):
+            w, empty = nw_weights(t, y.times, gamma)
+            if empty:
+                empty_slots += 1
+            else:
+                out[i, j] = np.clip(w @ y.values, 0.0, 1.0)
+    return out, empty_slots
+
+
+def _irregular_series(rng, n, s):
+    out = []
+    for i in range(n):
+        m = int(rng.integers(16, 40))
+        times = np.unique(rng.uniform(1e-3, 1.0, size=m))
+        if i % 3 == 0:  # a shared schedule, so some series form groups
+            times = np.arange(1, 25) / 24
+        if i % 5 == 0:  # a hole before t = 0.5 empties some windows
+            times = np.concatenate([times[times < 0.2], times[times > 0.55]])
+        out.append(RawSeries(id=f"r{i}", s=s, times=times, values=rng.normal(0.5, 0.6, size=(times.size, s))))
+    return out
+
+
+class TestSmoothBatch:
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("d", [1, 4, 7])
+    def test_bit_identical_to_per_slot_loop_on_uniform_times(self, s, d):
+        rng = np.random.default_rng(40 + s + d)
+        m = 64
+        raws = [RawSeries.from_uniform(f"u{i}", rng.normal(0.5, 0.4, size=(m, s))) for i in range(50)]
+        gamma = gamma_schedule(m)
+        want, empty = _per_slot_smoothing(raws, d, [gamma] * len(raws))
+        assert empty == 0
+        got = smooth_batch(SeriesBatch.from_series(raws), d, gamma)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_bit_identical_on_irregular_times_with_empty_windows(self, s):
+        rng = np.random.default_rng(41 + s)
+        raws = _irregular_series(rng, 60, s)
+        gammas = rng.choice([0.05, 0.1, 0.3], size=len(raws))
+        want, empty = _per_slot_smoothing(raws, 6, gammas)
+        assert empty > 0
+        with pytest.warns(EmptyWindowWarning) as caught:
+            got = smooth_batch(SeriesBatch.from_series(raws), 6, gammas)
+        assert sum(issubclass(w.category, EmptyWindowWarning) for w in caught) == empty
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("clip", [True, False])
+    def test_estimate_grid_series_is_the_one_series_batch(self, clip):
+        rng = np.random.default_rng(43)
+        raws = _irregular_series(rng, 12, 2)
+        for y in raws:
+            cfg = SmootherConfig(gamma=0.08, clip=clip)
+            want, _ = _per_slot_smoothing([y], 5, [cfg.gamma])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptyWindowWarning)
+                got = estimate_grid_series(y, 5, cfg)
+                per_slot = [smooth_at(y, t, cfg) for t in grid_times(5)]
+            assert np.array_equal(got.values, want[0])
+            assert np.array_equal(got.values, np.clip(per_slot, 0.0, 1.0))
+
+    def test_rejects_short_series_and_bad_gamma(self):
+        raws = [RawSeries.from_uniform("long", np.full(10, 0.5)), RawSeries.from_uniform("short", np.full(4, 0.5))]
+        batch = SeriesBatch.from_series(raws)
+        with pytest.raises(ValueError, match="'short' has m=4 <= d=4"):
+            smooth_batch(batch, 4, 0.2)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            smooth_batch(batch, 3, [0.2, -0.1])

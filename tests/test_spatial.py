@@ -17,6 +17,35 @@ def test_rejects_bad_inputs():
         GridIndex(np.zeros(3))
 
 
+@pytest.mark.parametrize("r", [-0.3, -0.0 - 1e-300, np.nan])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda pts, r: GridIndex(pts).indices_within(pts[0], r),
+        lambda pts, r: GridIndex(pts).count_within(pts[0], r),
+        lambda pts, r: GridIndex(pts).counts_within(pts[:3], r),
+        lambda pts, r: GridIndex(pts).counts_within_all(r),
+        lambda pts, r: GridIndex(pts).pairs_within(r),
+        lambda pts, r: brute_indices_within(pts, pts[0], r),
+        lambda pts, r: brute_count_within(pts, pts[0], r),
+    ],
+    ids=[
+        "indices_within",
+        "count_within",
+        "counts_within",
+        "counts_within_all",
+        "pairs_within",
+        "brute_indices_within",
+        "brute_count_within",
+    ],
+)
+def test_negative_or_nan_radius_rejected(query, r):
+    # squaring the radius, or the tree's own distance bound, would answer for |r|
+    pts = np.random.default_rng(29).uniform(0.0, 1.0, size=(30, 2))
+    with pytest.raises(ValueError, match="radius must be a nonnegative number"):
+        query(pts, r)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize(
     "build",

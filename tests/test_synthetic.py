@@ -17,6 +17,8 @@ from flatclust.synthetic import (
     lipschitz_family,
     sample_flat,
     sample_raw_series,
+    sample_series_batch,
+    sample_series_from_template,
     single_bump_mixture_1d,
     true_density,
     two_bump_mixture_1d,
@@ -308,3 +310,55 @@ class TestGridResolutionTemplates:
         a, b = grid_resolution_templates()
         fine = grid_times(20)
         assert np.max(np.abs(a.eval(fine) - b.eval(fine))) > 0.2
+
+
+def _per_series_draws(templates, labels, m, d, eps_bar, rng):
+    """The per-series sampling loop the batch sampler must reproduce bit for bit."""
+    times = np.arange(1, m + 1) / m
+    values, grid = [], []
+    for label in labels:
+        template = templates[label]
+        scales, shifts = template.draw_jitter(rng)
+
+        def at(t):
+            return np.column_stack(
+                [c.eval(t, amp_scale=scales[j], offset_shift=shifts[j]) for j, c in enumerate(template.components)]
+            )
+
+        noise = rng.uniform(-eps_bar, eps_bar, size=(m, template.s)) if eps_bar > 0 else 0.0
+        values.append(at(times) + noise)
+        grid.append(at(grid_times(d)))
+    return np.stack(values), np.stack(grid)
+
+
+class TestBatchSampler:
+    @pytest.mark.parametrize(
+        "family",
+        [lipschitz_family(d=4, eps_bar=0.05), jump_family(), gap_family(), lipschitz_family(d=3, eps_bar=0.0)],
+        ids=["lipschitz", "jump", "gap", "eps_bar_0"],
+    )
+    @pytest.mark.parametrize("n, m", [(1, 9), (64, 17), (150, 40)])
+    def test_bit_identical_to_per_series_draws(self, family, n, m):
+        seed = 1000 + n + m
+        rng = np.random.default_rng(seed)
+        labels = rng.choice(family.C, size=n, p=np.asarray(family.weights, dtype=float))
+        want_values, want_grid = _per_series_draws(family.clusters, labels, m, family.d, family.eps_bar, rng)
+
+        batch, got_labels, got_grid = sample_series_batch(family, n, m, seed)
+        assert np.array_equal(got_labels, labels)
+        assert np.array_equal(batch.values.reshape(n, m, family.s), want_values)
+        assert np.array_equal(got_grid, want_grid)
+        assert np.array_equal(batch.times, np.tile(np.arange(1, m + 1) / m, n))
+        assert batch.ids == tuple(f"series{i:05d}" for i in range(n))
+
+        raws, raw_labels, grids = sample_raw_series(family, n, m, seed)
+        assert np.array_equal(raw_labels, labels)
+        assert all(np.array_equal(r.values, v) for r, v in zip(raws, want_values))
+        assert all(np.array_equal(g.values, v) for g, v in zip(grids, want_grid))
+
+    def test_template_sampler_matches_per_series_draws(self):
+        template = jump_family().clusters[1]
+        want, _ = _per_series_draws((template,), np.zeros(70, dtype=int), 20, 4, 0.03, np.random.default_rng(5))
+        got = sample_series_from_template(template, 70, 20, 0.03, seed=5, id_prefix="x")
+        assert [r.id for r in got] == [f"x{i:05d}" for i in range(70)]
+        assert all(np.array_equal(r.values, v) for r, v in zip(got, want))
