@@ -35,8 +35,11 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
 
 
 def _kept_readonly(a, dtype=float) -> np.ndarray:
-    """a itself when it is already a read-only array of dtype, else a read-only copy."""
-    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable:
+    """a itself when it is a read-only array of dtype that owns its data, else a read-only copy.
+
+    A read-only view is copied too: its base could still be written.
+    """
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None:
         return a
     return _as_readonly(a, dtype)
 
@@ -106,7 +109,8 @@ class SeriesBatch:
 
     times has shape (N,) and values (N, s), N = offsets[-1]. Every RawSeries
     rule is checked once for the whole batch, with the same messages. Arrays
-    that are already read-only are kept as they are; writable ones are copied.
+    that are read-only and own their data are kept as they are; others are
+    copied.
     """
 
     ids: tuple

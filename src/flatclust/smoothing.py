@@ -134,15 +134,13 @@ def _rows(a: np.ndarray, offsets: np.ndarray, idx: np.ndarray, m: int) -> np.nda
 def _groups(batch: SeriesBatch, gammas: np.ndarray):
     """(series indices, sample times, gamma) for each set of series sharing both."""
     by_key: dict[tuple, list[int]] = {}
-    for i, key in enumerate(zip(batch.m.tolist(), gammas.tolist())):
-        by_key.setdefault(key, []).append(i)
-    for (m, gamma), members in by_key.items():
-        idx = np.array(members)
-        times = _rows(batch.times, batch.offsets, idx, m)
-        while idx.size:
-            same = (times == times[0]).all(axis=1)
-            yield idx[same], times[0], gamma
-            idx, times = idx[~same], times[~same]
+    o = batch.offsets.tolist()
+    for i, (a, b, gamma) in enumerate(zip(o, o[1:], gammas.tolist())):
+        # times lie in (0, 1], so equal bytes are exactly equal values
+        by_key.setdefault((gamma, batch.times[a:b].tobytes()), []).append(i)
+    for (gamma, _), members in by_key.items():
+        i = members[0]
+        yield np.array(members), batch.times[o[i] : o[i + 1]], gamma
 
 
 def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:

@@ -567,7 +567,8 @@ def _sample_batch(
     times = np.arange(1, m + 1) / m
     noisy = eps_bar > 0
     width = 2 * s + (m * s if noisy else 0)
-    values = np.empty((n, m, s))
+    values = np.empty((n * m, s))  # owns its data, so the batch keeps it without a copy
+    blocks = values.reshape(n, m, s)
     grid = np.empty((n, d, s))
     for start in range(0, n, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, n)
@@ -584,10 +585,10 @@ def _sample_batch(
             if noisy:
                 lo, hi = -eps_bar, eps_bar
                 block = block + (lo + (hi - lo) * u[rows, 2 * s :]).reshape(-1, m, s)
-            values[start + rows] = block
+            blocks[start + rows] = block
             grid[start + rows] = template.eval(grid_times(d), scales, shifts)
-    values = values.reshape(n * m, s)
-    all_times = np.tile(times, n)
+    all_times = np.empty(n * m)
+    all_times.reshape(n, m)[:] = times
     for a in (values, all_times):
         a.setflags(write=False)  # handed to the batch without a copy
     batch = SeriesBatch(

@@ -9,6 +9,7 @@ from flatclust.series import (
     FlatPoint,
     GridSeries,
     RawSeries,
+    SeriesBatch,
     flat_array,
     flatten,
     grid_sup_distance,
@@ -45,6 +46,38 @@ class TestRawSeries:
         assert y.m == 10
         assert y.times[0] == pytest.approx(0.1)
         assert y.times[-1] == 1.0
+
+
+class TestSeriesBatch:
+    def test_read_only_view_of_writable_base_is_copied(self):
+        base = np.full((6, 2), 0.5)
+        values = base.reshape(6, 2)[:]
+        values.setflags(write=False)
+        times_base = np.array([0.5, 1.0, 0.25, 0.5, 0.75, 1.0])
+        times = times_base[:]
+        times.setflags(write=False)
+        batch = SeriesBatch(ids=["a", "b"], s=2, offsets=[0, 2, 6], times=times, values=values)
+        base[:] = -7.0
+        times_base[:] = 0.0  # would break the checked (0, 1] rule
+        assert np.all(batch.values == 0.5)
+        assert batch.times.tolist() == [0.5, 1.0, 0.25, 0.5, 0.75, 1.0]
+        assert all(np.all(y.values == 0.5) and y.times.min() > 0.0 for y in batch.series())
+
+    def test_owned_read_only_arrays_are_kept_and_writable_ones_copied(self):
+        times = np.array([0.5, 1.0])
+        values = np.array([[0.1], [0.2]])
+        values.setflags(write=False)
+        batch = SeriesBatch(ids=["a"], s=1, offsets=[0, 2], times=times, values=values)
+        assert batch.values is values
+        assert batch.times is not times and not batch.times.flags.writeable
+        times[0] = 0.7
+        assert batch.times[0] == 0.5
+
+    def test_checks_the_raw_series_rules(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SeriesBatch(ids=["a"], s=1, offsets=[0, 2], times=[0.5, 0.5], values=[[0.0], [0.0]])
+        with pytest.raises(ValueError, match="one step per id"):
+            SeriesBatch(ids=["a"], s=1, offsets=[0, 1], times=[0.5, 1.0], values=[[0.0], [0.0]])
 
 
 class TestGridSeries:
