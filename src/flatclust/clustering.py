@@ -112,58 +112,56 @@ class ClusterRef:
     members: frozenset
 
 
-def _assignments_for_core(
-    n: int, core: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Component labels on the core subgraph, ids ordered by smallest member."""
+def _ids_by_smallest_member(comp: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """Assignments of n points: members[i] joins component comp[i], rest NOISE.
+
+    Component ids are renumbered from 0 in order of their smallest member.
+    """
     assignments = np.full(n, NOISE, dtype=np.int64)
-    if core.size == 0:
-        return assignments
-    is_core = np.zeros(n, dtype=bool)
-    is_core[core] = True
+    vals, inverse = np.unique(comp, return_inverse=True)
+    smallest = np.full(vals.size, n, dtype=np.int64)
+    np.minimum.at(smallest, inverse, members)
+    rank = np.empty(vals.size, dtype=np.int64)
+    rank[np.argsort(smallest)] = np.arange(vals.size)
+    assignments[members] = rank[inverse]
+    return assignments
+
+
+def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component labels on the subgraph of link pairs between core points."""
+    n = is_core.size
     keep = is_core[src] & is_core[dst]
     graph = coo_matrix(
         (np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])), shape=(n, n)
     )
     _, labels = _sparse_cc(graph, directed=False)
-    core_labels = labels[core]
-    vals, first = np.unique(core_labels, return_index=True)
-    rank = np.empty(vals.size, dtype=np.int64)
-    rank[np.argsort(first, kind="stable")] = np.arange(vals.size)
-    assignments[core] = rank[np.searchsorted(vals, core_labels)]
-    return assignments
+    core = np.nonzero(is_core)[0]
+    return _ids_by_smallest_member(labels[core], core, n)
 
 
-def _assignments_1d(
-    order: np.ndarray,
-    sorted_x: np.ndarray,
-    is_core: np.ndarray,
-    link: float,
-) -> np.ndarray:
+def _assignments_1d(order: np.ndarray, sorted_x: np.ndarray, is_core: np.ndarray, link: float) -> np.ndarray:
     """Link components on a line: runs of consecutive core points.
 
     In one dimension a pair of core points is linked through the graph iff
     every consecutive core-to-core gap between them passes the same squared
     predicate, so runs reproduce the generic components bit for bit.
     """
-    n = order.size
-    assignments = np.full(n, NOISE, dtype=np.int64)
-    core_sorted = is_core[order]
-    core_pos = np.nonzero(core_sorted)[0]
-    if core_pos.size == 0:
-        return assignments
-    x = sorted_x[core_pos]
-    gaps = np.diff(x)
-    boundary = gaps * gaps > link * link
-    comp = np.concatenate([[0], np.cumsum(boundary)])
-    original = order[core_pos]
-    n_comp = int(comp[-1]) + 1
-    mins = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(mins, comp, original)
-    rank = np.empty(n_comp, dtype=np.int64)
-    rank[np.argsort(mins, kind="stable")] = np.arange(n_comp)
-    assignments[original] = rank[comp]
-    return assignments
+    core_pos = np.nonzero(is_core[order])[0]
+    gaps = np.diff(sorted_x[core_pos])
+    comp = np.zeros(core_pos.size, dtype=np.int64)
+    comp[1:] = np.cumsum(gaps * gaps > link * link)
+    return _ids_by_smallest_member(comp, order[core_pos], order.size)
+
+
+def _parents(coarse: Labeling, finer: Labeling) -> tuple[int, ...]:
+    """Each coarse cluster's label one level finer, which all its members share."""
+    a, b = coarse.assignments, finer.assignments
+    core = a != NOISE
+    parents = np.full(coarse.n_clusters, NOISE, dtype=np.int64)
+    parents[a[core]] = b[core]
+    if np.any(parents == NOISE) or np.any(parents[a[core]] != b[core]):
+        raise AssertionError("cluster not nested in a single parent")
+    return tuple(parents.tolist())
 
 
 def _checked_link(ks, delta: float, link_radius: float | None = None) -> float:
@@ -172,38 +170,14 @@ def _checked_link(ks, delta: float, link_radius: float | None = None) -> float:
     Returns the link radius, 2*delta when link_radius is None.
     """
     for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if not (k >= 1 and float(k).is_integer()):
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     link = 2.0 * delta if link_radius is None else float(link_radius)
     if not link > 0:
         raise ValueError(f"link_radius must be positive, got {link!r}")
     return link
-
-
-def _labelings(pts: np.ndarray, delta: float, ks, link: float) -> list[Labeling]:
-    """One labeling per k from one index: counts once, link components per k.
-
-    On a line the link components are runs of consecutive core points, which
-    avoids the pair list that dense 1-D samples make quadratic.
-    """
-    index = GridIndex(pts)
-    counts = index.counts_within_all(delta)
-    if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        sorted_x = pts[order, 0]
-
-        def assign(k):
-            return _assignments_1d(order, sorted_x, counts >= k, link)
-
-    else:
-        src, dst = index.pairs_within(link)
-
-        def assign(k):
-            return _assignments_for_core(pts.shape[0], np.nonzero(counts >= k)[0], src, dst)
-
-    return [Labeling(assignments=assign(k), k=k, delta=delta, link_radius=link) for k in ks]
 
 
 def core_points(points, k: int, delta: float) -> np.ndarray:
@@ -215,9 +189,7 @@ def core_points(points, k: int, delta: float) -> np.ndarray:
 
 def dbscan_cluster(points, k: int, delta: float, link_radius: float | None = None) -> Labeling:
     """Cluster the core points by link_radius connectivity; rest are NOISE."""
-    pts = flat_array(points)
-    link = _checked_link((k,), delta, link_radius)
-    return _labelings(pts, delta, (k,), link)[0]
+    return cluster_tree(points, delta, (k,), link_radius).levels[0].labeling
 
 
 def ball_union_components(core_pts, delta: float) -> list[frozenset]:
@@ -246,29 +218,36 @@ def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> 
 
     Neighbor counts and the link graph are computed once and shared by all
     levels; only the core set changes with k, and core sets grow as k falls.
+    On a line the link components are runs of consecutive core points, which
+    avoids the pair list that dense 1-D samples make quadratic.
     """
     pts = flat_array(points)
-    ks = tuple(int(k) for k in ks)
+    ks = tuple(ks)
     if len(ks) == 0:
         raise ValueError("ks must be a nonempty list of positive integers")
+    link = _checked_link(ks, delta, link_radius)
+    ks = tuple(int(k) for k in ks)
     if any(k1 <= k2 for k1, k2 in zip(ks[:-1], ks[1:])):
         raise ValueError(f"ks must be strictly descending, got {ks}")
-    link = _checked_link(ks, delta, link_radius)
-    labelings = _labelings(pts, delta, ks, link)
-    levels = []
-    for i, lab in enumerate(labelings):
-        if i + 1 < len(labelings):
-            finer = labelings[i + 1].assignments
-            parents = []
-            for c in range(lab.n_clusters):
-                owners = np.unique(finer[lab.members(c)])
-                if owners.size != 1 or owners[0] == NOISE:
-                    raise AssertionError("cluster not nested in a single parent")
-                parents.append(int(owners[0]))
-            levels.append(TreeLevel(k=lab.k, labeling=lab, parents=tuple(parents)))
-        else:
-            levels.append(TreeLevel(k=lab.k, labeling=lab, parents=()))
-    return ClusterTree(ks=ks, levels=tuple(levels), delta=delta, link_radius=link)
+    index = GridIndex(pts)
+    counts = index.counts_within_all(delta)
+    if pts.shape[1] == 1:
+        order = np.argsort(pts[:, 0], kind="stable")
+        sorted_x = pts[order, 0]
+
+        def assign(is_core):
+            return _assignments_1d(order, sorted_x, is_core, link)
+
+    else:
+        src, dst = index.pairs_within(link)
+
+        def assign(is_core):
+            return _assignments_for_core(is_core, src, dst)
+
+    labelings = [Labeling(assign(counts >= k), k=k, delta=delta, link_radius=link) for k in ks]
+    parents = [_parents(lab, finer) for lab, finer in zip(labelings[:-1], labelings[1:])] + [()]
+    levels = tuple(TreeLevel(k=lab.k, labeling=lab, parents=p) for lab, p in zip(labelings, parents))
+    return ClusterTree(ks=ks, levels=levels, delta=delta, link_radius=link)
 
 
 def smallest_containing_cluster(tree: ClusterTree, sample_indices) -> ClusterRef | None:

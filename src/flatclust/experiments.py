@@ -36,7 +36,6 @@ from .synthetic import (
     ClusterTemplate,
     FunctionFamilySpec,
     MixtureSpec,
-    TemplateComponent,
     gap_family,
     grid_resolution_templates,
     lipschitz_family,
@@ -839,26 +838,7 @@ class GridResolutionConfig:
 
     def to_dict(self) -> dict:
         return {
-            "templates": [
-                {
-                    "offset_jitter": c.offset_jitter,
-                    "amp_jitter": c.amp_jitter,
-                    "components": [
-                        {
-                            "kind": t.kind,
-                            "offset": t.offset,
-                            "amp": t.amp,
-                            "freq": t.freq,
-                            "phase": t.phase,
-                            "slope": t.slope,
-                            "jump_time": t.jump_time,
-                            "jump_size": t.jump_size,
-                        }
-                        for t in c.components
-                    ],
-                }
-                for c in self.templates
-            ],
+            "templates": [c.to_dict() for c in self.templates],
             "d_pair": list(self.d_pair),
             "n_per_template": self.n_per_template,
             "k": self.k,
@@ -872,14 +852,7 @@ class GridResolutionConfig:
     def from_dict(cls, doc: dict) -> "GridResolutionConfig":
         out = dict(doc)
         if "templates" in out:
-            out["templates"] = tuple(
-                ClusterTemplate(
-                    components=tuple(TemplateComponent(**t) for t in c["components"]),
-                    offset_jitter=float(c.get("offset_jitter", 0.0)),
-                    amp_jitter=float(c.get("amp_jitter", 0.0)),
-                )
-                for c in out["templates"]
-            )
+            out["templates"] = tuple(ClusterTemplate.from_dict(c) for c in out["templates"])
         for key in ("d_pair", "expected_counts"):
             if key in out:
                 out[key] = tuple(out[key])

@@ -21,6 +21,7 @@ import io as _io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """User-facing knobs for one clustering run.
@@ -80,31 +85,35 @@ class PipelineConfig:
     k: int | None = None
     level: float | None = None
     link_radius: float | None = None
-    clip: bool = True
-    seed: int = 0
-    lattice_resolution: int = 200
     k_ladder: tuple | None = None
 
     def __post_init__(self):
-        if self.s < 1 or self.d < 1:
-            raise ValueError(f"s and d must be >= 1, got s={self.s}, d={self.d}")
+        for name in ("s", "d", "k"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 1 or name == "k" and v is None):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if (self.k is None) == (self.level is None):
             raise ValueError("exactly one of k / level must be provided")
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.level is not None and not self.level > 0:
-            raise ValueError(f"level must be positive, got {self.level}")
-        for name in ("delta", "gamma"):
+        unset_values = {"delta": "auto", "gamma": "auto", "level": None, "link_radius": None}
+        for name, unset in unset_values.items():
             v = getattr(self, name)
-            if isinstance(v, str):
-                if v != "auto":
-                    raise ValueError(f"{name} must be a positive number or 'auto', got {v!r}")
-            elif not v > 0:
-                raise ValueError(f"{name} must be positive, got {v!r}")
-        if self.link_radius is not None and not self.link_radius > 0:
-            raise ValueError(f"link_radius must be positive, got {self.link_radius}")
-        if self.k_ladder is not None:
-            object.__setattr__(self, "k_ladder", tuple(int(k) for k in self.k_ladder))
+            if v == unset:
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0:
+                alt = " or 'auto'" if unset else ""
+                raise ValueError(f"{name} must be a positive number{alt}, got {v!r}")
+        ladder = self.k_ladder
+        if ladder is not None:
+            if (
+                not isinstance(ladder, (list, tuple))
+                or len(ladder) == 0
+                or not all(_is_int(k) and k >= 1 for k in ladder)
+                or any(k1 <= k2 for k1, k2 in zip(ladder[:-1], ladder[1:]))
+            ):
+                raise ValueError(
+                    f"k_ladder must be a strictly descending list of integers >= 1, got {ladder!r}"
+                )
+            object.__setattr__(self, "k_ladder", tuple(int(k) for k in ladder))
 
     def to_dict(self) -> dict:
         return {
@@ -115,27 +124,14 @@ class PipelineConfig:
             "k": self.k,
             "lambda": self.level,
             "link_radius": self.link_radius,
-            "clip": self.clip,
-            "seed": self.seed,
-            "lattice_resolution": self.lattice_resolution,
             "k_ladder": list(self.k_ladder) if self.k_ladder is not None else None,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        known = {
-            "s",
-            "d",
-            "delta",
-            "gamma",
-            "k",
-            "level",
-            "link_radius",
-            "clip",
-            "seed",
-            "lattice_resolution",
-            "k_ladder",
-        }
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        known = {"s", "d", "delta", "gamma", "k", "level", "link_radius", "k_ladder"}
         out = {}
         for key, value in doc.items():
             name = "level" if key == "lambda" else key
@@ -145,8 +141,6 @@ class PipelineConfig:
         missing = {"s", "d"} - out.keys()
         if missing:
             raise ValueError(f"config is missing required keys: {sorted(missing)}")
-        if out.get("k_ladder") is not None:
-            out["k_ladder"] = tuple(out["k_ladder"])
         return cls(**out)
 
 
@@ -370,23 +364,30 @@ def run_smooth(cfg: PipelineConfig, series: list[RawSeries]) -> list[GridSeries]
     return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, gammas))
 
 
-def _tree_document(tree: ClusterTree, ids: list[str], n: int, sd: int) -> dict:
+def _tree_document(tree: ClusterTree, ladder: tuple, ids: list[str], n: int, sd: int) -> dict:
+    """The ladder's levels of the tree; a cluster's parent is the next rung's.
+
+    The tree may hold levels between the rungs. Nesting makes any one member's
+    label at the next rung the parent of the whole cluster.
+    """
     levels = []
-    for level in tree.levels:
-        lab = level.labeling
+    for k, next_k in zip(ladder, ladder[1:] + (None,)):
+        lab = tree.level_for_k(k).labeling
+        finer = None if next_k is None else tree.level_for_k(next_k).labeling.assignments
         clusters = []
         for c in range(lab.n_clusters):
+            members = lab.members(c)
             clusters.append(
                 {
                     "id": c,
-                    "parent": level.parents[c] if level.parents else None,
-                    "members": [ids[i] for i in lab.members(c)],
+                    "parent": int(finer[members[0]]) if finer is not None else None,
+                    "members": [ids[i] for i in members],
                 }
             )
         levels.append(
             {
-                "k": level.k,
-                "lambda": lambda_of_k(level.k, n, tree.delta, sd),
+                "k": k,
+                "lambda": lambda_of_k(k, n, tree.delta, sd),
                 "clusters": clusters,
                 "noise": [ids[i] for i in np.nonzero(lab.assignments == NOISE)[0]],
             }
@@ -398,7 +399,8 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     """Smooth, flatten, and cluster a batch of raw series.
 
     Returns a dict with the assignment table, the run manifest, and (when a
-    k-ladder is configured) the cluster-tree document.
+    k-ladder is configured) the cluster-tree document. With a ladder one
+    cluster_tree over the ladder and k gives both the tree and the labeling.
     """
     grids = run_smooth(cfg, series)
     ids = [g.id for g in grids]
@@ -408,11 +410,17 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
     link = 2.0 * delta if cfg.link_radius is None else float(cfg.link_radius)
     k = _resolve_k(cfg, n, delta, sd)
-    labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=link)
+    tree_doc = None
+    if cfg.k_ladder is None:
+        labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=link)
+    else:
+        ks = sorted({*cfg.k_ladder, k}, reverse=True)
+        tree = cluster_tree(points, delta, ks, link_radius=link)
+        labeling = tree.level_for_k(k).labeling
+        tree_doc = _tree_document(tree, cfg.k_ladder, ids, n, sd)
     gammas = {sr.id: _resolve_gamma(cfg, sr.m) for sr in series}
     manifest = {
         "config": cfg.to_dict(),
-        "seed": cfg.seed,
         "n_series": n,
         "resolved": {
             "delta": delta,
@@ -423,14 +431,10 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
             "sd": sd,
         },
     }
-    out = {
+    return {
         "ids": ids,
         "assignments": labeling.assignments,
         "labeling": labeling,
         "manifest": manifest,
-        "tree": None,
+        "tree": tree_doc,
     }
-    if cfg.k_ladder is not None:
-        tree = cluster_tree(points, delta, cfg.k_ladder, link_radius=link)
-        out["tree"] = _tree_document(tree, ids, n, sd)
-    return out

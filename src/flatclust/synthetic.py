@@ -11,7 +11,7 @@ templates with bounded uniform noise and known cluster labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -419,6 +419,21 @@ class ClusterTemplate:
         shifts = rng.uniform(-self.offset_jitter, self.offset_jitter, size=self.s)
         return scales, shifts
 
+    def to_dict(self) -> dict:
+        return {
+            "offset_jitter": self.offset_jitter,
+            "amp_jitter": self.amp_jitter,
+            "components": [asdict(t) for t in self.components],
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ClusterTemplate":
+        return cls(
+            components=tuple(TemplateComponent(**t) for t in doc["components"]),
+            offset_jitter=float(doc.get("offset_jitter", 0.0)),
+            amp_jitter=float(doc.get("amp_jitter", 0.0)),
+        )
+
 
 @dataclass(frozen=True)
 class FunctionFamilySpec:
@@ -501,40 +516,13 @@ class FunctionFamilySpec:
             "d": self.d,
             "eps_bar": self.eps_bar,
             "weights": list(self.weights),
-            "clusters": [
-                {
-                    "offset_jitter": c.offset_jitter,
-                    "amp_jitter": c.amp_jitter,
-                    "components": [
-                        {
-                            "kind": t.kind,
-                            "offset": t.offset,
-                            "amp": t.amp,
-                            "freq": t.freq,
-                            "phase": t.phase,
-                            "slope": t.slope,
-                            "jump_time": t.jump_time,
-                            "jump_size": t.jump_size,
-                        }
-                        for t in c.components
-                    ],
-                }
-                for c in self.clusters
-            ],
+            "clusters": [c.to_dict() for c in self.clusters],
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FunctionFamilySpec":
-        clusters = tuple(
-            ClusterTemplate(
-                components=tuple(TemplateComponent(**t) for t in c["components"]),
-                offset_jitter=float(c.get("offset_jitter", 0.0)),
-                amp_jitter=float(c.get("amp_jitter", 0.0)),
-            )
-            for c in doc["clusters"]
-        )
         return cls(
-            clusters=clusters,
+            clusters=tuple(ClusterTemplate.from_dict(c) for c in doc["clusters"]),
             weights=tuple(float(w) for w in doc["weights"]),
             d=int(doc["d"]),
             eps_bar=float(doc.get("eps_bar", 0.0)),

@@ -361,7 +361,7 @@ def test_c14_pinned_seed_runs_are_byte_identical(tmp_path):
     for sub in ("one", "two"):
         out = tmp_path / sub
         out.mkdir()
-        pipeline = PipelineConfig(s=1, d=4, delta=0.1, k=3, seed=1414, k_ladder=(8, 3, 1))
+        pipeline = PipelineConfig(s=1, d=4, delta=0.1, k=3, k_ladder=(8, 3, 1))
         result = run_cluster(pipeline, ingest_series_csv(series_path))
         write_json_document(out / "manifest.json", result["manifest"])
         write_json_document(out / "tree.json", result["tree"])

@@ -3,6 +3,8 @@ import pytest
 
 from flatclust.clustering import (
     NOISE,
+    Labeling,
+    _parents,
     ball_union_components,
     cluster_tree,
     components_bruteforce,
@@ -252,6 +254,52 @@ class TestClusterTree:
             core = set(core_points(pts, k, delta).tolist())
             for i, x in enumerate(pts):
                 assert (kde_eval(model, x) >= lam) == (i in core)
+
+
+def _per_cluster_parents(tree):
+    """Parent links by the per-cluster loop cluster_tree once ran, for reference."""
+    out = []
+    for level, finer in zip(tree.levels[:-1], tree.levels[1:]):
+        parents = []
+        for c in range(level.labeling.n_clusters):
+            owners = np.unique(finer.labeling.assignments[level.labeling.members(c)])
+            assert owners.size == 1 and owners[0] != NOISE
+            parents.append(int(owners[0]))
+        out.append(tuple(parents))
+    return out + [()]
+
+
+@pytest.mark.parametrize("sd", [1, 2, 3, 6])
+def test_parents_match_per_cluster_loop_with_empty_levels(sd):
+    rng = np.random.default_rng(36 + sd)
+    multi = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 160))
+        centers = rng.uniform(0.2, 0.8, size=(int(rng.integers(1, 4)), sd))
+        pts = np.clip(centers[rng.integers(0, len(centers), n)] + rng.normal(0, 0.08, (n, sd)), 0, 1)
+        delta = float(rng.uniform(0.03, 0.2))
+        # k above n leaves the top levels with no core point at all
+        ks = sorted({n + 2, n + 1, *(int(k) for k in rng.integers(1, n + 1, size=4))}, reverse=True)
+        tree = cluster_tree(pts, delta, ks)
+        assert tree.levels[0].labeling.n_clusters == 0
+        assert [level.parents for level in tree.levels] == _per_cluster_parents(tree)
+        multi += any(level.labeling.n_clusters > 1 for level in tree.levels)
+    tree = cluster_tree(pts, delta, [n + 2, n + 1])
+    assert [level.parents for level in tree.levels] == [(), ()]
+    assert multi > 0
+
+
+def test_non_nested_levels_raise():
+    def lab(a):
+        return Labeling(np.array(a), k=1, delta=0.1, link_radius=0.2)
+
+    assert _parents(lab([0, 0, 1, -1]), lab([1, 1, 0, 0])) == (1, 0)
+    with pytest.raises(AssertionError, match="not nested"):
+        _parents(lab([0, 0, -1]), lab([0, 1, 1]))  # split across two finer clusters
+    with pytest.raises(AssertionError, match="not nested"):
+        _parents(lab([0, 0]), lab([0, -1]))  # a member is noise one level finer
+    with pytest.raises(AssertionError, match="not nested"):
+        _parents(lab([0, 0]), lab([-1, 0]))
 
 
 class TestSmallestContainingCluster:

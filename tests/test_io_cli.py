@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from flatclust import io as fio
 from flatclust.cli import main
+from flatclust.clustering import cluster_tree, dbscan_cluster
+from flatclust.density import lambda_of_k
 from flatclust.io import (
     ParseError,
     PipelineConfig,
@@ -23,7 +25,15 @@ from flatclust.io import (
     run_smooth,
     write_json_document,
 )
-from flatclust.synthetic import jump_family, lipschitz_family, sample_raw_series
+from flatclust.spatial import GridIndex
+from flatclust.synthetic import (
+    ClusterTemplate,
+    FunctionFamilySpec,
+    TemplateComponent,
+    jump_family,
+    lipschitz_family,
+    sample_raw_series,
+)
 
 
 class TestPipelineConfig:
@@ -44,7 +54,7 @@ class TestPipelineConfig:
             PipelineConfig(s=1, d=4, k=3, gamma=-0.5)
 
     def test_lambda_key_round_trip(self):
-        cfg = PipelineConfig.from_dict({"s": 2, "d": 3, "lambda": 0.4, "seed": 9})
+        cfg = PipelineConfig.from_dict({"s": 2, "d": 3, "lambda": 0.4})
         assert cfg.level == 0.4 and cfg.k is None
         assert cfg.to_dict()["lambda"] == 0.4
 
@@ -220,7 +230,7 @@ def _write_cluster_inputs(tmp_path, k_ladder=None):
     raws, _, _ = sample_raw_series(fam, 24, 32, seed=14)
     series_path = tmp_path / "series.csv"
     emit_series_csv(series_path, raws)
-    config = {"s": 1, "d": 4, "delta": 0.1, "gamma": "auto", "k": 3, "seed": 5}
+    config = {"s": 1, "d": 4, "delta": 0.1, "gamma": "auto", "k": 3}
     if k_ladder:
         config["k_ladder"] = k_ladder
     config_path = tmp_path / "config.json"
@@ -372,6 +382,151 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-argument"
+
+
+_BASE = {"s": 1, "d": 4, "k": 3}
+
+
+@pytest.mark.parametrize("command", ["cluster", "tree"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([_BASE], "config must be a JSON object, got list"),
+        ({**_BASE, "s": "1"}, "s must be an integer"),
+        ({**_BASE, "s": True}, "s must be an integer"),
+        ({**_BASE, "d": 4.5}, "d must be an integer"),
+        ({**_BASE, "k": True}, "k must be an integer"),
+        ({**_BASE, "k": 2.7}, "k must be an integer"),
+        ({**_BASE, "k_ladder": 5}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": [2.5, 1]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": [1, 3]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": [3, 3]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": [3, 0]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": [True]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": []}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "delta": True}, "delta must be a positive number"),
+        ({**_BASE, "link_radius": "wide"}, "link_radius must be a positive number"),
+        ({**_BASE, "clip": True}, "unknown config key 'clip'"),
+        ({**_BASE, "seed": 5}, "unknown config key 'seed'"),
+        ({**_BASE, "lattice_resolution": 200}, "unknown config key 'lattice_resolution'"),
+    ],
+    ids=[
+        "array",
+        "s-string",
+        "s-bool",
+        "d-float",
+        "k-bool",
+        "k-fraction",
+        "ladder-scalar",
+        "ladder-fraction",
+        "ladder-ascending",
+        "ladder-repeat",
+        "ladder-zero",
+        "ladder-bool",
+        "ladder-empty",
+        "delta-bool",
+        "link-string",
+        "clip-removed",
+        "seed-removed",
+        "lattice-removed",
+    ],
+)
+def test_bad_config_is_an_invalid_argument(tmp_path, capsys, command, config, message):
+    series_path, _ = _write_cluster_inputs(tmp_path)
+    cfg = tmp_path / "badcfg.json"
+    write_json_document(cfg, config)
+    rc = main([command, "--config", str(cfg), "--input", str(series_path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "invalid-argument"
+    assert message in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def _spread_family():
+    """Three two-component sinusoid clusters with spread, flattened at sd = 8."""
+
+    def template(o1, o2, phase):
+        return ClusterTemplate(
+            components=(
+                TemplateComponent(kind="sine", offset=o1, amp=0.1, freq=0.5, phase=phase),
+                TemplateComponent(kind="sine", offset=o2, amp=0.1, freq=0.5, phase=phase + 0.25),
+            ),
+            offset_jitter=0.06,
+            amp_jitter=0.5,
+        )
+
+    return FunctionFamilySpec(
+        clusters=(template(0.22, 0.5, 0.0), template(0.5, 0.78, 0.5), template(0.78, 0.22, 0.25)),
+        weights=(1 / 3, 1 / 3, 1 / 3),
+        d=4,
+        eps_bar=0.05,
+    )
+
+
+def _per_level_tree_document(tree, ids, n, sd):
+    """Every level of a tree over the ladder alone, parents from its own links."""
+    levels = []
+    for level in tree.levels:
+        lab = level.labeling
+        clusters = [
+            {
+                "id": c,
+                "parent": level.parents[c] if level.parents else None,
+                "members": [ids[i] for i in lab.members(c)],
+            }
+            for c in range(lab.n_clusters)
+        ]
+        levels.append(
+            {
+                "k": level.k,
+                "lambda": lambda_of_k(level.k, n, tree.delta, sd),
+                "clusters": clusters,
+                "noise": [ids[i] for i in np.nonzero(lab.assignments == -1)[0]],
+            }
+        )
+    return {"delta": tree.delta, "link_radius": tree.link_radius, "levels": levels}
+
+
+@pytest.mark.parametrize(
+    "k", [80, 25, 10, 3, 1], ids=["above", "top-rung", "between-upper", "between-lower", "below"]
+)
+def test_one_tree_gives_the_separate_labeling_and_ladder_tree(k):
+    raws, _, _ = sample_raw_series(_spread_family(), 300, 64, seed=21)
+    ladder = (25, 5, 2)  # its top level's ids are the reverse of the next one's
+    cfg = PipelineConfig(s=2, d=4, delta=0.08, k=k, k_ladder=ladder)
+    result = run_cluster(cfg, raws)
+    grids = run_smooth(cfg, raws)
+    points = np.stack([g.values for g in grids]).reshape(len(grids), -1)
+    ids = [g.id for g in grids]
+    flat = dbscan_cluster(points, k, 0.08)
+    want = _per_level_tree_document(cluster_tree(points, 0.08, ladder), ids, 300, 8)
+    assert np.array_equal(result["assignments"], flat.assignments)
+    assert json.dumps(result["tree"], sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert max(len(level["clusters"]) for level in want["levels"]) > 1
+    no_ladder = run_cluster(PipelineConfig(s=2, d=4, delta=0.08, k=k), raws)
+    assert np.array_equal(no_ladder["assignments"], flat.assignments)
+    assert no_ladder["tree"] is None
+
+
+def test_tree_run_builds_one_index(tmp_path, monkeypatch):
+    raws, _, _ = sample_raw_series(_spread_family(), 1000, 64, seed=1)
+    series_path, cfg = tmp_path / "series.csv", tmp_path / "tree.json"
+    emit_series_csv(series_path, raws)
+    write_json_document(cfg, {"s": 2, "d": 4, "delta": 0.08, "k": 10, "k_ladder": [40, 10, 3]})
+    built = []
+    init = GridIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridIndex, "__init__", counting_init)
+    rc = main(["tree", "--config", str(cfg), "--input", str(series_path), "--outdir", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(built) == 1
+    tree = read_json_document(tmp_path / "o" / "tree.json")
+    assert [level["k"] for level in tree["levels"]] == [40, 10, 3]
 
 
 def test_curves_csv_bytes_match_the_inline_writer(tmp_path):
