@@ -364,30 +364,23 @@ def run_smooth(cfg: PipelineConfig, series: list[RawSeries]) -> list[GridSeries]
     return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, gammas))
 
 
-def _tree_document(tree: ClusterTree, ladder: tuple, ids: list[str], n: int, sd: int) -> dict:
-    """The ladder's levels of the tree; a cluster's parent is the next rung's.
-
-    The tree may hold levels between the rungs. Nesting makes any one member's
-    label at the next rung the parent of the whole cluster.
-    """
+def _tree_document(tree: ClusterTree, ids: list[str], n: int, sd: int) -> dict:
     levels = []
-    for k, next_k in zip(ladder, ladder[1:] + (None,)):
-        lab = tree.level_for_k(k).labeling
-        finer = None if next_k is None else tree.level_for_k(next_k).labeling.assignments
+    for level in tree.levels:
+        lab = level.labeling
         clusters = []
         for c in range(lab.n_clusters):
-            members = lab.members(c)
             clusters.append(
                 {
                     "id": c,
-                    "parent": int(finer[members[0]]) if finer is not None else None,
-                    "members": [ids[i] for i in members],
+                    "parent": level.parents[c] if level.parents else None,
+                    "members": [ids[i] for i in lab.members(c)],
                 }
             )
         levels.append(
             {
-                "k": k,
-                "lambda": lambda_of_k(k, n, tree.delta, sd),
+                "k": level.k,
+                "lambda": lambda_of_k(level.k, n, tree.delta, sd),
                 "clusters": clusters,
                 "noise": [ids[i] for i in np.nonzero(lab.assignments == NOISE)[0]],
             }
@@ -399,8 +392,7 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     """Smooth, flatten, and cluster a batch of raw series.
 
     Returns a dict with the assignment table, the run manifest, and (when a
-    k-ladder is configured) the cluster-tree document. With a ladder one
-    cluster_tree over the ladder and k gives both the tree and the labeling.
+    k-ladder is configured) the cluster-tree document.
     """
     grids = run_smooth(cfg, series)
     ids = [g.id for g in grids]
@@ -410,14 +402,7 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
     link = 2.0 * delta if cfg.link_radius is None else float(cfg.link_radius)
     k = _resolve_k(cfg, n, delta, sd)
-    tree_doc = None
-    if cfg.k_ladder is None:
-        labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=link)
-    else:
-        ks = sorted({*cfg.k_ladder, k}, reverse=True)
-        tree = cluster_tree(points, delta, ks, link_radius=link)
-        labeling = tree.level_for_k(k).labeling
-        tree_doc = _tree_document(tree, cfg.k_ladder, ids, n, sd)
+    labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=link)
     gammas = {sr.id: _resolve_gamma(cfg, sr.m) for sr in series}
     manifest = {
         "config": cfg.to_dict(),
@@ -431,10 +416,14 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
             "sd": sd,
         },
     }
-    return {
+    out = {
         "ids": ids,
         "assignments": labeling.assignments,
         "labeling": labeling,
         "manifest": manifest,
-        "tree": tree_doc,
+        "tree": None,
     }
+    if cfg.k_ladder is not None:
+        tree = cluster_tree(points, delta, cfg.k_ladder, link_radius=link)
+        out["tree"] = _tree_document(tree, ids, n, sd)
+    return out

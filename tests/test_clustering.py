@@ -14,6 +14,7 @@ from flatclust.clustering import (
     smallest_containing_cluster,
 )
 from flatclust.density import KdeModel, kde_eval, lambda_of_k
+from flatclust.spatial import GridIndex
 from flatclust.synthetic import two_bump_mixture_1d
 
 
@@ -287,6 +288,26 @@ def test_parents_match_per_cluster_loop_with_empty_levels(sd):
     tree = cluster_tree(pts, delta, [n + 2, n + 1])
     assert [level.parents for level in tree.levels] == [(), ()]
     assert multi > 0
+
+
+@pytest.mark.parametrize("sd", [1, 8])
+def test_cluster_tree_is_one_sweep(monkeypatch, sd):
+    calls = []
+    for name in ("__init__", "counts_within_all", "pairs_within"):
+        method = getattr(GridIndex, name)
+
+        def counted(self, *args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridIndex, name, counted)
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(0.25, 0.75, size=(3, sd))
+    pts = np.clip(centers[rng.integers(0, 3, 1000)] + rng.normal(0, 0.05, (1000, sd)), 0, 1)
+    tree = cluster_tree(pts, 0.1 * np.sqrt(sd), (40, 10, 3))
+    assert len(tree.levels) == 3
+    pairs = ["pairs_within"] if sd > 1 else []  # on a line, runs of core points replace pairs
+    assert sorted(calls) == sorted(["__init__", "counts_within_all", *pairs])
 
 
 def test_non_nested_levels_raise():

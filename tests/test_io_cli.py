@@ -25,7 +25,6 @@ from flatclust.io import (
     run_smooth,
     write_json_document,
 )
-from flatclust.spatial import GridIndex
 from flatclust.synthetic import (
     ClusterTemplate,
     FunctionFamilySpec,
@@ -491,7 +490,7 @@ def _per_level_tree_document(tree, ids, n, sd):
 @pytest.mark.parametrize(
     "k", [80, 25, 10, 3, 1], ids=["above", "top-rung", "between-upper", "between-lower", "below"]
 )
-def test_one_tree_gives_the_separate_labeling_and_ladder_tree(k):
+def test_run_cluster_equals_separate_labeling_and_ladder_tree(k):
     raws, _, _ = sample_raw_series(_spread_family(), 300, 64, seed=21)
     ladder = (25, 5, 2)  # its top level's ids are the reverse of the next one's
     cfg = PipelineConfig(s=2, d=4, delta=0.08, k=k, k_ladder=ladder)
@@ -507,26 +506,6 @@ def test_one_tree_gives_the_separate_labeling_and_ladder_tree(k):
     no_ladder = run_cluster(PipelineConfig(s=2, d=4, delta=0.08, k=k), raws)
     assert np.array_equal(no_ladder["assignments"], flat.assignments)
     assert no_ladder["tree"] is None
-
-
-def test_tree_run_builds_one_index(tmp_path, monkeypatch):
-    raws, _, _ = sample_raw_series(_spread_family(), 1000, 64, seed=1)
-    series_path, cfg = tmp_path / "series.csv", tmp_path / "tree.json"
-    emit_series_csv(series_path, raws)
-    write_json_document(cfg, {"s": 2, "d": 4, "delta": 0.08, "k": 10, "k_ladder": [40, 10, 3]})
-    built = []
-    init = GridIndex.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(GridIndex, "__init__", counting_init)
-    rc = main(["tree", "--config", str(cfg), "--input", str(series_path), "--outdir", str(tmp_path / "o")])
-    assert rc == 0
-    assert len(built) == 1
-    tree = read_json_document(tmp_path / "o" / "tree.json")
-    assert [level["k"] for level in tree["levels"]] == [40, 10, 3]
 
 
 def test_curves_csv_bytes_match_the_inline_writer(tmp_path):
