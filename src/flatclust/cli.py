@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import io as fio
+from .codec import Codec
 from .experiments import experiment_names, run_experiment
 from .synthetic import FunctionFamilySpec, MixtureSpec, sample_raw_series
 
@@ -86,29 +86,37 @@ def _cmd_smooth(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class SynthDocument(Codec):
+    """`flatclust synth`: n points of a mixture, or n series of length m (default 4 d) of a family."""
+
+    spec: MixtureSpec | FunctionFamilySpec
+    n: int = 100
+    m: int | None = None
+    seed: int = 0
+
+
 def _cmd_synth(args) -> int:
     doc = fio.read_json_document(args.spec)
-    kind = doc.get("spec", {}).get("kind")
-    seed = int(doc.get("seed", 0))
-    n = int(doc.get("n", 100))
+    spec = doc.get("spec") if isinstance(doc, dict) else None
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if isinstance(spec, dict) and kind not in ("mixture", "function_family"):
+        return _fail(2, "config-error", f"spec.kind must be mixture or function_family, got {kind!r}")
+    synth = SynthDocument.from_dict(doc)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if kind == "mixture":
-        spec = MixtureSpec.from_dict(doc["spec"])
-        points, labels = spec.sample(n, seed)
-        ids = [f"p{i:06d}" for i in range(n)]
+    if isinstance(synth.spec, MixtureSpec):
+        points, labels = synth.spec.sample(synth.n, synth.seed)
+        ids = [f"p{i:06d}" for i in range(synth.n)]
         fio.emit_points_csv(outdir / "points.csv", points, ids)
         fio.emit_labels_csv(outdir / "labels.csv", ids, labels)
         return 0
-    if kind == "function_family":
-        spec = FunctionFamilySpec.from_dict(doc["spec"])
-        m = int(doc.get("m", 4 * spec.d))
-        raws, labels, grids = sample_raw_series(spec, n, m, seed)
-        fio.emit_series_csv(outdir / "series.csv", raws)
-        fio.emit_series_csv(outdir / "grid_truth.csv", grids)
-        fio.emit_labels_csv(outdir / "labels.csv", [r.id for r in raws], labels)
-        return 0
-    return _fail(2, "config-error", f"spec.kind must be mixture or function_family, got {kind!r}")
+    m = 4 * synth.spec.d if synth.m is None else synth.m
+    raws, labels, grids = sample_raw_series(synth.spec, synth.n, m, synth.seed)
+    fio.emit_series_csv(outdir / "series.csv", raws)
+    fio.emit_series_csv(outdir / "grid_truth.csv", grids)
+    fio.emit_labels_csv(outdir / "labels.csv", [r.id for r in raws], labels)
+    return 0
 
 
 def _cmd_experiment(args) -> int:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .clustering import cluster_tree, dbscan_cluster, hartigan_disjoint
+from .codec import Codec
 from .density import (
     KdeModel,
     delta_schedule,
@@ -189,32 +190,13 @@ def _in_box(points: np.ndarray, box: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KdeRateConfig:
-    n_ladder: tuple = (256, 512, 1024, 2048, 4096, 8192, 16384)
+class KdeRateConfig(Codec):
+    n_ladder: tuple[int, ...] = (256, 512, 1024, 2048, 4096, 8192, 16384)
     trials: int = 20
     seed: int = 20240
     mixture: MixtureSpec = field(default_factory=single_bump_mixture_1d)
     lattice_resolution: int = 200
     delta_scale: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ladder": list(self.n_ladder),
-            "trials": self.trials,
-            "seed": self.seed,
-            "mixture": self.mixture.to_dict(),
-            "lattice_resolution": self.lattice_resolution,
-            "delta_scale": self.delta_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "KdeRateConfig":
-        out = dict(doc)
-        if "mixture" in out:
-            out["mixture"] = MixtureSpec.from_dict(out["mixture"])
-        if "n_ladder" in out:
-            out["n_ladder"] = tuple(out["n_ladder"])
-        return cls(**out)
 
 
 def kde_rate_experiment(cfg: KdeRateConfig) -> ExperimentReport:
@@ -286,7 +268,7 @@ def kde_rate_experiment(cfg: KdeRateConfig) -> ExperimentReport:
 
 
 @dataclass(frozen=True)
-class SandwichConfig:
+class SandwichConfig(Codec):
     n: int = 4096
     trials: int = 100
     seed: int = 20241
@@ -295,25 +277,6 @@ class SandwichConfig:
     lattice_resolution: int = 200
     delta_scale: float = 1.0
     fixed_epsilon_constant: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mixture": self.mixture.to_dict(),
-            "level": self.level,
-            "lattice_resolution": self.lattice_resolution,
-            "delta_scale": self.delta_scale,
-            "fixed_epsilon_constant": self.fixed_epsilon_constant,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SandwichConfig":
-        out = dict(doc)
-        if "mixture" in out:
-            out["mixture"] = MixtureSpec.from_dict(out["mixture"])
-        return cls(**out)
 
 
 def sandwich_experiment(cfg: SandwichConfig) -> ExperimentReport:
@@ -384,34 +347,13 @@ def sandwich_experiment(cfg: SandwichConfig) -> ExperimentReport:
 
 
 @dataclass(frozen=True)
-class HartiganConfig:
-    n_ladder: tuple = (256, 512, 1024, 2048)
+class HartiganConfig(Codec):
+    n_ladder: tuple[int, ...] = (256, 512, 1024, 2048)
     trials: int = 200
     seed: int = 20242
     mixture: MixtureSpec = field(default_factory=two_bump_mixture_1d)
-    component_pair: tuple = (0, 1)
+    component_pair: tuple[int, int] = (0, 1)
     delta_scale: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_ladder": list(self.n_ladder),
-            "trials": self.trials,
-            "seed": self.seed,
-            "mixture": self.mixture.to_dict(),
-            "component_pair": list(self.component_pair),
-            "delta_scale": self.delta_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "HartiganConfig":
-        out = dict(doc)
-        if "mixture" in out:
-            out["mixture"] = MixtureSpec.from_dict(out["mixture"])
-        if "n_ladder" in out:
-            out["n_ladder"] = tuple(out["n_ladder"])
-        if "component_pair" in out:
-            out["component_pair"] = tuple(out["component_pair"])
-        return cls(**out)
 
 
 def _k_ladder(n: int) -> tuple[int, ...]:
@@ -487,30 +429,12 @@ def hartigan_experiment(cfg: HartiganConfig) -> ExperimentReport:
 
 
 @dataclass(frozen=True)
-class SmoothingRateConfig:
-    m_ladder: tuple = (64, 128, 256, 512, 1024, 2048, 4096)
+class SmoothingRateConfig(Codec):
+    m_ladder: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
     trials: int = 20
     series_per_trial: int = 20
     seed: int = 20243
     family: FunctionFamilySpec = field(default_factory=lambda: lipschitz_family(d=4, eps_bar=0.05))
-
-    def to_dict(self) -> dict:
-        return {
-            "m_ladder": list(self.m_ladder),
-            "trials": self.trials,
-            "series_per_trial": self.series_per_trial,
-            "seed": self.seed,
-            "family": self.family.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SmoothingRateConfig":
-        out = dict(doc)
-        if "family" in out:
-            out["family"] = FunctionFamilySpec.from_dict(out["family"])
-        if "m_ladder" in out:
-            out["m_ladder"] = tuple(out["m_ladder"])
-        return cls(**out)
 
 
 def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> ExperimentReport:
@@ -591,36 +515,15 @@ def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> ExperimentReport:
 
 
 @dataclass(frozen=True)
-class NoisyKdeGapConfig:
+class NoisyKdeGapConfig(Codec):
     n: int = 512
-    m_ladder: tuple = (64, 128, 256, 512, 1024, 2048, 4096)
+    m_ladder: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048, 4096)
     trials: int = 10
     seed: int = 20244
     family: FunctionFamilySpec = field(default_factory=gap_family)
     queries: int = 512
     delta_scale: float = 1.0
     z_prime: float = GAP_Z_PRIME
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_ladder": list(self.m_ladder),
-            "trials": self.trials,
-            "seed": self.seed,
-            "family": self.family.to_dict(),
-            "queries": self.queries,
-            "delta_scale": self.delta_scale,
-            "z_prime": self.z_prime,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NoisyKdeGapConfig":
-        out = dict(doc)
-        if "family" in out:
-            out["family"] = FunctionFamilySpec.from_dict(out["family"])
-        if "m_ladder" in out:
-            out["m_ladder"] = tuple(out["m_ladder"])
-        return cls(**out)
 
 
 def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> ExperimentReport:
@@ -720,28 +623,12 @@ def _membership_flips(
 
 
 @dataclass(frozen=True)
-class SymDiffConfig:
-    dims: tuple = (1, 2, 3, 4)
+class SymDiffConfig(Codec):
+    dims: tuple[int, ...] = (1, 2, 3, 4)
     pairs_per_dim: int = 10_000
     mc_pairs_per_dim: int = 25
     mc_budget: int = 1_000_000
     seed: int = 20245
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "pairs_per_dim": self.pairs_per_dim,
-            "mc_pairs_per_dim": self.mc_pairs_per_dim,
-            "mc_budget": self.mc_budget,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SymDiffConfig":
-        out = dict(doc)
-        if "dims" in out:
-            out["dims"] = tuple(out["dims"])
-        return cls(**out)
 
 
 def _sym_diff_mc(dist: float, delta: float, dim: int, budget: int, rng) -> tuple[float, float]:
@@ -826,37 +713,15 @@ def sym_diff_mc_experiment(cfg: SymDiffConfig) -> ExperimentReport:
 
 
 @dataclass(frozen=True)
-class GridResolutionConfig:
-    templates: tuple = field(default_factory=grid_resolution_templates)
-    d_pair: tuple = (5, 20)
+class GridResolutionConfig(Codec):
+    templates: tuple[ClusterTemplate, ClusterTemplate] = field(default_factory=grid_resolution_templates)
+    d_pair: tuple[int, int] = (5, 20)
     n_per_template: int = 20
     k: int = 5
     delta: float = 0.1
     seed: int = 20246
-    expected_counts: tuple = (1, 2)
+    expected_counts: tuple[int, int] = (1, 2)
     require_coincident: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "templates": [c.to_dict() for c in self.templates],
-            "d_pair": list(self.d_pair),
-            "n_per_template": self.n_per_template,
-            "k": self.k,
-            "delta": self.delta,
-            "seed": self.seed,
-            "expected_counts": list(self.expected_counts),
-            "require_coincident": self.require_coincident,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GridResolutionConfig":
-        out = dict(doc)
-        if "templates" in out:
-            out["templates"] = tuple(ClusterTemplate.from_dict(c) for c in out["templates"])
-        for key in ("d_pair", "expected_counts"):
-            if key in out:
-                out[key] = tuple(out[key])
-        return cls(**out)
 
 
 def grid_resolution_experiment(cfg: GridResolutionConfig) -> ExperimentReport:
@@ -946,27 +811,11 @@ def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class CompensatingConfig:
-    n_values: tuple = (1_000, 10_000, 100_000, 1_000_000)
-    s_values: tuple = (1,)
-    d_values: tuple = (1, 2, 3, 4)
+class CompensatingConfig(Codec):
+    n_values: tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
+    s_values: tuple[int, ...] = (1,)
+    d_values: tuple[int, ...] = (1, 2, 3, 4)
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "s_values": list(self.s_values),
-            "d_values": list(self.d_values),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CompensatingConfig":
-        out = dict(doc)
-        for key in ("n_values", "s_values", "d_values"):
-            if key in out:
-                out[key] = tuple(out[key])
-        return cls(**out)
 
 
 def compensating_experiment(cfg: CompensatingConfig) -> ExperimentReport:

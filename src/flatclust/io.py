@@ -5,7 +5,7 @@ Formats are deliberately plain and stable:
 - series CSV: header ``series_id,time,v1,...,vs``; one observation per row,
   times in (0,1], '.' decimal, UTF-8, LF or CRLF. Floats are emitted with 17
   significant digits so an emit/ingest round trip is exact.
-- points CSV: header ``point_id,x1,...,x{sd}``.
+- points CSV: header ``point_id,x1,...,x{sd}``; written only.
 - assignments CSV: header ``series_id,cluster`` with NOISE encoded as -1.
 - configs, manifests, cluster trees, and experiment reports: JSON with
   sorted keys, so identical runs produce identical bytes.
@@ -17,17 +17,16 @@ silently repaired.
 from __future__ import annotations
 
 import csv
-import io as _io
 import itertools
 import json
 import math
-import numbers
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields
+from typing import Literal, get_type_hints
 
 import numpy as np
 
 from .clustering import NOISE, ClusterTree, cluster_tree, dbscan_cluster
+from .codec import Codec, decode
 from .density import delta_schedule, k_of_lambda, lambda_of_k
 from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views
 from .smoothing import gamma_schedule, smooth_batch
@@ -42,7 +41,6 @@ __all__ = [
     "PipelineConfig",
     "ingest_series_csv",
     "emit_series_csv",
-    "ingest_points_csv",
     "emit_points_csv",
     "emit_assignments_csv",
     "emit_labels_csv",
@@ -66,82 +64,47 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Codec):
     """User-facing knobs for one clustering run.
 
     Exactly one of k / level must be set; "auto" resolves delta and gamma
-    from the sample via the built-in schedules.
+    from the sample via the built-in schedules. The document spells level
+    as "lambda".
     """
+
+    _keys = {"level": "lambda"}
 
     s: int
     d: int
-    delta: float | str = "auto"
-    gamma: float | str = "auto"
+    delta: float | Literal["auto"] = "auto"
+    gamma: float | Literal["auto"] = "auto"
     k: int | None = None
     level: float | None = None
     link_radius: float | None = None
-    k_ladder: tuple | None = None
+    k_ladder: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        hints = get_type_hints(PipelineConfig)
+        for f in fields(self):  # a config built in Python gets its document's type checks
+            object.__setattr__(self, f.name, decode(hints[f.name], getattr(self, f.name), f.name))
         for name in ("s", "d", "k"):
             v = getattr(self, name)
-            if not (_is_int(v) and v >= 1 or name == "k" and v is None):
+            if v is not None and v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if (self.k is None) == (self.level is None):
             raise ValueError("exactly one of k / level must be provided")
-        unset_values = {"delta": "auto", "gamma": "auto", "level": None, "link_radius": None}
-        for name, unset in unset_values.items():
+        for name in ("delta", "gamma", "level", "link_radius"):
             v = getattr(self, name)
-            if v == unset:
-                continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0:
-                alt = " or 'auto'" if unset else ""
-                raise ValueError(f"{name} must be a positive number{alt}, got {v!r}")
+            if v not in ("auto", None) and not v > 0:
+                raise ValueError(f"{name} must be a positive number, got {v!r}")
         ladder = self.k_ladder
-        if ladder is not None:
-            if (
-                not isinstance(ladder, (list, tuple))
-                or len(ladder) == 0
-                or not all(_is_int(k) and k >= 1 for k in ladder)
-                or any(k1 <= k2 for k1, k2 in zip(ladder[:-1], ladder[1:]))
-            ):
-                raise ValueError(
-                    f"k_ladder must be a strictly descending list of integers >= 1, got {ladder!r}"
-                )
-            object.__setattr__(self, "k_ladder", tuple(int(k) for k in ladder))
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "d": self.d,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "k": self.k,
-            "lambda": self.level,
-            "link_radius": self.link_radius,
-            "k_ladder": list(self.k_ladder) if self.k_ladder is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {"s", "d", "delta", "gamma", "k", "level", "link_radius", "k_ladder"}
-        out = {}
-        for key, value in doc.items():
-            name = "level" if key == "lambda" else key
-            if name not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            out[name] = value
-        missing = {"s", "d"} - out.keys()
-        if missing:
-            raise ValueError(f"config is missing required keys: {sorted(missing)}")
-        return cls(**out)
+        if ladder is not None and (
+            not ladder or ladder[-1] < 1 or any(a <= b for a, b in zip(ladder, ladder[1:]))
+        ):
+            raise ValueError(
+                f"k_ladder must be a strictly descending list of integers >= 1, got {list(ladder)!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -277,27 +240,6 @@ def emit_points_csv(path, points: np.ndarray, ids: list[str] | None = None) -> N
         fh.write("point_id," + ",".join(f"x{i}" for i in range(1, sd + 1)) + "\n")
         for pid, row in zip(ids, points):
             fh.write(pid + "," + ",".join(_fmt(v) for v in row) + "\n")
-
-
-def ingest_points_csv(path) -> tuple[list[str], np.ndarray]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader, None)
-    if not header or header[0] != "point_id":
-        raise ParseError("header must be point_id,x1,...,x{sd}", line=1)
-    sd = len(header) - 1
-    ids, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != sd + 1:
-            raise ParseError(f"expected {sd + 1} fields, got {len(row)}", line=lineno)
-        ids.append(row[0])
-        try:
-            rows.append([float(v) for v in row[1:]])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-    return ids, np.asarray(rows, dtype=float)
 
 
 def emit_curves_csv(path, curves: dict) -> None:

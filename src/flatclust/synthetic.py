@@ -11,10 +11,11 @@ templates with bounded uniform noise and known cluster labels.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Codec
 from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views, grid_times
 
 __all__ = [
@@ -101,7 +102,15 @@ class Bump1D:
 
 
 @dataclass(frozen=True)
-class MixtureComponent:
+class _ComponentDocument(Codec):
+    """The document of a MixtureComponent: one bump kind, one [lo, hi] box row per coordinate."""
+
+    box: tuple[tuple[float, float], ...]
+    kind: str = "triangular"
+
+
+@dataclass(frozen=True)
+class MixtureComponent(Codec):
     """Product of per-coordinate bumps over an axis-aligned support box."""
 
     bumps: tuple[Bump1D, ...]
@@ -157,6 +166,15 @@ class MixtureComponent:
         z = 0.5 - fraction / 2.0
         return float(np.prod([b.pdf_in_z(z) for b in self.bumps]))
 
+    def to_dict(self) -> dict:
+        box = tuple((b.lo, b.hi) for b in self.bumps)
+        return _ComponentDocument(box, self.bumps[0].kind).to_dict()
+
+    @classmethod
+    def from_dict(cls, doc, path: str = "") -> "MixtureComponent":
+        c = _ComponentDocument.from_dict(doc, path)
+        return cls(bumps=tuple(Bump1D(lo, hi, c.kind) for lo, hi in c.box))
+
 
 def _box_distance(a: np.ndarray, b: np.ndarray) -> float:
     gaps = np.maximum(0.0, np.maximum(a[:, 0] - b[:, 1], b[:, 0] - a[:, 1]))
@@ -164,13 +182,15 @@ def _box_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class MixtureSpec:
+class MixtureSpec(Codec):
     """A detectable mixture in [0,1]^sd: disjoint boxes, known constants.
 
     Exposes the separation margin, a Lipschitz certificate, the peak density,
     and the level lambda_star below which every point outside all support
     boxes falls.
     """
+
+    _kind = "mixture"
 
     components: tuple[MixtureComponent, ...]
     weights: tuple[float, ...]
@@ -259,31 +279,6 @@ class MixtureSpec:
                 points[mask] = comp.sample(u[mask])
         return points, labels
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mixture",
-            "inner_fraction": self.inner_fraction,
-            "weights": list(self.weights),
-            "components": [
-                {"kind": c.bumps[0].kind, "box": [[b.lo, b.hi] for b in c.bumps]}
-                for c in self.components
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MixtureSpec":
-        comps = tuple(
-            MixtureComponent(
-                bumps=tuple(Bump1D(lo=lo, hi=hi, kind=c.get("kind", "triangular")) for lo, hi in c["box"])
-            )
-            for c in doc["components"]
-        )
-        return cls(
-            components=comps,
-            weights=tuple(float(w) for w in doc["weights"]),
-            inner_fraction=float(doc.get("inner_fraction", 0.5)),
-        )
-
 
 def true_density(spec: MixtureSpec, x):
     """Exact mixture density at x (or at each row of x)."""
@@ -303,7 +298,7 @@ _TEMPLATE_KINDS = ("sine", "linear", "constant")
 
 
 @dataclass(frozen=True)
-class TemplateComponent:
+class TemplateComponent(Codec):
     """One scalar component of a path template.
 
     Base shapes are constant, affine, or a sinusoid; an optional single
@@ -366,7 +361,7 @@ class TemplateComponent:
 
 
 @dataclass(frozen=True)
-class ClusterTemplate:
+class ClusterTemplate(Codec):
     """An s-vector path template plus per-series jitter ranges."""
 
     components: tuple[TemplateComponent, ...]
@@ -419,30 +414,17 @@ class ClusterTemplate:
         shifts = rng.uniform(-self.offset_jitter, self.offset_jitter, size=self.s)
         return scales, shifts
 
-    def to_dict(self) -> dict:
-        return {
-            "offset_jitter": self.offset_jitter,
-            "amp_jitter": self.amp_jitter,
-            "components": [asdict(t) for t in self.components],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ClusterTemplate":
-        return cls(
-            components=tuple(TemplateComponent(**t) for t in doc["components"]),
-            offset_jitter=float(doc.get("offset_jitter", 0.0)),
-            amp_jitter=float(doc.get("amp_jitter", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
-class FunctionFamilySpec:
+class FunctionFamilySpec(Codec):
     """Per-cluster templates with bounded uniform noise and a clustering grid.
 
     All jumps must sit strictly between the grid points 1/d .. 1, templates
     must stay inside [0,1] under every jitter draw, and distinct clusters
     must remain separated on the grid after jitter.
     """
+
+    _kind = "function_family"
 
     clusters: tuple[ClusterTemplate, ...]
     weights: tuple[float, ...]
@@ -509,24 +491,6 @@ class FunctionFamilySpec:
                 gap = float(np.max(np.abs(centers[i] - centers[j]))) - slack_i - slack_j
                 best = min(best, gap)
         return best
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "function_family",
-            "d": self.d,
-            "eps_bar": self.eps_bar,
-            "weights": list(self.weights),
-            "clusters": [c.to_dict() for c in self.clusters],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FunctionFamilySpec":
-        return cls(
-            clusters=tuple(ClusterTemplate.from_dict(c) for c in doc["clusters"]),
-            weights=tuple(float(w) for w in doc["weights"]),
-            d=int(doc["d"]),
-            eps_bar=float(doc.get("eps_bar", 0.0)),
-        )
 
 
 # Series drawn per bulk draw: memory holds one chunk's uniforms, not the batch's.

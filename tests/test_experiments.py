@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flatclust.experiments import (
     GAP_Z_PRIME,
+    REGISTRY,
     SANDWICH_C_PRIME,
     CompensatingConfig,
     GridResolutionConfig,
@@ -267,10 +269,11 @@ class TestRegistry:
         assert r.name == "sandwich"
 
     def test_all_defaults_construct(self):
-        for name in experiment_names():
-            run_experiment  # construction only: each config class must default cleanly
-        from flatclust.experiments import REGISTRY
-
-        for name, (config_cls, _) in REGISTRY.items():
-            cfg = config_cls()
-            assert cfg.to_dict() is not None
+        """Default and benchmark-scaled configs echo their pinned bytes and round-trip."""
+        pinned = json.loads((Path(__file__).parent / "pinned_config_documents.json").read_text())
+        configs = [(name, cls(), pinned["experiment_defaults"][name]) for name, (cls, _) in REGISTRY.items()]
+        for name, pin in pinned["experiment_overrides"].items():
+            configs.append((name, REGISTRY[name][0].from_dict(pin["document"]), pin["json"]))
+        for name, cfg, want in configs:
+            assert json.dumps(cfg.to_dict(), sort_keys=True) == want, name
+            assert REGISTRY[name][0].from_dict(cfg.to_dict()) == cfg, name

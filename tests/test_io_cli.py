@@ -18,7 +18,6 @@ from flatclust.io import (
     PipelineConfig,
     emit_curves_csv,
     emit_series_csv,
-    ingest_points_csv,
     ingest_series_csv,
     read_json_document,
     run_cluster,
@@ -56,6 +55,11 @@ class TestPipelineConfig:
         cfg = PipelineConfig.from_dict({"s": 2, "d": 3, "lambda": 0.4})
         assert cfg.level == 0.4 and cfg.k is None
         assert cfg.to_dict()["lambda"] == 0.4
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        pin = json.loads((Path(__file__).parent / "pinned_config_documents.json").read_text())["pipeline"]
+        cfg = PipelineConfig.from_dict(pin["document"])
+        assert json.dumps(cfg.to_dict(), sort_keys=True) == pin["json"]
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -290,7 +294,8 @@ class TestCli:
         out = tmp_path / "synth"
         rc = main(["synth", "--spec", str(spec_path), "--outdir", str(out)])
         assert rc == 0
-        ids, pts = ingest_points_csv(out / "points.csv")
+        assert (out / "points.csv").read_text().splitlines()[0] == "point_id,x1"
+        pts = np.loadtxt(out / "points.csv", delimiter=",", skiprows=1, usecols=1, ndmin=2)
         assert pts.shape == (50, 1)
         labels = (out / "labels.csv").read_text().splitlines()
         assert len(labels) == 51
@@ -396,15 +401,15 @@ _BASE = {"s": 1, "d": 4, "k": 3}
         ({**_BASE, "d": 4.5}, "d must be an integer"),
         ({**_BASE, "k": True}, "k must be an integer"),
         ({**_BASE, "k": 2.7}, "k must be an integer"),
-        ({**_BASE, "k_ladder": 5}, "k_ladder must be a strictly descending list"),
-        ({**_BASE, "k_ladder": [2.5, 1]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": 5}, "k_ladder must be a list, got 5"),
+        ({**_BASE, "k_ladder": [2.5, 1]}, "k_ladder[0] must be an integer, got 2.5"),
         ({**_BASE, "k_ladder": [1, 3]}, "k_ladder must be a strictly descending list"),
         ({**_BASE, "k_ladder": [3, 3]}, "k_ladder must be a strictly descending list"),
         ({**_BASE, "k_ladder": [3, 0]}, "k_ladder must be a strictly descending list"),
-        ({**_BASE, "k_ladder": [True]}, "k_ladder must be a strictly descending list"),
+        ({**_BASE, "k_ladder": [True]}, "k_ladder[0] must be an integer, got True"),
         ({**_BASE, "k_ladder": []}, "k_ladder must be a strictly descending list"),
-        ({**_BASE, "delta": True}, "delta must be a positive number"),
-        ({**_BASE, "link_radius": "wide"}, "link_radius must be a positive number"),
+        ({**_BASE, "delta": True}, "delta must be a finite number or 'auto', got True"),
+        ({**_BASE, "link_radius": "wide"}, "link_radius must be a finite number, got 'wide'"),
         ({**_BASE, "clip": True}, "unknown config key 'clip'"),
         ({**_BASE, "seed": 5}, "unknown config key 'seed'"),
         ({**_BASE, "lattice_resolution": 200}, "unknown config key 'lattice_resolution'"),
@@ -439,6 +444,58 @@ def test_bad_config_is_an_invalid_argument(tmp_path, capsys, command, config, me
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-argument"
     assert message in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+_MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (["synth", "--spec"], [1, 2], "config must be a JSON object, got list"),
+        (["synth", "--spec"], {"spec": _MIXTURE, "n": 2.7}, "n must be an integer, got 2.7"),
+        (["synth", "--spec"], {"spec": _MIXTURE, "n": True}, "n must be an integer, got True"),
+        (["synth", "--spec"], {"spec": _MIXTURE, "n": "5"}, "n must be an integer, got '5'"),
+        (["synth", "--spec"], {"spec": _MIXTURE, "seed": 1.9}, "seed must be an integer, got 1.9"),
+        (["synth", "--spec"], {"spec": {"kind": "mixture"}}, "missing required config key 'spec.components'"),
+        (
+            ["synth", "--spec"],
+            {"spec": {**_MIXTURE, "components": [{"box": [[0.1, "x"]]}]}},
+            "spec.components[0].box[0][1] must be a finite number, got 'x'",
+        ),
+        (["experiment", "kde_rate", "--config"], [1, 2], "config must be a JSON object, got list"),
+        (["experiment", "kde_rate", "--config"], {"trials": 1.5}, "trials must be an integer, got 1.5"),
+        (["experiment", "kde_rate", "--config"], {"n_ladder": 5}, "n_ladder must be a list, got 5"),
+        (["experiment", "kde_rate", "--config"], {"bogus": 1}, "unknown config key 'bogus'"),
+        (["experiment", "kde_rate", "--config"], {"trials": True}, "trials must be an integer, got True"),
+        (["experiment", "sandwich", "--config"], {"mixture": [1]}, "mixture must be a JSON object, got list"),
+    ],
+    ids=[
+        "synth-array",
+        "synth-n-fraction",
+        "synth-n-bool",
+        "synth-n-string",
+        "synth-seed-fraction",
+        "synth-missing-components",
+        "synth-box-string",
+        "kde_rate-array",
+        "kde_rate-trials-fraction",
+        "kde_rate-ladder-scalar",
+        "kde_rate-unknown-key",
+        "kde_rate-trials-bool",
+        "sandwich-mixture-array",
+    ],
+)
+def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, message):
+    path = tmp_path / "doc.json"
+    write_json_document(path, document)
+    rc = main([*argv, str(path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload == {"error": "invalid-argument", "message": message}
     assert not (tmp_path / "o").exists()
 
 

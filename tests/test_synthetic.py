@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,9 @@ from flatclust.synthetic import (
     true_density,
     two_bump_mixture_1d,
 )
+
+# json.dumps(spec.to_dict(), sort_keys=True) of the pinned specs
+PINNED_SPECS = json.loads((Path(__file__).parent / "pinned_config_documents.json").read_text())["specs"]
 
 
 class TestBump1D:
@@ -139,6 +144,7 @@ class TestMixtureSpec:
 
     def test_serialization_round_trip(self):
         spec = two_bump_mixture_1d()
+        assert json.dumps(spec.to_dict(), sort_keys=True) == PINNED_SPECS["two_bump_mixture_1d"]
         back = MixtureSpec.from_dict(spec.to_dict())
         assert back == spec
 
@@ -290,9 +296,10 @@ class TestFunctionFamilySpec:
         assert np.array_equal(a[1], b[1])
 
     def test_serialization_round_trip(self):
-        fam = gap_family()
-        back = FunctionFamilySpec.from_dict(fam.to_dict())
-        assert back == fam
+        for name, fam in [("gap_family", gap_family()), ("lipschitz_family", lipschitz_family(d=4, eps_bar=0.02))]:
+            assert json.dumps(fam.to_dict(), sort_keys=True) == PINNED_SPECS[name]
+            back = FunctionFamilySpec.from_dict(fam.to_dict())
+            assert back == fam
 
     def test_pinned_families_are_valid(self):
         assert lipschitz_family().grid_margin > 0
