@@ -28,7 +28,7 @@ EXPECTED_FAILURES = {("compensating", "closed_form_ratio_in_band")}
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="reports")
-    parser.add_argument("--only", default=None, help="run just one experiment")
+    parser.add_argument("--only", default=None, choices=experiment_names(), help="run just one experiment")
     args = parser.parse_args(argv)
 
     names = [args.only] if args.only else experiment_names()

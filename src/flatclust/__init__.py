@@ -42,13 +42,6 @@ from .smoothing import (
     smooth_at,
     smooth_batch,
 )
-from .synthetic import (
-    FunctionFamilySpec,
-    MixtureSpec,
-    sample_flat,
-    sample_raw_series,
-    sample_series_batch,
-    true_density,
-)
+from .synthetic import FunctionFamilySpec, MixtureSpec, sample_raw_series, sample_series_batch
 
 __version__ = "0.1.0"

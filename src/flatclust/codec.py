@@ -9,7 +9,9 @@ JSON int is read as a float; NaN and the infinities are refused), `bool`,
 Decoding refuses a non-object document, an unknown key, a missing required
 key and a value of the wrong type, each with a ValueError that names the
 dotted path, such as `mixture.components[0].box[1]`. Ranges and relations
-between fields are left to each class's `__post_init__`.
+between fields are left to each class's `__post_init__`; a ValueError it
+raises for a nested document is prefixed with that document's path, as in
+`mixture: weights must be nonnegative and sum to 1`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,12 @@ class Codec:
         for key, f in fields.items():
             if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
                 raise ValueError(f"missing required config key {_join(path, key)!r}")
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            if not path:
+                raise
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def decode(tp, value, path: str):

@@ -12,6 +12,7 @@ exist to catch gross regressions.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -142,17 +143,85 @@ class ExperimentReport:
         )
 
 
-def _validate_ladder(ladder, what: str) -> tuple[int, ...]:
-    ladder = tuple(int(v) for v in ladder)
-    if len(ladder) == 0:
-        raise ValueError(f"{what} must be nonempty")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"{what} must be strictly increasing, got {ladder}")
+REGISTRY: dict[str, tuple[type, Callable]] = {}
+
+
+def _experiment(name: str, config_cls: type):
+    """Register the decorated runner as experiment `name`, wrapped to time it and stamp its report.
+
+    A runner returns only the report fields it computes: rows, curves and
+    checks, plus slope, slope_residual and flags where it has them. The
+    wrapper adds the name, the config echo, the seed, `passed` (every check
+    holds) and the wall-clock time.
+    """
+
+    def register(runner: Callable[..., dict]) -> Callable[..., ExperimentReport]:
+        @functools.wraps(runner)
+        def run(cfg) -> ExperimentReport:
+            t0 = time.perf_counter()
+            fields = runner(cfg)
+            return ExperimentReport(
+                name=name,
+                config=cfg.to_dict(),
+                seed=cfg.seed,
+                passed=all(fields["checks"].values()),
+                wall_clock_s=time.perf_counter() - t0,
+                **fields,
+            )
+
+        REGISTRY[name] = (config_cls, run)
+        return run
+
+    return register
+
+
+# Config checks, called from each config's __post_init__ so that a bad config
+# is refused when it is built, before any trial runs.
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _require_at_least(cfg, low: int, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        _require(value >= low, f"{name} must be >= {low}, got {value}")
+
+
+def _require_positive(cfg, *names: str) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        _require(value > 0.0, f"{name} must be > 0, got {value}")
+
+
+def _require_each_at_least(cfg, low: int, *names: str) -> None:
+    for name in names:
+        values = getattr(cfg, name)
+        _require(
+            len(values) > 0 and min(values) >= low,
+            f"{name} must be a nonempty list of integers >= {low}, got {list(values)}",
+        )
+
+
+def _check_ladder(ladder: tuple[int, ...], what: str) -> None:
+    _require(len(ladder) > 0, f"{what} must be nonempty")
+    _require(
+        all(b > a for a, b in zip(ladder, ladder[1:])),
+        f"{what} must be strictly increasing, got {ladder}",
+    )
+    _require(ladder[0] >= 2, f"{what} rungs must be >= 2, got {ladder}")
     if len(ladder) >= 3:
         ratios = [b / a for a, b in zip(ladder, ladder[1:])]
-        if any(abs(r / ratios[0] - 1.0) > 0.25 for r in ratios):
-            raise ValueError(f"{what} must be geometric, got {ladder}")
-    return ladder
+        _require(
+            all(abs(r / ratios[0] - 1.0) <= 0.25 for r in ratios),
+            f"{what} must be geometric, got {ladder}",
+        )
+
+
+def _check_rungs_exceed_d(ladder: tuple[int, ...], d: int) -> None:
+    _require(all(m > d for m in ladder), f"every ladder rung must exceed d={d}, got {ladder}")
 
 
 def _fit_loglog(xs, ys) -> tuple[float, float]:
@@ -163,6 +232,27 @@ def _fit_loglog(xs, ys) -> tuple[float, float]:
     coef, res, _, _ = np.linalg.lstsq(design, ly, rcond=None)
     residual = float(res[0]) if res.size else 0.0
     return float(coef[0]), residual
+
+
+def _slope_tail(rows: list, medians: list, checks: dict, band: tuple[float, float] | None) -> dict:
+    """The rate experiments' shared report tail.
+
+    The log-log curve of median error against each row's mesh, and with 5 or
+    more rungs a log-log slope fit, judged against `band` when one is given;
+    with fewer, an insufficient-data flag.
+    """
+    xs = [row["mesh"] for row in rows]
+    tail = {
+        "rows": rows,
+        "checks": checks,
+        "curves": {"log_error_vs_log_mesh": [[math.log(x), math.log(m)] for x, m in zip(xs, medians)]},
+    }
+    if len(rows) < 5:
+        return {**tail, "flags": ["insufficient-data: slope fit needs >= 5 rungs"]}
+    slope, residual = _fit_loglog(xs, medians)
+    if band is not None:
+        checks["slope_in_band"] = band[0] <= slope <= band[1]
+    return {**tail, "slope": slope, "slope_residual": residual}
 
 
 def _inversions_up(values) -> int:
@@ -198,11 +288,15 @@ class KdeRateConfig(Codec):
     lattice_resolution: int = 200
     delta_scale: float = 1.0
 
+    def __post_init__(self):
+        _check_ladder(self.n_ladder, "n_ladder")
+        _require_at_least(self, 1, "trials", "lattice_resolution")
+        _require_positive(self, "delta_scale")
 
-def kde_rate_experiment(cfg: KdeRateConfig) -> ExperimentReport:
+
+@_experiment("kde_rate", KdeRateConfig)
+def kde_rate_experiment(cfg: KdeRateConfig) -> dict:
     """Median sup-lattice KDE error along an n-ladder against the known mixture."""
-    t0 = time.perf_counter()
-    ladder = _validate_ladder(cfg.n_ladder, "n_ladder")
     spec = cfg.mixture
     sd = spec.sd
     lattice = evaluation_lattice(
@@ -211,8 +305,7 @@ def kde_rate_experiment(cfg: KdeRateConfig) -> ExperimentReport:
     truth = np.asarray(spec.density(lattice), dtype=float)
     rows = []
     medians = []
-    flags = []
-    for r, n in enumerate(ladder):
+    for r, n in enumerate(cfg.n_ladder):
         delta = delta_schedule(n, sd, cfg.delta_scale)
         errors = []
         for t in range(cfg.trials):
@@ -231,35 +324,9 @@ def kde_rate_experiment(cfg: KdeRateConfig) -> ExperimentReport:
                 "errors": errors,
             }
         )
-    xs = [row["mesh"] for row in rows]
     exponent = 1.0 / (2.0 + sd)
     checks = {"error_nonincreasing_le_1_inversion": _inversions_up(medians) <= 1}
-    slope = residual = None
-    if len(ladder) >= 5:
-        slope, residual = _fit_loglog(xs, medians)
-        checks["slope_in_band"] = (
-            SLOPE_BAND[0] * exponent <= slope <= SLOPE_BAND[1] * exponent
-        )
-    else:
-        flags.append("insufficient-data: slope fit needs >= 5 rungs")
-    curves = {
-        "log_error_vs_log_mesh": [
-            [math.log(x), math.log(m)] for x, m in zip(xs, medians)
-        ]
-    }
-    return ExperimentReport(
-        name="kde_rate",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves=curves,
-        checks=checks,
-        passed=all(checks.values()),
-        slope=slope,
-        slope_residual=residual,
-        flags=flags,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _slope_tail(rows, medians, checks, (SLOPE_BAND[0] * exponent, SLOPE_BAND[1] * exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +345,26 @@ class SandwichConfig(Codec):
     delta_scale: float = 1.0
     fixed_epsilon_constant: float | None = None
 
+    def __post_init__(self):
+        _require_at_least(self, 2, "n")
+        _require_at_least(self, 1, "trials", "lattice_resolution")
+        _require_positive(self, "delta_scale")
+        spec = self.mixture
+        _require(
+            spec.lambda_star < self.lam < spec.peak_density,
+            f"level {self.lam} must lie strictly between lambda_star={spec.lambda_star} "
+            f"and the peak {spec.peak_density}",
+        )
 
-def sandwich_experiment(cfg: SandwichConfig) -> ExperimentReport:
+    @property
+    def lam(self) -> float:
+        """The level: `level`, or midway between lambda_star and the peak when it is None."""
+        spec = self.mixture
+        return self.level if self.level is not None else 0.5 * (spec.lambda_star + spec.peak_density)
+
+
+@_experiment("sandwich", SandwichConfig)
+def sandwich_experiment(cfg: SandwichConfig) -> dict:
     """Lattice inclusions {p >= lam+eps} within {p_hat >= lam} within {p >= lam-eps}.
 
     With eps measured per trial as the realized sup lattice error the
@@ -287,15 +372,9 @@ def sandwich_experiment(cfg: SandwichConfig) -> ExperimentReport:
     fixed a-priori eps = c' (log n / n)^(1/(2+sd)) they hold with high
     frequency once c' is calibrated.
     """
-    t0 = time.perf_counter()
     spec = cfg.mixture
     sd = spec.sd
-    lam = cfg.level if cfg.level is not None else 0.5 * (spec.lambda_star + spec.peak_density)
-    if not spec.lambda_star < lam < spec.peak_density:
-        raise ValueError(
-            f"level {lam} must lie strictly between lambda_star={spec.lambda_star} "
-            f"and the peak {spec.peak_density}"
-        )
+    lam = cfg.lam
     delta = delta_schedule(cfg.n, sd, cfg.delta_scale)
     lattice = evaluation_lattice(sd, cfg.lattice_resolution, seed=[cfg.seed, _LATTICE_SALT])
     truth = np.asarray(spec.density(lattice), dtype=float)
@@ -328,17 +407,12 @@ def sandwich_experiment(cfg: SandwichConfig) -> ExperimentReport:
         checks = {"inclusion_frequency_is_one": freq == 1.0}
     else:
         checks = {"inclusion_frequency_ge_09": freq >= 0.9}
-    return ExperimentReport(
-        name="sandwich",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves={"inclusion_frequency": [[float(cfg.n), freq]]},
-        checks=checks,
-        passed=all(checks.values()),
-        flags=[f"level={lam}", f"delta={delta}", f"inclusion_frequency={freq}"],
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "rows": rows,
+        "curves": {"inclusion_frequency": [[float(cfg.n), freq]]},
+        "checks": checks,
+        "flags": [f"level={lam}", f"delta={delta}", f"inclusion_frequency={freq}"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +429,18 @@ class HartiganConfig(Codec):
     component_pair: tuple[int, int] = (0, 1)
     delta_scale: float = 1.0
 
+    def __post_init__(self):
+        _check_ladder(self.n_ladder, "n_ladder")
+        _require_at_least(self, 1, "trials")
+        _require_positive(self, "delta_scale")
+        C = self.mixture.C
+        _require(C >= 2, "need a mixture with at least two components")
+        i, j = self.component_pair
+        _require(
+            i != j and 0 <= i < C and 0 <= j < C,
+            f"component_pair must name two distinct components below C={C}, got {list(self.component_pair)}",
+        )
+
 
 def _k_ladder(n: int) -> tuple[int, ...]:
     """Descending powers of four from n down to 1."""
@@ -367,21 +453,16 @@ def _k_ladder(n: int) -> tuple[int, ...]:
     return tuple(dict.fromkeys(ks))
 
 
-def hartigan_experiment(cfg: HartiganConfig) -> ExperimentReport:
+@_experiment("hartigan", HartiganConfig)
+def hartigan_experiment(cfg: HartiganConfig) -> dict:
     """Frequency with which two population cores land in disjoint tree clusters."""
-    t0 = time.perf_counter()
-    ladder = _validate_ladder(cfg.n_ladder, "n_ladder")
     spec = cfg.mixture
-    if spec.C < 2:
-        raise ValueError("need a mixture with at least two components")
-    if not spec.margin > 0.0:
-        raise ValueError("component margin must be positive")
     i, j = cfg.component_pair
     core_a = spec.inner_core(i)
     core_b = spec.inner_core(j)
     rows = []
     freqs = []
-    for r, n in enumerate(ladder):
+    for r, n in enumerate(cfg.n_ladder):
         delta = delta_schedule(n, spec.sd, cfg.delta_scale)
         ks = _k_ladder(n)
         separated = 0
@@ -411,16 +492,11 @@ def hartigan_experiment(cfg: HartiganConfig) -> ExperimentReport:
         "frequency_nondecreasing_le_1_inversion": _inversions_down(freqs) <= 1,
         "final_frequency_ge_095": freqs[-1] >= 0.95,
     }
-    return ExperimentReport(
-        name="hartigan",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves={"separation_frequency_vs_n": [[float(n), f] for n, f in zip(ladder, freqs)]},
-        checks=checks,
-        passed=all(checks.values()),
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "rows": rows,
+        "curves": {"separation_frequency_vs_n": [[float(n), f] for n, f in zip(cfg.n_ladder, freqs)]},
+        "checks": checks,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +512,27 @@ class SmoothingRateConfig(Codec):
     seed: int = 20243
     family: FunctionFamilySpec = field(default_factory=lambda: lipschitz_family(d=4, eps_bar=0.05))
 
+    def __post_init__(self):
+        _check_ladder(self.m_ladder, "m_ladder")
+        _check_rungs_exceed_d(self.m_ladder, self.family.d)
+        _require_at_least(self, 1, "trials", "series_per_trial")
 
-def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> ExperimentReport:
+
+@_experiment("smoothing_rate", SmoothingRateConfig)
+def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> dict:
     """sup_i of the flattened grid estimation error along an m-ladder.
 
     Noiseless families must obey the exact bias bound l_f * gamma_m at every
     rung; noisy families are judged by the fitted rate exponent.
     """
-    t0 = time.perf_counter()
-    ladder = _validate_ladder(cfg.m_ladder, "m_ladder")
     fam = cfg.family
     d = fam.d
-    if any(m <= d for m in ladder):
-        raise ValueError(f"every ladder rung must exceed d={d}, got {ladder}")
     l_f = fam.lipschitz
     rows = []
     medians = []
-    flags = []
     noiseless = fam.eps_bar == 0.0
     bias_bound_ok = True
-    for r, m in enumerate(ladder):
+    for r, m in enumerate(cfg.m_ladder):
         gamma = gamma_schedule(m)
         sups = []
         for t in range(cfg.trials):
@@ -478,35 +555,9 @@ def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> ExperimentReport:
                 "sup_errors": sups,
             }
         )
-    xs = [row["mesh"] for row in rows]
-    checks = {}
     if noiseless:
-        checks["noiseless_error_le_lf_gamma"] = bias_bound_ok
-    slope = residual = None
-    if len(ladder) >= 5:
-        slope, residual = _fit_loglog(xs, medians)
-        if not noiseless:
-            checks["slope_in_band"] = (
-                SLOPE_BAND[0] / 3.0 <= slope <= SLOPE_BAND[1] / 3.0
-            )
-    else:
-        flags.append("insufficient-data: slope fit needs >= 5 rungs")
-    curves = {
-        "log_error_vs_log_mesh": [[math.log(x), math.log(m)] for x, m in zip(xs, medians)]
-    }
-    return ExperimentReport(
-        name="smoothing_rate",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves=curves,
-        checks=checks,
-        passed=all(checks.values()) if checks else True,
-        slope=slope,
-        slope_residual=residual,
-        flags=flags,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+        return _slope_tail(rows, medians, {"noiseless_error_le_lf_gamma": bias_bound_ok}, None)
+    return _slope_tail(rows, medians, {}, (SLOPE_BAND[0] / 3.0, SLOPE_BAND[1] / 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +576,24 @@ class NoisyKdeGapConfig(Codec):
     delta_scale: float = 1.0
     z_prime: float = GAP_Z_PRIME
 
+    def __post_init__(self):
+        _check_ladder(self.m_ladder, "m_ladder")
+        _check_rungs_exceed_d(self.m_ladder, self.family.d)
+        _require_at_least(self, 2, "n")
+        _require_at_least(self, 1, "trials", "queries")
+        _require_positive(self, "delta_scale", "z_prime")
 
-def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> ExperimentReport:
+
+@_experiment("noisy_kde_gap", NoisyKdeGapConfig)
+def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> dict:
     """Max query-lattice gap |KDE from estimated points - KDE from true points|.
 
     The gap must fall with m, stay under z' * eps_m / delta where eps_m is
     the measured sup estimation error, and obey the pointwise recount bound
     (membership-flip count over the normalizer) on every query.
     """
-    t0 = time.perf_counter()
-    ladder = _validate_ladder(cfg.m_ladder, "m_ladder")
     fam = cfg.family
     d = fam.d
-    if any(m <= d for m in ladder):
-        raise ValueError(f"every ladder rung must exceed d={d}, got {ladder}")
     sd = fam.s * d
     delta = delta_schedule(cfg.n, sd, cfg.delta_scale)
     queries = evaluation_lattice(sd, resolution=23, mc_points=cfg.queries, seed=[cfg.seed, _QUERY_SALT])
@@ -547,7 +602,7 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> ExperimentReport:
     rows = []
     gap_medians = []
     recount_ok = True
-    for r, m in enumerate(ladder):
+    for r, m in enumerate(cfg.m_ladder):
         gamma = gamma_schedule(m)
         gaps = []
         eps_list = []
@@ -593,18 +648,11 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> ExperimentReport:
         "final_gap_below_5pct_of_peak": rows[-1]["median_gap"]
         <= 0.05 * rows[-1]["median_peak_density"],
     }
-    return ExperimentReport(
-        name="noisy_kde_gap",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves={
-            "gap_vs_m": [[float(m), g] for m, g in zip(ladder, gap_medians)]
-        },
-        checks=checks,
-        passed=all(checks.values()),
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "rows": rows,
+        "curves": {"gap_vs_m": [[float(m), g] for m, g in zip(cfg.m_ladder, gap_medians)]},
+        "checks": checks,
+    }
 
 
 def _membership_flips(
@@ -630,6 +678,13 @@ class SymDiffConfig(Codec):
     mc_budget: int = 1_000_000
     seed: int = 20245
 
+    def __post_init__(self):
+        _require(
+            len(self.dims) > 0 and all(1 <= dim <= 6 for dim in self.dims),
+            f"dims must be a nonempty list of dimensions in 1..6, got {list(self.dims)}",
+        )
+        _require_at_least(self, 1, "pairs_per_dim", "mc_budget")
+
 
 def _sym_diff_mc(dist: float, delta: float, dim: int, budget: int, rng) -> tuple[float, float]:
     """Rejection-sampling estimate of the symmetric-difference volume."""
@@ -654,11 +709,9 @@ def _sym_diff_mc(dist: float, delta: float, dim: int, budget: int, rng) -> tuple
     return p * box_vol, math.sqrt(max(p * (1.0 - p), 1e-12) / budget) * box_vol
 
 
-def sym_diff_mc_experiment(cfg: SymDiffConfig) -> ExperimentReport:
+@_experiment("sym_diff_mc", SymDiffConfig)
+def sym_diff_mc_experiment(cfg: SymDiffConfig) -> dict:
     """Exact-vs-bound violations and Monte Carlo z-scores for the ball geometry."""
-    t0 = time.perf_counter()
-    if any(dim > 6 for dim in cfg.dims):
-        raise ValueError("dims above 6 are not supported")
     rows = []
     total_violations = 0
     max_abs_z = 0.0
@@ -695,16 +748,11 @@ def sym_diff_mc_experiment(cfg: SymDiffConfig) -> ExperimentReport:
         "zero_bound_violations": total_violations == 0,
         "mc_z_within_4": max_abs_z <= 4.0,
     }
-    return ExperimentReport(
-        name="sym_diff_mc",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves={"max_abs_z_vs_dim": [[float(r["dim"]), r["max_abs_z"]] for r in rows]},
-        checks=checks,
-        passed=all(checks.values()),
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "rows": rows,
+        "curves": {"max_abs_z_vs_dim": [[float(r["dim"]), r["max_abs_z"]] for r in rows]},
+        "checks": checks,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -723,21 +771,29 @@ class GridResolutionConfig(Codec):
     expected_counts: tuple[int, int] = (1, 2)
     require_coincident: bool = True
 
-
-def grid_resolution_experiment(cfg: GridResolutionConfig) -> ExperimentReport:
-    """Cluster counts for the same template pair at a coarse and a fine grid."""
-    t0 = time.perf_counter()
-    a, b = cfg.templates
-    d_coarse, d_fine = cfg.d_pair
-    if not d_fine > d_coarse >= 1:
-        raise ValueError(f"need d_fine > d_coarse >= 1, got {cfg.d_pair}")
-    coarse = grid_times(d_coarse)
-    mismatch = float(np.max(np.abs(a.eval(coarse) - b.eval(coarse))))
-    if cfg.require_coincident and mismatch > 1e-9:
-        raise ValueError(
+    def __post_init__(self):
+        d_coarse, d_fine = self.d_pair
+        _require(d_fine > d_coarse >= 1, f"need d_fine > d_coarse >= 1, got {self.d_pair}")
+        mismatch = self.coarse_mismatch
+        _require(
+            not self.require_coincident or mismatch <= 1e-9,
             f"templates differ by {mismatch} on the coarse grid; "
-            "pass require_coincident=False to run anyway"
+            "pass require_coincident=False to run anyway",
         )
+        _require_at_least(self, 1, "n_per_template", "k")
+        _require_positive(self, "delta")
+
+    @property
+    def coarse_mismatch(self) -> float:
+        """Largest gap between the two templates on the coarse grid."""
+        a, b = self.templates
+        coarse = grid_times(self.d_pair[0])
+        return float(np.max(np.abs(a.eval(coarse) - b.eval(coarse))))
+
+
+@_experiment("grid_resolution", GridResolutionConfig)
+def grid_resolution_experiment(cfg: GridResolutionConfig) -> dict:
+    """Cluster counts for the same template pair at a coarse and a fine grid."""
     rows = []
     counts = []
     for d in cfg.d_pair:
@@ -752,18 +808,12 @@ def grid_resolution_experiment(cfg: GridResolutionConfig) -> ExperimentReport:
         labeling = dbscan_cluster(pts, k=cfg.k, delta=cfg.delta)
         counts.append(labeling.n_clusters)
         rows.append({"d": d, "n_clusters": labeling.n_clusters, "noise": int(np.sum(labeling.assignments == -1))})
-    checks = {"counts_match_expected": tuple(counts) == tuple(cfg.expected_counts)}
-    return ExperimentReport(
-        name="grid_resolution",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves={"clusters_vs_d": [[float(d), float(c)] for d, c in zip(cfg.d_pair, counts)]},
-        checks=checks,
-        passed=all(checks.values()),
-        flags=[f"coarse_grid_mismatch={mismatch}"],
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "rows": rows,
+        "curves": {"clusters_vs_d": [[float(d), float(c)] for d, c in zip(cfg.d_pair, counts)]},
+        "checks": {"counts_match_expected": tuple(counts) == tuple(cfg.expected_counts)},
+        "flags": [f"coarse_grid_mismatch={cfg.coarse_mismatch}"],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -817,10 +867,14 @@ class CompensatingConfig(Codec):
     d_values: tuple[int, ...] = (1, 2, 3, 4)
     seed: int = 0
 
+    def __post_init__(self):
+        _require_each_at_least(self, 3, "n_values")
+        _require_each_at_least(self, 1, "s_values", "d_values")
 
-def compensating_experiment(cfg: CompensatingConfig) -> ExperimentReport:
+
+@_experiment("compensating", CompensatingConfig)
+def compensating_experiment(cfg: CompensatingConfig) -> dict:
     """Tabulate closed-form vs numeric compensation and the rate's d-derivative."""
-    t0 = time.perf_counter()
     rows = []
     backsub_ok = True
     partial_ok = True
@@ -853,33 +907,17 @@ def compensating_experiment(cfg: CompensatingConfig) -> ExperimentReport:
         "rate_partial_d_positive": partial_ok,
         "closed_form_ratio_in_band": all(0.2 <= r <= 5.0 for r in ratios),
     }
-    return ExperimentReport(
-        name="compensating",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
-        rows=rows,
-        curves={"ratio_vs_n": [[float(r["n"]), r["ratio"]] for r in rows]},
-        checks=checks,
-        passed=all(checks.values()),
-        flags=[f"ratio_range=[{min(ratios)}, {max(ratios)}]"],
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return {
+        "rows": rows,
+        "curves": {"ratio_vs_n": [[float(r["n"]), r["ratio"]] for r in rows]},
+        "checks": checks,
+        "flags": [f"ratio_range=[{min(ratios)}, {max(ratios)}]"],
+    }
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-
-REGISTRY: dict[str, tuple[type, Callable]] = {
-    "kde_rate": (KdeRateConfig, kde_rate_experiment),
-    "sandwich": (SandwichConfig, sandwich_experiment),
-    "hartigan": (HartiganConfig, hartigan_experiment),
-    "smoothing_rate": (SmoothingRateConfig, smoothing_rate_experiment),
-    "noisy_kde_gap": (NoisyKdeGapConfig, noisy_kde_gap_experiment),
-    "sym_diff_mc": (SymDiffConfig, sym_diff_mc_experiment),
-    "grid_resolution": (GridResolutionConfig, grid_resolution_experiment),
-    "compensating": (CompensatingConfig, compensating_experiment),
-}
 
 
 def experiment_names() -> list[str]:

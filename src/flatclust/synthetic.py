@@ -22,8 +22,6 @@ __all__ = [
     "Bump1D",
     "MixtureComponent",
     "MixtureSpec",
-    "true_density",
-    "sample_flat",
     "TemplateComponent",
     "ClusterTemplate",
     "FunctionFamilySpec",
@@ -278,16 +276,6 @@ class MixtureSpec(Codec):
             if np.any(mask):
                 points[mask] = comp.sample(u[mask])
         return points, labels
-
-
-def true_density(spec: MixtureSpec, x):
-    """Exact mixture density at x (or at each row of x)."""
-    return spec.density(x)
-
-
-def sample_flat(spec: MixtureSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n flattened points with their ground-truth component labels."""
-    return spec.sample(n, seed)
 
 
 # ---------------------------------------------------------------------------

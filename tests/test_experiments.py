@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -277,3 +278,59 @@ class TestRegistry:
         for name, cfg, want in configs:
             assert json.dumps(cfg.to_dict(), sort_keys=True) == want, name
             assert REGISTRY[name][0].from_dict(cfg.to_dict()) == cfg, name
+
+
+class TestConfigChecks:
+    """Each config refuses a bad value when it is built, from a document or from Python."""
+
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            ("kde_rate", {"trials": 0}, "trials must be >= 1, got 0"),
+            ("kde_rate", {"lattice_resolution": 0}, "lattice_resolution must be >= 1, got 0"),
+            ("kde_rate", {"delta_scale": 0.0}, "delta_scale must be > 0, got 0.0"),
+            ("kde_rate", {"n_ladder": [1, 2]}, "n_ladder rungs must be >= 2, got (1, 2)"),
+            ("sandwich", {"n": 1}, "n must be >= 2, got 1"),
+            ("sandwich", {"trials": 0}, "trials must be >= 1, got 0"),
+            ("sandwich", {"lattice_resolution": -3}, "lattice_resolution must be >= 1, got -3"),
+            ("sandwich", {"delta_scale": -1.0}, "delta_scale must be > 0, got -1.0"),
+            ("hartigan", {"trials": 0}, "trials must be >= 1, got 0"),
+            ("hartigan", {"n_ladder": []}, "n_ladder must be nonempty"),
+            ("hartigan", {"component_pair": [1, 1]}, "two distinct components below C=2, got [1, 1]"),
+            ("hartigan", {"component_pair": [-1, 1]}, "two distinct components below C=2, got [-1, 1]"),
+            ("smoothing_rate", {"trials": 0}, "trials must be >= 1, got 0"),
+            ("smoothing_rate", {"series_per_trial": 0}, "series_per_trial must be >= 1, got 0"),
+            ("noisy_kde_gap", {"n": 1}, "n must be >= 2, got 1"),
+            ("noisy_kde_gap", {"trials": 0}, "trials must be >= 1, got 0"),
+            ("noisy_kde_gap", {"queries": 0}, "queries must be >= 1, got 0"),
+            ("noisy_kde_gap", {"delta_scale": 0.0}, "delta_scale must be > 0, got 0.0"),
+            ("noisy_kde_gap", {"z_prime": -5.0}, "z_prime must be > 0, got -5.0"),
+            ("sym_diff_mc", {"dims": []}, "dims must be a nonempty list of dimensions in 1..6, got []"),
+            ("sym_diff_mc", {"dims": [1, 0]}, "dims must be a nonempty list of dimensions in 1..6, got [1, 0]"),
+            ("sym_diff_mc", {"dims": [7]}, "dims must be a nonempty list of dimensions in 1..6, got [7]"),
+            ("sym_diff_mc", {"pairs_per_dim": 0}, "pairs_per_dim must be >= 1, got 0"),
+            ("sym_diff_mc", {"mc_budget": 0}, "mc_budget must be >= 1, got 0"),
+            ("grid_resolution", {"n_per_template": 0}, "n_per_template must be >= 1, got 0"),
+            ("grid_resolution", {"k": 0}, "k must be >= 1, got 0"),
+            ("grid_resolution", {"delta": 0.0}, "delta must be > 0, got 0.0"),
+            ("compensating", {"n_values": []}, "n_values must be a nonempty list of integers >= 3, got []"),
+            ("compensating", {"n_values": [1000, 2]}, "n_values must be a nonempty list of integers >= 3"),
+            ("compensating", {"s_values": [0]}, "s_values must be a nonempty list of integers >= 1, got [0]"),
+            ("compensating", {"d_values": []}, "d_values must be a nonempty list of integers >= 1, got []"),
+        ],
+    )
+    def test_bad_value_refused_when_built(self, name, overrides, message):
+        cls, _ = REGISTRY[name]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls.from_dict(overrides)
+        python = {key: tuple(v) if isinstance(v, list) else v for key, v in overrides.items()}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**python)
+
+    def test_registered_runner_stamps_its_report(self):
+        assert REGISTRY["kde_rate"][1] is kde_rate_experiment
+        cfg = KdeRateConfig(n_ladder=(64, 128), trials=1, seed=3)
+        r = kde_rate_experiment(cfg)
+        assert (r.name, r.config, r.seed) == ("kde_rate", cfg.to_dict(), 3)
+        assert r.passed == all(r.checks.values())
+        assert r.wall_clock_s > 0

@@ -470,6 +470,38 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
         (["experiment", "kde_rate", "--config"], {"bogus": 1}, "unknown config key 'bogus'"),
         (["experiment", "kde_rate", "--config"], {"trials": True}, "trials must be an integer, got True"),
         (["experiment", "sandwich", "--config"], {"mixture": [1]}, "mixture must be a JSON object, got list"),
+        (
+            ["experiment", "sandwich", "--config"],
+            {"mixture": {**_MIXTURE, "weights": [0.5]}},
+            "mixture: weights must be nonnegative and sum to 1",
+        ),
+        (
+            ["experiment", "kde_rate", "--config"],
+            {"trials": 0, "n_ladder": [64, 128]},
+            "trials must be >= 1, got 0",
+        ),
+        (["experiment", "sandwich", "--config"], {"trials": 0}, "trials must be >= 1, got 0"),
+        (
+            ["experiment", "hartigan", "--config"],
+            {"component_pair": [0, 5], "trials": 1, "n_ladder": [64, 128]},
+            "component_pair must name two distinct components below C=2, got [0, 5]",
+        ),
+        (
+            ["experiment", "kde_rate", "--config"],
+            {"lattice_resolution": 0},
+            "lattice_resolution must be >= 1, got 0",
+        ),
+        (["experiment", "noisy_kde_gap", "--config"], {"queries": 0}, "queries must be >= 1, got 0"),
+        (
+            ["experiment", "grid_resolution", "--config"],
+            {"n_per_template": 0},
+            "n_per_template must be >= 1, got 0",
+        ),
+        (
+            ["experiment", "smoothing_rate", "--config"],
+            {"series_per_trial": 0},
+            "series_per_trial must be >= 1, got 0",
+        ),
     ],
     ids=[
         "synth-array",
@@ -485,6 +517,14 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
         "kde_rate-unknown-key",
         "kde_rate-trials-bool",
         "sandwich-mixture-array",
+        "sandwich-mixture-weights",
+        "kde_rate-no-trials",
+        "sandwich-no-trials",
+        "hartigan-pair-out-of-range",
+        "kde_rate-no-lattice",
+        "noisy_kde_gap-no-queries",
+        "grid_resolution-no-templates-drawn",
+        "smoothing_rate-no-series",
     ],
 )
 def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, message):

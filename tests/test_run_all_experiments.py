@@ -58,3 +58,11 @@ def test_expected_failure_alone_exits_zero(script, monkeypatch, tmp_path, capsys
 def test_any_other_failed_check_exits_one(script, monkeypatch, tmp_path, capsys, checks, culprit):
     assert _run(script, monkeypatch, tmp_path, checks) == 1
     assert f"unexpected failures: {culprit}" in capsys.readouterr().out
+
+
+def test_unknown_only_is_a_usage_error(script, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--outdir", str(tmp_path / "o"), "--only", "bogus"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

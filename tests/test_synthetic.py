@@ -17,12 +17,10 @@ from flatclust.synthetic import (
     grid_resolution_templates,
     jump_family,
     lipschitz_family,
-    sample_flat,
     sample_raw_series,
     sample_series_batch,
     sample_series_from_template,
     single_bump_mixture_1d,
-    true_density,
     two_bump_mixture_1d,
 )
 
@@ -96,13 +94,13 @@ class TestMixtureSpec:
 
     def test_density_outside_box_is_zero(self):
         spec = two_bump_mixture_1d()
-        assert true_density(spec, np.array([0.5])) == 0.0
-        assert true_density(spec, np.array([-0.2])) == 0.0
+        assert spec.density(np.array([0.5])) == 0.0
+        assert spec.density(np.array([-0.2])) == 0.0
 
     def test_density_at_mode(self):
         spec = two_bump_mixture_1d()
         center = spec.components[0].box.mean(axis=1)
-        assert true_density(spec, center) == pytest.approx(
+        assert spec.density(center) == pytest.approx(
             spec.weights[0] * spec.components[0].peak, rel=1e-12
         )
 
@@ -151,7 +149,7 @@ class TestMixtureSpec:
 
 class TestSampleFlat:
     def test_single_component_labels(self):
-        pts, labels = sample_flat(single_bump_mixture_1d(), 50, seed=1)
+        pts, labels = single_bump_mixture_1d().sample(50, seed=1)
         assert np.all(labels == 0)
         assert pts.shape == (50, 1)
 
@@ -163,19 +161,19 @@ class TestSampleFlat:
             ),
             weights=(1.0, 0.0),
         )
-        _, labels = sample_flat(spec, 200, seed=2)
+        _, labels = spec.sample(200, seed=2)
         assert np.all(labels == 0)
 
     def test_label_frequencies_binomial(self):
         spec = two_bump_mixture_1d()
         n = 4000
-        _, labels = sample_flat(spec, n, seed=3)
+        _, labels = spec.sample(n, seed=3)
         freq = float(np.mean(labels == 0))
         assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / n)
 
     def test_points_live_in_their_boxes(self):
         spec = two_bump_mixture_1d()
-        pts, labels = sample_flat(spec, 1000, seed=4)
+        pts, labels = spec.sample(1000, seed=4)
         for i, comp in enumerate(spec.components):
             box = comp.box
             chunk = pts[labels == i]
@@ -183,8 +181,8 @@ class TestSampleFlat:
 
     def test_deterministic_under_seed(self):
         spec = two_bump_mixture_1d()
-        a = sample_flat(spec, 100, seed=5)
-        b = sample_flat(spec, 100, seed=5)
+        a = spec.sample(100, seed=5)
+        b = spec.sample(100, seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_two_dim_product_sampling(self):
