@@ -26,15 +26,11 @@ from .density import (
     k_of_lambda,
     kde_eval,
     lambda_of_k,
-    level_set_member,
-    mollified_density,
-    sup_norm_error,
 )
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume, ball_volume, reg_inc_beta
 from .io import PipelineConfig, ingest_series_csv, run_cluster, run_smooth
-from .series import FlatPoint, GridSeries, RawSeries, SeriesBatch, flatten, grid_sup_distance, unflatten
+from .series import GridSeries, RawSeries, SeriesBatch, flatten
 from .smoothing import (
-    SmootherConfig,
     estimate_grid_series,
     gamma_schedule,
     kernel_le,

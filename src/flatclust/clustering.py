@@ -196,7 +196,9 @@ def ball_union_components(core_pts, delta: float) -> list[frozenset]:
     """Partition core points by connectivity of the union of their delta-balls.
 
     Two closed delta-balls meet iff their centers are within 2*delta, so the
-    partition comes from that pairwise predicate over all center pairs.
+    partition comes from that pairwise predicate over all center pairs. A
+    reference for tests: with link_radius = 2*delta, dbscan_cluster's
+    clusters must equal these components (acceptance c02).
     """
     pts = flat_array(core_pts)
     n = pts.shape[0]
@@ -277,7 +279,11 @@ def hartigan_disjoint(tree: ClusterTree, a_indices, a_prime_indices) -> bool:
 
 
 def components_bruteforce(points, k: int, delta: float, link_radius: float | None = None) -> Labeling:
-    """O(n^2) oracle: full pairwise distance matrix plus naive union-find."""
+    """O(n^2) oracle: full pairwise distance matrix plus naive union-find.
+
+    A reference for tests only: dbscan_cluster's labels must equal its labels
+    bit for bit (acceptance c01).
+    """
     pts = flat_array(points)
     n = pts.shape[0]
     if n > _BRUTE_GUARD:

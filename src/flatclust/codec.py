@@ -20,9 +20,10 @@ import dataclasses
 import sys
 import types
 import typing
+from contextlib import contextmanager
 from typing import ClassVar, Literal
 
-__all__ = ["Codec", "decode"]
+__all__ = ["Codec", "decode", "prefixed"]
 
 
 class Codec:
@@ -62,12 +63,19 @@ class Codec:
         for key, f in fields.items():
             if f.name not in values and f.default is f.default_factory is dataclasses.MISSING:
                 raise ValueError(f"missing required config key {_join(path, key)!r}")
-        try:
+        with prefixed(path):
             return cls(**values)
-        except ValueError as exc:
-            if not path:
-                raise
-            raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def prefixed(path: str):
+    """Prefix a ValueError raised in the block with the document path, when there is one."""
+    try:
+        yield
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def decode(tp, value, path: str):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,9 +25,6 @@ __all__ = [
     "delta_schedule",
     "lambda_of_k",
     "k_of_lambda",
-    "level_set_member",
-    "mollified_density",
-    "sup_norm_error",
     "evaluation_lattice",
 ]
 
@@ -53,7 +49,6 @@ class KdeModel:
         self.sd = pts.shape[1]
         self._norm = self.n * self.delta**self.sd * ball_volume(self.sd)
         self._index = GridIndex(pts)
-        self._sample_counts: np.ndarray | None = None
 
     @property
     def index(self) -> GridIndex:
@@ -64,25 +59,17 @@ class KdeModel:
         """n * delta^sd * v_sd, the constant dividing every ball count."""
         return self._norm
 
-    def count_within_delta(self, x) -> int:
-        return self._index.count_within(x, self.delta)
-
-    def sample_counts(self) -> np.ndarray:
-        """Neighbor counts |B(x_i, delta)| for every sample, cached."""
-        if self._sample_counts is None:
-            self._sample_counts = self._index.counts_within_all(self.delta)
-        return self._sample_counts
-
-    def sample_densities(self) -> np.ndarray:
-        return self.sample_counts() / self._norm
-
 
 def kde_eval(model: KdeModel, x) -> float:
-    """Density estimate |B(x, delta) n sample| / (n delta^sd v_sd)."""
+    """Density estimate |B(x, delta) n sample| / (n delta^sd v_sd) at one point.
+
+    Reference implementation: tests hold kde_eval_batch and the core-point
+    sets of the clustering equal to it.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.sd,):
         raise ValueError(f"query must have shape ({model.sd},), got {x.shape}")
-    return model.count_within_delta(x) / model.normalizer
+    return model.index.count_within(x, model.delta) / model.normalizer
 
 
 def kde_counts_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:
@@ -121,62 +108,6 @@ def lambda_of_k(k: float, n: int, delta: float, sd: int) -> float:
 def k_of_lambda(lam: float, n: int, delta: float, sd: int) -> float:
     """Neighbor-count threshold corresponding to a density level lambda."""
     return lam * n * delta**sd * ball_volume(sd)
-
-
-def level_set_member(model: KdeModel, lam: float, x) -> bool:
-    """Membership in the ball union over samples whose estimate reaches lam.
-
-    True iff some sample x_i has kde_eval(x_i) >= lam and |x - x_i| <= delta.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.sd,):
-        raise ValueError(f"query must have shape ({model.sd},), got {x.shape}")
-    near = model.index.indices_within(x, model.delta)
-    if near.size == 0:
-        return False
-    return bool(np.any(model.sample_densities()[near] >= lam))
-
-
-def mollified_density(
-    spec,
-    delta: float,
-    x,
-    mc_budget: int = 100_000,
-    seed: int | np.random.Generator = 0,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of P(B(x, delta)) / (delta^sd v_sd).
-
-    Draws mc_budget points from the mixture spec and counts the ball hits;
-    returns (estimate, standard error).
-    """
-    if mc_budget < 1_000:
-        raise ValueError(f"mc_budget must be >= 1000, got {mc_budget}")
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng(seed)
-    draws, _ = spec.sample(mc_budget, rng)
-    diff = draws - x
-    hits = np.einsum("ij,ij->i", diff, diff) <= delta * delta
-    p_hat = hits.mean()
-    se_p = math.sqrt(p_hat * (1.0 - p_hat) / mc_budget)
-    norm = delta**spec.sd * ball_volume(spec.sd)
-    return p_hat / norm, se_p / norm
-
-
-def sup_norm_error(
-    estimate: Callable[[np.ndarray], float],
-    truth: Callable[[np.ndarray], float],
-    eval_points: np.ndarray | Sequence,
-) -> float:
-    """Max absolute deviation between two functions over a finite point set."""
-    pts = np.asarray(eval_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] == 0:
-        raise ValueError("eval_points must be nonempty")
-    best = 0.0
-    for p in pts:
-        best = max(best, abs(float(estimate(p)) - float(truth(p))))
-    return best
 
 
 def evaluation_lattice(

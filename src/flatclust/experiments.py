@@ -31,7 +31,7 @@ from .density import (
     kde_eval_batch,
 )
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume
-from .series import grid_times
+from .series import flatten, grid_times
 from .smoothing import gamma_schedule, smooth_batch
 from .spatial import sq_dists
 from .synthetic import (
@@ -46,9 +46,8 @@ from .synthetic import (
     two_bump_mixture_1d,
 )
 
-# Bound here, though this module no longer calls them, because the per-layer
+# Bound here, though this module does not call them, because the per-layer
 # tracer in perfbench/ wraps them under this module's name.
-from .series import flatten  # noqa: F401
 from .smoothing import estimate_grid_series  # noqa: F401
 from .synthetic import sample_raw_series  # noqa: F401
 
@@ -609,9 +608,8 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> dict:
         pmax_list = []
         for t in range(cfg.trials):
             batch, _, truth = sample_series_batch(fam, cfg.n, m, _trial_rng(cfg.seed, r, t))
-            # flattened time-major, exactly as flatten orders one grid series
-            clean = truth.reshape(cfg.n, sd)
-            est = smooth_batch(batch, d, gamma).reshape(cfg.n, sd)
+            clean = flatten(truth)
+            est = flatten(smooth_batch(batch, d, gamma))
             del batch  # so the next trial's draw does not sit beside this one
             eps_inf = float(np.max(np.abs(clean - est)))
             eps_list.append(math.sqrt(sd) * eps_inf)
@@ -803,8 +801,8 @@ def grid_resolution_experiment(cfg: GridResolutionConfig) -> dict:
             grid = grid_times(d)
             for _ in range(cfg.n_per_template):
                 scales, shifts = template.draw_jitter(rng)
-                pts.append(template.eval(grid, scales, shifts).reshape(-1))
-        pts = np.stack(pts)
+                pts.append(template.eval(grid, scales, shifts))
+        pts = flatten(np.stack(pts))
         labeling = dbscan_cluster(pts, k=cfg.k, delta=cfg.delta)
         counts.append(labeling.n_clusters)
         rows.append({"d": d, "n_clusters": labeling.n_clusters, "noise": int(np.sum(labeling.assignments == -1))})
@@ -828,6 +826,11 @@ def rate_fn(n: float, s: int, d: float) -> float:
     return (math.log(n) / n) ** (1.0 / (2.0 + s * d))
 
 
+def _closed_form(n: float, s: int, d: int) -> float:
+    """The published approximation 0.74 (n / log n)^(2 + 2s/(2+sd)) - n, verbatim."""
+    return 0.74 * (n / math.log(n)) ** (2.0 + 2.0 * s / (2.0 + s * d)) - n
+
+
 def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
     """Extra samples needed to keep the rate when d grows by one.
 
@@ -844,7 +847,7 @@ def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    closed = 0.74 * (n / math.log(n)) ** (2.0 + 2.0 * s / (2.0 + s * d)) - n
+    closed = _closed_form(n, s, d)
     target = rate_fn(n, s, d)
 
     def g(big_n: float) -> float:
@@ -870,6 +873,15 @@ class CompensatingConfig(Codec):
     def __post_init__(self):
         _require_each_at_least(self, 3, "n_values")
         _require_each_at_least(self, 1, "s_values", "d_values")
+        overflow = []
+        for s in self.s_values:
+            for d in self.d_values:
+                for n in self.n_values:
+                    try:
+                        _closed_form(n, s, d)
+                    except OverflowError:
+                        overflow.append((n, s, d))
+        _require(not overflow, f"the closed form overflows a float at (n, s, d) = {overflow}")
 
 
 @_experiment("compensating", CompensatingConfig)

@@ -12,7 +12,6 @@ import math
 import warnings
 
 __all__ = [
-    "BallSpec",
     "RegimeWarning",
     "ball_volume",
     "log_ball_volume",
@@ -28,25 +27,6 @@ class RegimeWarning(UserWarning):
 def _validate_dim(dim: int) -> None:
     if not isinstance(dim, (int,)) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-
-
-class BallSpec:
-    """A closed Euclidean ball given by ambient dimension and radius."""
-
-    __slots__ = ("dim", "radius")
-
-    def __init__(self, dim: int, radius: float):
-        _validate_dim(dim)
-        if not radius > 0:
-            raise ValueError(f"radius must be positive, got {radius!r}")
-        self.dim = dim
-        self.radius = float(radius)
-
-    def volume(self) -> float:
-        return self.radius**self.dim * ball_volume(self.dim)
-
-    def __repr__(self) -> str:
-        return f"BallSpec(dim={self.dim}, radius={self.radius})"
 
 
 def log_ball_volume(dim: int) -> float:

@@ -28,12 +28,11 @@ import numpy as np
 from .clustering import NOISE, ClusterTree, cluster_tree, dbscan_cluster
 from .codec import Codec, decode
 from .density import delta_schedule, k_of_lambda, lambda_of_k
-from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views
+from .series import GridSeries, RawSeries, SeriesBatch, flatten, grid_series_views
 from .smoothing import gamma_schedule, smooth_batch
 
-# Bound here, though this module no longer calls them, because the per-layer
-# tracer in perfbench/ wraps them under this module's name.
-from .series import flatten  # noqa: F401
+# Bound here, though this module does not call it, because the per-layer
+# tracer in perfbench/ wraps it under this module's name.
 from .smoothing import estimate_grid_series  # noqa: F401
 
 __all__ = [
@@ -58,10 +57,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -220,49 +215,51 @@ def _parse_rows(rows: list[list[str]], first_line: int, s: int, code_of: dict[st
     return codes, lines, times, values, error
 
 
+def _write_csv(path, header: str, fmt: str, rows) -> None:
+    """Write the header line, then `fmt % row` for each row as it is generated.
+
+    A %.17g field writes the same digits as format(float(x), ".17g"), so
+    every float round-trips exactly.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(fmt % row for row in rows)
+
+
 def emit_series_csv(path, series: list[RawSeries] | list[GridSeries]) -> None:
     """Write raw or grid series in the ingestible series CSV format."""
     if not series:
         raise ValueError("nothing to write")
     s = series[0].s
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("series_id,time," + ",".join(f"v{i}" for i in range(1, s + 1)) + "\n")
-        for sr in series:
-            for t, vals in zip(sr.times, sr.values):
-                fh.write(sr.id + "," + _fmt(t) + "," + ",".join(_fmt(v) for v in vals) + "\n")
+    rows = (
+        (sr.id, t, *vals)
+        for sr in series  # one series' values converted at a time
+        for t, vals in zip(sr.times.tolist(), sr.values.tolist())
+    )
+    header = "series_id,time," + ",".join(f"v{i}" for i in range(1, s + 1))
+    _write_csv(path, header, "%s" + ",%.17g" * (s + 1) + "\n", rows)
 
 
-def emit_points_csv(path, points: np.ndarray, ids: list[str] | None = None) -> None:
+def emit_points_csv(path, points: np.ndarray, ids: list[str]) -> None:
     points = np.asarray(points, dtype=float)
     sd = points.shape[1]
-    ids = ids or [f"p{i:06d}" for i in range(points.shape[0])]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("point_id," + ",".join(f"x{i}" for i in range(1, sd + 1)) + "\n")
-        for pid, row in zip(ids, points):
-            fh.write(pid + "," + ",".join(_fmt(v) for v in row) + "\n")
+    rows = ((pid, *row.tolist()) for pid, row in zip(ids, points))
+    header = "point_id," + ",".join(f"x{i}" for i in range(1, sd + 1))
+    _write_csv(path, header, "%s" + ",%.17g" * sd + "\n", rows)
 
 
 def emit_curves_csv(path, curves: dict) -> None:
     """Write experiment curves as `curve,x,y` rows, curves in name order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("curve,x,y\n")
-        for curve in sorted(curves):
-            for x, y in curves[curve]:
-                fh.write(f"{curve},{_fmt(x)},{_fmt(y)}\n")
+    rows = ((curve, x, y) for curve in sorted(curves) for x, y in curves[curve])
+    _write_csv(path, "curve,x,y", "%s,%.17g,%.17g\n", rows)
 
 
 def emit_assignments_csv(path, ids: list[str], assignments) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("series_id,cluster\n")
-        for sid, label in zip(ids, assignments):
-            fh.write(f"{sid},{int(label)}\n")
+    _write_csv(path, "series_id,cluster", "%s,%d\n", zip(ids, assignments))
 
 
 def emit_labels_csv(path, ids: list[str], labels) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,label\n")
-        for sid, label in zip(ids, labels):
-            fh.write(f"{sid},{int(label)}\n")
+    _write_csv(path, "id,label", "%s,%d\n", zip(ids, labels))
 
 
 def write_json_document(path, doc: dict) -> None:
@@ -296,6 +293,8 @@ def _resolve_k(cfg: PipelineConfig, n: int, delta: float, sd: int) -> int:
 
 def run_smooth(cfg: PipelineConfig, series: list[RawSeries]) -> list[GridSeries]:
     """Smooth every raw series onto the clustering grid, as one batch."""
+    if not series:
+        raise ValueError("no series to smooth: the input has no observation rows")
     for sr in series:
         if sr.s != cfg.s:
             raise ValueError(f"series {sr.id!r} has s={sr.s}, config expects {cfg.s}")
@@ -338,8 +337,7 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     """
     grids = run_smooth(cfg, series)
     ids = [g.id for g in grids]
-    # time-major, exactly as flatten orders one grid series
-    points = np.stack([g.values for g in grids]).reshape(len(grids), -1)
+    points = flatten(np.stack([g.values for g in grids]))
     n, sd = points.shape
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
     link = 2.0 * delta if cfg.link_radius is None else float(cfg.link_radius)

@@ -1,16 +1,17 @@
 """Data model for time series at three stages of the pipeline.
 
 RawSeries holds the noisy observed sample of one series; GridSeries holds its
-values at the d clustering timepoints t = 1/d, ..., 1; FlatPoint is the
-time-major concatenation of a GridSeries into a single point of [0,1]^(s*d).
-SeriesBatch holds many raw series in columnar form, checked once per batch;
-the per-series objects it hands out are read-only views into its arrays.
+values at the d clustering timepoints t = 1/d, ..., 1. SeriesBatch holds many
+raw series in columnar form, checked once per batch; the per-series objects
+it hands out are read-only views into its arrays. `flatten` turns an
+(n, d, s) grid array into n points of [0,1]^(s*d), time-major, the one place
+that order is written down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,12 +19,9 @@ __all__ = [
     "RawSeries",
     "SeriesBatch",
     "GridSeries",
-    "FlatPoint",
     "grid_times",
     "flatten",
-    "unflatten",
     "flat_array",
-    "grid_sup_distance",
     "grid_series_views",
 ]
 
@@ -196,25 +194,6 @@ class GridSeries:
         return grid_times(self.d)
 
 
-@dataclass(frozen=True)
-class FlatPoint:
-    """A point of [0,1]^(s*d): the flattened form of one grid series."""
-
-    coords: np.ndarray
-    source_id: str = ""
-
-    def __post_init__(self):
-        coords = _as_readonly(self.coords)
-        if coords.ndim != 1 or coords.size == 0:
-            raise ValueError("coords must be a nonempty 1-d array")
-        if np.any(coords < 0.0) or np.any(coords > 1.0):
-            raise ValueError("flattened coordinates must lie in [0, 1]")
-        object.__setattr__(self, "coords", coords)
-
-    def __len__(self) -> int:
-        return self.coords.size
-
-
 def grid_times(d: int) -> np.ndarray:
     """The clustering grid 1/d, 2/d, ..., 1."""
     if d < 1:
@@ -233,41 +212,18 @@ def grid_series_views(ids: Sequence[str], grid: np.ndarray) -> list[GridSeries]:
     return [_unchecked(GridSeries, id=sid, s=s, d=d, values=row) for sid, row in zip(ids, grid)]
 
 
-def flatten(g: GridSeries) -> FlatPoint:
-    """Concatenate grid values time-major: the s-block at t=1/d comes first."""
-    return FlatPoint(coords=g.values.reshape(g.d * g.s), source_id=g.id)
+def flatten(grid: np.ndarray) -> np.ndarray:
+    """Points of [0,1]^(s*d) from an (n, d, s) grid array, one row per series.
+
+    Time-major: each row holds the s-block at t=1/d first, then t=2/d, ...
+    """
+    n, d, s = grid.shape
+    return grid.reshape(n, d * s)
 
 
-def unflatten(p: FlatPoint, s: int) -> GridSeries:
-    """Invert `flatten`; the component count s fixes the block structure."""
-    if s < 1 or len(p) % s != 0:
-        raise ValueError(f"coordinate count {len(p)} is not a multiple of s={s}")
-    d = len(p) // s
-    return GridSeries(id=p.source_id, s=s, d=d, values=p.coords.reshape(d, s))
-
-
-def flat_array(points: Sequence[FlatPoint] | np.ndarray) -> np.ndarray:
-    """Stack flat points into an (n, sd) float array; arrays pass through."""
-    if isinstance(points, np.ndarray):
-        out = np.asarray(points, dtype=float)
-        if out.ndim == 1:
-            out = out[None, :]
-        return out
-    if len(points) == 0:
-        return np.empty((0, 0))
-    return np.stack([np.asarray(getattr(p, "coords", p), dtype=float) for p in points])
-
-
-def grid_sup_distance(
-    f: Callable[[float], Sequence[float]],
-    g: Callable[[float], Sequence[float]],
-    d: int,
-) -> float:
-    """Max Euclidean distance between two vector paths over the grid 1/d..1."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    best = 0.0
-    for t in grid_times(d):
-        diff = np.asarray(f(t), dtype=float) - np.asarray(g(t), dtype=float)
-        best = max(best, float(np.sqrt(np.sum(diff * diff))))
-    return best
+def flat_array(points) -> np.ndarray:
+    """Flattened points as an (n, sd) float array; one 1-d point becomes one row."""
+    out = np.asarray(points, dtype=float)
+    if out.ndim == 1:
+        return out[None, :] if out.size else out.reshape(0, 0)
+    return out

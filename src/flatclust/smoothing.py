@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .series import GridSeries, RawSeries, SeriesBatch, grid_times
 
 __all__ = [
-    "SmootherConfig",
     "EmptyWindowWarning",
     "kernel_le",
     "kernel_symmetric",
@@ -27,24 +25,11 @@ __all__ = [
     "estimate_grid_series",
     "smooth_batch",
     "gamma_schedule",
-    "gamma_schedule_power",
 ]
 
 
 class EmptyWindowWarning(UserWarning):
     """No samples fell inside [t - gamma, t]; the 0/0 convention returned 0."""
-
-
-@dataclass(frozen=True)
-class SmootherConfig:
-    """Bandwidth gamma plus the clip-to-[0,1] switch."""
-
-    gamma: float
-    clip: bool = True
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
 
 
 def kernel_le(u):
@@ -55,7 +40,7 @@ def kernel_le(u):
 
 
 def kernel_symmetric(u):
-    """Symmetric Epanechnikov kernel, reference only: 0.75(1 - u^2) on [-1, 1]."""
+    """Symmetric Epanechnikov kernel 0.75(1 - u^2) on [-1, 1]; a reference for tests only."""
     u = np.asarray(u, dtype=float)
     out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
     return out if out.ndim else float(out)
@@ -80,30 +65,31 @@ def nw_weights(t: float, times: np.ndarray, gamma: float) -> tuple[np.ndarray, b
     return raw / total, False
 
 
-def smooth_at(y: RawSeries, t: float, cfg: SmootherConfig) -> np.ndarray:
-    """Weighted average of the observations in the window ending at t.
+def smooth_at(y: RawSeries, t: float, gamma: float) -> np.ndarray:
+    """Weighted average of the observations in the window [t - gamma, t], clipped into [0, 1].
 
-    With an empty window the estimate is the zero vector and
-    EmptyWindowWarning is raised.
+    Reference for one series at one time: the pipeline runs smooth_batch,
+    which tests hold equal to this bit for bit. With an empty window the
+    estimate is the zero vector and EmptyWindowWarning is raised.
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t!r}")
-    w, empty = nw_weights(t, y.times, cfg.gamma)
+    w, empty = nw_weights(t, y.times, gamma)
     if empty:
         warnings.warn(
-            f"series {y.id!r}: no samples in [{t - cfg.gamma:.6g}, {t:.6g}]",
+            f"series {y.id!r}: no samples in [{t - gamma:.6g}, {t:.6g}]",
             EmptyWindowWarning,
             stacklevel=2,
         )
         return np.zeros(y.s)
-    est = w @ y.values
-    if cfg.clip:
-        est = np.clip(est, 0.0, 1.0)
-    return est
+    return np.clip(w @ y.values, 0.0, 1.0)
 
 
 def smooth_at_symmetric(y: RawSeries, t: float, gamma: float) -> np.ndarray:
-    """Reference estimator with the two-sided kernel; not used in the pipeline."""
+    """Reference estimator with the two-sided kernel, which tests compare the left kernel against.
+
+    Not used in the pipeline.
+    """
     raw = kernel_symmetric((t - y.times) / gamma)
     total = raw.sum()
     if total <= 0.0:
@@ -111,15 +97,13 @@ def smooth_at_symmetric(y: RawSeries, t: float, gamma: float) -> np.ndarray:
     return (raw / total) @ y.values
 
 
-def estimate_grid_series(y: RawSeries, d: int, cfg: SmootherConfig) -> GridSeries:
+def estimate_grid_series(y: RawSeries, d: int, gamma: float) -> GridSeries:
     """Smooth a raw series at every clustering timepoint 1/d, ..., 1.
 
     The one-series case of smooth_batch. Requires m > d; empty windows
-    produce zero slots and one warning per slot. Coordinates always end in
-    [0, 1], since GridSeries requires it, so cfg.clip does not change the
-    result.
+    produce zero slots and one warning per slot.
     """
-    grid = smooth_batch(SeriesBatch.from_series([y]), d, cfg.gamma)
+    grid = smooth_batch(SeriesBatch.from_series([y]), d, gamma)
     return GridSeries(id=y.id, s=y.s, d=d, values=grid[0])
 
 
@@ -193,14 +177,3 @@ def gamma_schedule(m: int) -> float:
         raise ValueError(f"m must be >= 2, got {m}")
     return max((math.log(m) / m) ** (1.0 / 3.0), 2.0 / m)
 
-
-def gamma_schedule_power(m: int, alpha: float = 0.5) -> float:
-    """Power-law bandwidth m^(-alpha) with the same 2/m floor.
-
-    Any alpha in (0, 1) keeps gamma -> 0 while m * gamma -> infinity.
-    """
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return max(m**-alpha, 2.0 / m)

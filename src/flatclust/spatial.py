@@ -49,12 +49,16 @@ def _checked_radius(r) -> float:
 
 
 def brute_indices_within(points: np.ndarray, x, r: float) -> np.ndarray:
-    """Indices of all points with |p - x| <= r, by full scan."""
+    """Indices of all points with |p - x| <= r, by full scan.
+
+    The reference GridIndex.indices_within is tested against.
+    """
     r = _checked_radius(r)
     return np.nonzero(sq_dists(points, x) <= r * r)[0]
 
 
 def brute_count_within(points: np.ndarray, x, r: float) -> int:
+    """|B(x, r)| by full scan: the reference GridIndex's counts are tested against."""
     r = _checked_radius(r)
     return int(np.count_nonzero(sq_dists(points, x) <= r * r))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Codec
+from .codec import Codec, prefixed
 from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views, grid_times
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "FunctionFamilySpec",
     "sample_raw_series",
     "sample_series_batch",
-    "sample_series_from_template",
     "single_bump_mixture_1d",
     "two_bump_mixture_1d",
     "lipschitz_family",
@@ -171,7 +170,8 @@ class MixtureComponent(Codec):
     @classmethod
     def from_dict(cls, doc, path: str = "") -> "MixtureComponent":
         c = _ComponentDocument.from_dict(doc, path)
-        return cls(bumps=tuple(Bump1D(lo, hi, c.kind) for lo, hi in c.box))
+        with prefixed(path):
+            return cls(bumps=tuple(Bump1D(lo, hi, c.kind) for lo, hi in c.box))
 
 
 def _box_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -466,7 +466,7 @@ class FunctionFamilySpec(Codec):
         if self.C == 1:
             return math.inf
         grid = grid_times(self.d)
-        centers = [c.eval(grid).reshape(-1) for c in self.clusters]
+        centers = [c.eval(grid) for c in self.clusters]
         best = math.inf
         for i in range(self.C):
             for j in range(i + 1, self.C):
@@ -492,7 +492,6 @@ def _sample_batch(
     d: int,
     eps_bar: float,
     rng: np.random.Generator,
-    id_prefix: str,
 ) -> tuple[SeriesBatch, np.ndarray]:
     """Noisy series of length m for templates[labels[i]], plus their grid values at 1/d..1.
 
@@ -532,7 +531,7 @@ def _sample_batch(
     for a in (values, all_times):
         a.setflags(write=False)  # handed to the batch without a copy
     batch = SeriesBatch(
-        ids=[f"{id_prefix}{i:05d}" for i in range(n)],
+        ids=[f"series{i:05d}" for i in range(n)],
         s=s,
         offsets=np.arange(n + 1) * m,
         times=all_times,
@@ -556,7 +555,7 @@ def sample_series_batch(
         raise ValueError(f"need m > d, got m={m}, d={fspec.d}")
     rng = np.random.default_rng(seed)
     labels = rng.choice(fspec.C, size=n, p=np.asarray(fspec.weights, dtype=float))
-    batch, grid = _sample_batch(fspec.clusters, labels, m, fspec.d, fspec.eps_bar, rng, "series")
+    batch, grid = _sample_batch(fspec.clusters, labels, m, fspec.d, fspec.eps_bar, rng)
     return batch, labels, grid
 
 
@@ -569,20 +568,6 @@ def sample_raw_series(
     """sample_series_batch with per-series RawSeries and GridSeries views."""
     batch, labels, grid = sample_series_batch(fspec, n, m, seed)
     return batch.series(), labels, grid_series_views(batch.ids, grid)
-
-
-def sample_series_from_template(
-    template: ClusterTemplate,
-    n: int,
-    m: int,
-    eps_bar: float,
-    seed,
-    id_prefix: str = "series",
-) -> list[RawSeries]:
-    """Draw n noisy series of length m from a single template."""
-    rng = np.random.default_rng(seed)
-    batch, _ = _sample_batch((template,), np.zeros(n, dtype=int), m, 1, eps_bar, rng, id_prefix)
-    return batch.series()
 
 
 # ---------------------------------------------------------------------------

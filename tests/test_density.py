@@ -14,12 +14,9 @@ from flatclust.density import (
     kde_eval,
     kde_eval_batch,
     lambda_of_k,
-    level_set_member,
-    mollified_density,
-    sup_norm_error,
 )
 from flatclust.geometry import ball_volume
-from flatclust.synthetic import single_bump_mixture_1d, two_bump_mixture_1d
+from flatclust.synthetic import two_bump_mixture_1d
 
 
 class TestKdeEval:
@@ -124,90 +121,6 @@ class TestLambdaK:
     def test_roundtrip(self, k, n, delta, sd):
         lam = lambda_of_k(k, n, delta, sd)
         assert k_of_lambda(lam, n, delta, sd) == pytest.approx(k, rel=1e-12)
-
-
-class TestLevelSetMember:
-    def test_lambda_zero_is_ball_union_of_samples(self):
-        rng = np.random.default_rng(15)
-        pts = rng.uniform(0, 1, size=(40, 2))
-        delta = 0.1
-        model = KdeModel(pts, delta=delta)
-        for q in rng.uniform(-0.2, 1.2, size=(200, 2)):
-            near = np.min(np.einsum("ij,ij->i", pts - q, pts - q)) <= delta * delta
-            assert level_set_member(model, 0.0, q) == near
-
-    def test_impossible_level(self):
-        pts = np.random.default_rng(16).uniform(0, 1, size=(30, 1))
-        model = KdeModel(pts, delta=0.1)
-        lam = float(np.max(model.sample_densities())) * 1.0001
-        for q in np.linspace(0, 1, 50):
-            assert not level_set_member(model, lam, [q])
-
-    def test_three_point_line(self):
-        delta = 0.25
-        model = KdeModel(np.array([[0.0], [delta], [3 * delta]]), delta=delta)
-        lam = 1.0 / (3.0 * delta)
-        # the point at 0 has estimate exactly lam; a query delta away joins
-        assert level_set_member(model, lam, [-delta])
-        assert not level_set_member(model, lam, [3 * delta + delta + 1e-9])
-
-
-class TestMollifiedDensity:
-    def test_outside_support_is_zero(self):
-        spec = single_bump_mixture_1d()
-        est, se = mollified_density(spec, 0.05, [0.95], mc_budget=5_000, seed=1)
-        assert est == 0.0
-
-    def test_converges_to_density_as_delta_shrinks(self):
-        spec = single_bump_mixture_1d()
-        x = [0.5]
-        p = spec.density(np.array(x))
-        l_p = spec.lipschitz_bound
-        for delta in (0.2, 0.1, 0.05, 0.02):
-            est, se = mollified_density(spec, delta, x, mc_budget=400_000, seed=2)
-            assert abs(est - p) <= l_p * delta + 4.0 * se
-
-    def test_mollification_gap_bounded_by_lipschitz(self):
-        spec = two_bump_mixture_1d()
-        delta = 0.03
-        l_p = spec.lipschitz_bound
-        for x in np.linspace(0.0, 1.0, 21):
-            est, se = mollified_density(spec, delta, [x], mc_budget=200_000, seed=3)
-            truth = spec.density(np.array([x]))
-            assert abs(est - truth) <= l_p * delta + 4.0 * se
-
-    def test_rejects_tiny_budget(self):
-        with pytest.raises(ValueError):
-            mollified_density(single_bump_mixture_1d(), 0.1, [0.5], mc_budget=10, seed=0)
-
-
-class TestSupNormError:
-    def test_identical(self):
-        f = lambda x: float(x[0])
-        assert sup_norm_error(f, f, np.linspace(0, 1, 11)[:, None]) == 0.0
-
-    def test_constant_offset(self):
-        f = lambda x: 0.0
-        g = lambda x: 0.7
-        assert sup_norm_error(f, g, np.linspace(0, 1, 5)[:, None]) == pytest.approx(0.7)
-
-    def test_matches_brute_max(self):
-        rng = np.random.default_rng(17)
-        spec = single_bump_mixture_1d()
-        pts, _ = spec.sample(500, rng)
-        model = KdeModel(pts, delta=0.1)
-        lattice = np.linspace(0, 1, 101)[:, None]
-        got = sup_norm_error(
-            lambda x: kde_eval(model, x), lambda x: float(spec.density(x)), lattice
-        )
-        brute = float(
-            np.max(np.abs(kde_eval_batch(model, lattice) - spec.density(lattice)))
-        )
-        assert got == pytest.approx(brute, rel=1e-14)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sup_norm_error(lambda x: 0.0, lambda x: 0.0, np.empty((0, 1)))
 
 
 class TestSandwichProperty:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import betainc as scipy_betainc
 
 from flatclust.geometry import (
-    BallSpec,
     RegimeWarning,
     ball_sym_diff_bound,
     ball_sym_diff_volume,
@@ -51,14 +50,6 @@ class TestBallVolume:
     def test_rejects_nonpositive_dim(self, dim):
         with pytest.raises(ValueError):
             ball_volume(dim)
-
-    def test_ball_spec(self):
-        b = BallSpec(dim=2, radius=2.0)
-        assert b.volume() == pytest.approx(4.0 * math.pi, rel=1e-13)
-        with pytest.raises(ValueError):
-            BallSpec(dim=2, radius=0.0)
-        with pytest.raises(ValueError):
-            BallSpec(dim=0, radius=1.0)
 
 
 class TestRegIncBeta:

@@ -24,6 +24,7 @@ from flatclust.io import (
     run_smooth,
     write_json_document,
 )
+from flatclust.series import RawSeries, grid_series_views
 from flatclust.synthetic import (
     ClusterTemplate,
     FunctionFamilySpec,
@@ -199,8 +200,6 @@ class TestRunCluster:
     def test_refuses_short_series_naming_id(self):
         raws, _, _ = self._series(n=3, m=24)
         short = raws[1]
-        from flatclust.series import RawSeries
-
         truncated = RawSeries(id="stub", s=1, times=short.times[:4], values=short.values[:4])
         cfg = PipelineConfig(s=1, d=4, delta=0.1, k=2)
         with pytest.raises(ValueError, match="stub"):
@@ -285,6 +284,23 @@ class TestCli:
         assert rc == 0
         series = ingest_series_csv(out_csv)
         assert all(s.m == 4 for s in series)
+
+    @pytest.mark.parametrize("command", ["cluster", "tree", "smooth"])
+    def test_header_only_series_csv_is_one_json_error(self, tmp_path, capsys, command):
+        _, config_path = _write_cluster_inputs(tmp_path, k_ladder=[8, 3, 1])
+        series_path = tmp_path / "empty.csv"
+        series_path.write_text("series_id,time,v1\n")
+        out = tmp_path / "out"
+        target = ["--output", str(out)] if command == "smooth" else ["--outdir", str(out)]
+        rc = main([command, "--config", str(config_path), "--input", str(series_path), *target])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "invalid-argument",
+            "message": "no series to smooth: the input has no observation rows",
+        }
+        assert not out.exists()
 
     def test_synth_mixture(self, tmp_path):
         from flatclust.synthetic import two_bump_mixture_1d
@@ -502,6 +518,16 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
             {"series_per_trial": 0},
             "series_per_trial must be >= 1, got 0",
         ),
+        (
+            ["experiment", "compensating", "--config"],
+            {"n_values": [1000, 10**130], "d_values": [1]},
+            f"the closed form overflows a float at (n, s, d) = [({10**130}, 1, 1)]",
+        ),
+        (
+            ["experiment", "sandwich", "--config"],
+            {"mixture": {**_MIXTURE, "components": [{"box": [[0.4, 0.1]]}]}},
+            "mixture.components[0]: need lo < hi, got [0.4, 0.1]",
+        ),
     ],
     ids=[
         "synth-array",
@@ -525,6 +551,8 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
         "noisy_kde_gap-no-queries",
         "grid_resolution-no-templates-drawn",
         "smoothing_rate-no-series",
+        "compensating-closed-form-overflow",
+        "sandwich-component-box-reversed",
     ],
 )
 def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, message):
@@ -605,7 +633,12 @@ def test_run_cluster_equals_separate_labeling_and_ladder_tree(k):
     assert no_ladder["tree"] is None
 
 
+def _g17(x) -> str:
+    return format(float(x), ".17g")
+
+
 def test_curves_csv_bytes_match_the_inline_writer(tmp_path):
+    """Every CSV writer emits the bytes of a plain row-by-row f-string loop."""
     curves = {
         "zeta": [[1, 2.5], [np.float64(0.1), np.int64(3)]],
         "alpha": [[math.log(3.0), 1e-300], [-0.0, 1 / 3]],
@@ -615,9 +648,38 @@ def test_curves_csv_bytes_match_the_inline_writer(tmp_path):
     want.write("curve,x,y\n")
     for curve in sorted(curves):
         for x, y in curves[curve]:
-            want.write(f"{curve},{format(float(x), '.17g')},{format(float(y), '.17g')}\n")
+            want.write(f"{curve},{_g17(x)},{_g17(y)}\n")
     emit_curves_csv(tmp_path / "c.csv", curves)
     assert (tmp_path / "c.csv").read_bytes() == want.getvalue().encode("utf-8")
+
+    odd = [5e-324, -0.0, 1e308, 0.1 + 0.2, -1 / 7, 2.0**60]
+    raws = [
+        RawSeries(id="a", s=2, times=[0.25, 0.5, 1.0], values=[odd[:2], odd[2:4], odd[4:]]),
+        RawSeries(id="b", s=2, times=[1 / 3, 1.0], values=[[0.5, 1], [np.pi, -np.e]]),
+    ]
+    grids = grid_series_views(["g0", "g1"], np.random.default_rng(3).uniform(0, 1, (2, 3, 2)))
+    for series in (raws, grids):
+        want = "series_id,time,v1,v2\n" + "".join(
+            f"{sr.id},{_g17(t)}," + ",".join(map(_g17, vals)) + "\n"
+            for sr in series
+            for t, vals in zip(sr.times, sr.values)
+        )
+        emit_series_csv(tmp_path / "s.csv", series)
+        assert (tmp_path / "s.csv").read_bytes() == want.encode("utf-8")
+
+    points = np.array([odd[:3], odd[3:]])
+    want = "point_id,x1,x2,x3\n" + "".join(
+        f"{pid}," + ",".join(map(_g17, row)) + "\n" for pid, row in zip(["p0", "p1"], points)
+    )
+    fio.emit_points_csv(tmp_path / "p.csv", points, ["p0", "p1"])
+    assert (tmp_path / "p.csv").read_bytes() == want.encode("utf-8")
+
+    ids, labels = ["x", "y", "z"], np.array([2, -1, 0])
+    writers = ((fio.emit_assignments_csv, "series_id,cluster"), (fio.emit_labels_csv, "id,label"))
+    for emit, header in writers:
+        emit(tmp_path / "l.csv", ids, labels)
+        want = header + "\n" + "".join(f"{sid},{int(label)}\n" for sid, label in zip(ids, labels))
+        assert (tmp_path / "l.csv").read_bytes() == want.encode("utf-8")
 
 
 def _row_loop_ingest(path):

@@ -1,20 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatclust.series import (
-    FlatPoint,
     GridSeries,
     RawSeries,
     SeriesBatch,
     flat_array,
     flatten,
-    grid_sup_distance,
     grid_times,
-    unflatten,
 )
 
 
@@ -89,90 +84,46 @@ class TestGridSeries:
         g = GridSeries(id="g", s=1, d=4, values=[[0.1], [0.2], [0.3], [0.4]])
         assert np.allclose(g.times, [0.25, 0.5, 0.75, 1.0])
 
+    def test_grid_times_rejects_zero(self):
+        with pytest.raises(ValueError):
+            grid_times(0)
+
 
 class TestFlatten:
     def test_scalar_series_is_identity(self):
         vals = [[0.1], [0.7], [0.3]]
-        g = GridSeries(id="g", s=1, d=3, values=vals)
-        assert np.array_equal(flatten(g).coords, [0.1, 0.7, 0.3])
+        assert np.array_equal(flatten(np.array([vals])), [[0.1, 0.7, 0.3]])
 
     def test_time_major_block_order(self):
-        g = GridSeries(id="g", s=2, d=2, values=[[0.1, 0.2], [0.3, 0.4]])
-        assert np.array_equal(flatten(g).coords, [0.1, 0.2, 0.3, 0.4])
+        grid = np.array([[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]])
+        assert np.array_equal(flatten(grid), [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]])
 
     @settings(max_examples=100, deadline=None)
     @given(
+        st.integers(min_value=1, max_value=5),
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_round_trip(self, s, d, seed):
-        vals = np.random.default_rng(seed).uniform(0, 1, size=(d, s))
-        g = GridSeries(id="g", s=s, d=d, values=vals)
-        back = unflatten(flatten(g), s)
-        assert back.s == s and back.d == d
-        assert np.array_equal(back.values, vals)
+    def test_round_trip(self, n, s, d, seed):
+        grid = np.random.default_rng(seed).uniform(0, 1, size=(n, d, s))
+        points = flatten(grid)
+        assert points.shape == (n, s * d)
+        # series i, slot j, component c sits at column j*s + c
+        i, j, c = np.indices(grid.shape)
+        assert np.array_equal(points[i, j * s + c], grid)
 
     def test_flatten_preserves_sup_norm(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            s, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-            a = GridSeries(id="a", s=s, d=d, values=rng.uniform(0, 1, (d, s)))
-            b = GridSeries(id="b", s=s, d=d, values=rng.uniform(0, 1, (d, s)))
-            grid_inf = np.max(np.abs(a.values - b.values))
-            flat_inf = np.max(np.abs(flatten(a).coords - flatten(b).coords))
-            assert grid_inf == flat_inf
-
-    def test_unflatten_rejects_bad_split(self):
-        p = FlatPoint(coords=[0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
-            unflatten(p, 2)
-
-    def test_flat_point_range_check(self):
-        with pytest.raises(ValueError):
-            FlatPoint(coords=[0.1, 1.4])
+            n, s, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            a = rng.uniform(0, 1, (n, d, s))
+            b = rng.uniform(0, 1, (n, d, s))
+            grid_inf = np.max(np.abs(a - b), axis=(1, 2))
+            flat_inf = np.max(np.abs(flatten(a) - flatten(b)), axis=1)
+            assert np.array_equal(grid_inf, flat_inf)
 
     def test_flat_array(self):
-        pts = [FlatPoint(coords=[0.1, 0.2]), FlatPoint(coords=[0.3, 0.4])]
-        assert flat_array(pts).shape == (2, 2)
+        assert flat_array([[0.1, 0.2], [0.3, 0.4]]).shape == (2, 2)
         assert flat_array(np.zeros(3)).shape == (1, 3)
-
-
-class TestGridSupDistance:
-    def test_equal_functions(self):
-        f = lambda t: [math.sin(t)]
-        assert grid_sup_distance(f, f, 7) == 0.0
-
-    def test_constant_difference(self):
-        c = np.array([0.3, -0.4])
-        f = lambda t: np.array([t, t * t])
-        g = lambda t: f(t) + c
-        for d in (1, 3, 10):
-            assert grid_sup_distance(f, g, d) == pytest.approx(0.5, rel=1e-12)
-
-    def test_linear_vs_zero_peaks_at_endpoint(self):
-        f = lambda t: [t]
-        zero = lambda t: [0.0]
-        for d in (1, 2, 5, 100):
-            assert grid_sup_distance(f, zero, d) == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_zero_d(self):
-        with pytest.raises(ValueError):
-            grid_sup_distance(lambda t: [t], lambda t: [0.0], 0)
-
-    def test_grid_sup_bounded_by_dense_sup_and_converges(self):
-        f = lambda t: [math.sin(2 * math.pi * t)]
-        zero = lambda t: [0.0]
-        dense = np.arange(1, 10_001) / 10_000
-        dense_sup = max(abs(math.sin(2 * math.pi * t)) for t in dense)
-        values = []
-        for k in range(1, 13):
-            d = 2**k
-            m_d = grid_sup_distance(f, zero, d)
-            assert m_d <= dense_sup + 1e-12
-            values.append(m_d)
-        assert abs(values[-1] - dense_sup) < 1e-4
-
-    def test_grid_times_rejects_zero(self):
-        with pytest.raises(ValueError):
-            grid_times(0)
+        assert flat_array([]).shape == (0, 0)

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from flatclust.series import RawSeries, SeriesBatch, grid_times
 from flatclust.smoothing import (
     EmptyWindowWarning,
-    SmootherConfig,
     estimate_grid_series,
     gamma_schedule,
-    gamma_schedule_power,
     kernel_le,
     kernel_symmetric,
     nw_weights,
@@ -81,49 +79,47 @@ class TestNwWeights:
 class TestSmoothAt:
     def test_constant_series_exact(self):
         y = RawSeries.from_uniform("c", np.full(50, 0.37))
-        cfg = SmootherConfig(gamma=0.1)
         for t in (0.2, 0.5, 1.0):
-            assert smooth_at(y, t, cfg)[0] == pytest.approx(0.37, abs=1e-15)
+            assert smooth_at(y, t, 0.1)[0] == pytest.approx(0.37, abs=1e-15)
 
     def test_linear_bias_within_gamma(self):
         # slope-1 function: the window average lags by at most gamma
         m = 200
         y = RawSeries.from_uniform("lin", np.arange(1, m + 1) / m)
         gamma = 0.08
-        cfg = SmootherConfig(gamma=gamma)
         for t in grid_times(10):
-            est = smooth_at(y, t, cfg)[0]
+            est = smooth_at(y, t, gamma)[0]
             assert abs(est - t) <= gamma + 1e-12
 
     def test_empty_window_warns_and_returns_zero(self):
         y = RawSeries(id="e", s=2, times=[0.9, 1.0], values=[[0.5, 0.5], [0.6, 0.6]])
         with pytest.warns(EmptyWindowWarning):
-            out = smooth_at(y, 0.3, SmootherConfig(gamma=0.05))
+            out = smooth_at(y, 0.3, 0.05)
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_clip(self):
         y = RawSeries(id="n", s=1, times=[0.5, 0.6], values=[[1.4], [1.2]])
-        assert smooth_at(y, 0.6, SmootherConfig(gamma=0.2))[0] == 1.0
-        raw = smooth_at(y, 0.6, SmootherConfig(gamma=0.2, clip=False))[0]
-        assert raw > 1.0
+        assert smooth_at(y, 0.6, 0.2)[0] == 1.0
+        w, _ = nw_weights(0.6, y.times, 0.2)
+        assert (w @ y.values)[0] > 1.0  # the weighted average itself leaves [0, 1]
 
     def test_rejects_time_outside_range(self):
         y = RawSeries.from_uniform("c", np.full(10, 0.5))
         with pytest.raises(ValueError):
-            smooth_at(y, 0.0, SmootherConfig(gamma=0.1))
+            smooth_at(y, 0.0, 0.1)
 
 
 class TestEstimateGridSeries:
     def test_noiseless_constant(self):
         y = RawSeries.from_uniform("c", np.full(40, 0.8))
-        g = estimate_grid_series(y, 5, SmootherConfig(gamma=0.1))
+        g = estimate_grid_series(y, 5, 0.1)
         assert np.allclose(g.values, 0.8, atol=1e-15)
         assert g.d == 5 and g.id == "c"
 
     def test_rejects_m_not_greater_than_d(self):
         y = RawSeries.from_uniform("c", np.full(5, 0.5))
         with pytest.raises(ValueError, match="m=5"):
-            estimate_grid_series(y, 5, SmootherConfig(gamma=0.5))
+            estimate_grid_series(y, 5, 0.5)
 
     def test_no_empty_windows_when_gamma_at_least_two_over_m(self):
         import warnings
@@ -133,12 +129,12 @@ class TestEstimateGridSeries:
         y = RawSeries.from_uniform("c", np.full(m, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", EmptyWindowWarning)
-            estimate_grid_series(y, d, SmootherConfig(gamma=2.0 / m))
+            estimate_grid_series(y, d, 2.0 / m)
 
     def test_output_always_in_unit_box(self):
         rng = np.random.default_rng(3)
         y = RawSeries.from_uniform("n", 0.5 + 0.8 * rng.standard_normal(64))
-        g = estimate_grid_series(y, 4, SmootherConfig(gamma=0.2, clip=False))
+        g = estimate_grid_series(y, 4, 0.2)
         assert np.all(g.values >= 0.0) and np.all(g.values <= 1.0)
 
 
@@ -157,14 +153,6 @@ class TestGammaSchedule:
         values = [gamma_schedule(m) for m in (8, 16, 32, 64, 128, 256, 512)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_power_law_variant(self):
-        assert gamma_schedule_power(100, alpha=0.5) == pytest.approx(0.1, rel=1e-12)
-        assert gamma_schedule_power(4, alpha=0.9) == 0.5  # floor 2/m wins
-        with pytest.raises(ValueError):
-            gamma_schedule_power(100, alpha=1.0)
-        with pytest.raises(ValueError):
-            gamma_schedule_power(1, alpha=0.5)
-
     def test_m_gamma_grows(self):
         products = [m * gamma_schedule(m) for m in (2**k for k in range(3, 16))]
         assert all(b > a for a, b in zip(products, products[1:]))
@@ -180,7 +168,7 @@ class TestJumpRecovery:
         estimates = []
         for m in (128, 512, 2048):
             y = self._step_series(m)
-            estimates.append(smooth_at(y, 0.8, SmootherConfig(gamma=gamma_schedule(m)))[0])
+            estimates.append(smooth_at(y, 0.8, gamma_schedule(m))[0])
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
         assert estimates[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -243,19 +231,17 @@ class TestSmoothBatch:
         assert sum(issubclass(w.category, EmptyWindowWarning) for w in caught) == empty
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("clip", [True, False])
-    def test_estimate_grid_series_is_the_one_series_batch(self, clip):
+    def test_estimate_grid_series_is_the_one_series_batch(self):
         rng = np.random.default_rng(43)
         raws = _irregular_series(rng, 12, 2)
         for y in raws:
-            cfg = SmootherConfig(gamma=0.08, clip=clip)
-            want, _ = _per_slot_smoothing([y], 5, [cfg.gamma])
+            want, _ = _per_slot_smoothing([y], 5, [0.08])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptyWindowWarning)
-                got = estimate_grid_series(y, 5, cfg)
-                per_slot = [smooth_at(y, t, cfg) for t in grid_times(5)]
+                got = estimate_grid_series(y, 5, 0.08)
+                per_slot = [smooth_at(y, t, 0.08) for t in grid_times(5)]
             assert np.array_equal(got.values, want[0])
-            assert np.array_equal(got.values, np.clip(per_slot, 0.0, 1.0))
+            assert np.array_equal(got.values, per_slot)
 
     def test_rejects_short_series_and_bad_gamma(self):
         raws = [RawSeries.from_uniform("long", np.full(10, 0.5)), RawSeries.from_uniform("short", np.full(4, 0.5))]

@@ -19,7 +19,6 @@ from flatclust.synthetic import (
     lipschitz_family,
     sample_raw_series,
     sample_series_batch,
-    sample_series_from_template,
     single_bump_mixture_1d,
     two_bump_mixture_1d,
 )
@@ -360,10 +359,3 @@ class TestBatchSampler:
         assert np.array_equal(raw_labels, labels)
         assert all(np.array_equal(r.values, v) for r, v in zip(raws, want_values))
         assert all(np.array_equal(g.values, v) for g, v in zip(grids, want_grid))
-
-    def test_template_sampler_matches_per_series_draws(self):
-        template = jump_family().clusters[1]
-        want, _ = _per_series_draws((template,), np.zeros(70, dtype=int), 20, 4, 0.03, np.random.default_rng(5))
-        got = sample_series_from_template(template, 70, 20, 0.03, seed=5, id_prefix="x")
-        assert [r.id for r in got] == [f"x{i:05d}" for i in range(70)]
-        assert all(np.array_equal(r.values, v) for r, v in zip(got, want))
