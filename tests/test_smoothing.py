@@ -231,9 +231,21 @@ class TestSmoothBatch:
         assert sum(issubclass(w.category, EmptyWindowWarning) for w in caught) == empty
         assert np.array_equal(got, want)
 
-    def test_estimate_grid_series_is_the_one_series_batch(self):
+    @pytest.mark.parametrize("noisy", [True, False])
+    def test_estimate_grid_series_is_the_one_series_batch(self, noisy):
+        # noisy values leave [0, 1], so the clip acts; otherwise it is a no-op
         rng = np.random.default_rng(43)
         raws = _irregular_series(rng, 12, 2)
+        if not noisy:
+            raws = [RawSeries(id=y.id, s=y.s, times=y.times, values=np.clip(y.values, 0.0, 1.0)) for y in raws]
+        unclipped = []
+        for y in raws:
+            for t in grid_times(5):
+                w, empty = nw_weights(t, y.times, 0.08)
+                if not empty:
+                    unclipped.append(w @ y.values)
+        unclipped = np.asarray(unclipped)
+        assert noisy == bool(np.any((unclipped < 0.0) | (unclipped > 1.0)))
         for y in raws:
             want, _ = _per_slot_smoothing([y], 5, [0.08])
             with warnings.catch_warnings():
