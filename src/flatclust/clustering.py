@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _sparse_cc
 
 from .series import flat_array
 from .spatial import GridIndex, sq_dists
@@ -129,12 +127,16 @@ def _ids_by_smallest_member(comp: np.ndarray, members: np.ndarray, n: int) -> np
 
 def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Component labels on the subgraph of link pairs between core points."""
+    # deferred, like spatial's cKDTree: `import flatclust` need not load scipy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     n = is_core.size
     keep = is_core[src] & is_core[dst]
     graph = coo_matrix(
         (np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])), shape=(n, n)
     )
-    _, labels = _sparse_cc(graph, directed=False)
+    _, labels = connected_components(graph, directed=False)
     core = np.nonzero(is_core)[0]
     return _ids_by_smallest_member(labels[core], core, n)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .clustering import cluster_tree, dbscan_cluster, hartigan_disjoint
 from .codec import Codec
@@ -845,6 +844,8 @@ def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
     of the formula cannot be checked against PAPER.md, which holds only the
     abstract, so it is kept verbatim.
     """
+    from scipy.optimize import brentq  # deferred: `import flatclust` need not load scipy
+
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     closed = _closed_form(n, s, d)

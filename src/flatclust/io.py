@@ -3,7 +3,7 @@
 Formats are deliberately plain and stable:
 
 - series CSV: header ``series_id,time,v1,...,vs``; one observation per row,
-  times in (0,1], '.' decimal, UTF-8, LF or CRLF. Floats are emitted with 17
+  times in (0,1], '.' decimal, UTF-8, LF, CRLF or CR. Floats are emitted with 17
   significant digits so an emit/ingest round trip is exact.
 - points CSV: header ``point_id,x1,...,x{sd}``; written only.
 - assignments CSV: header ``series_id,cluster`` with NOISE encoded as -1.
@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, fields
+from io import StringIO
 from typing import Literal, get_type_hints
 
 import numpy as np
@@ -107,71 +108,138 @@ class PipelineConfig(Codec):
 # ---------------------------------------------------------------------------
 
 
-# Rows parsed at a time: ingest holds one chunk of text fields, not the file's.
+# Rows the exact parser splits into fields at a time: it holds one chunk of fields, not the file's.
 INGEST_CHUNK = 8192
+
+# A file holding any of these is read by the exact parser: '"' opens a quoted
+# field, and numpy strips \x1c-\x1f around a number, which float refuses.
+_EXACT_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
 def ingest_series_csv(path) -> list[RawSeries]:
     """Parse a series CSV into RawSeries, grouped by id and sorted by time.
 
     Series come in order of first appearance, as views into one SeriesBatch.
-    Rows are parsed in chunks and checked a column at a time; an error names
-    the first offending line in file order.
+    numpy's C parser reads the numbers when the fast path can be sure that it
+    reads what csv.reader and float would; any other file, and every file
+    with an error, is read by the exact parser, which names the first
+    offending line in file order.
     """
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    text = _read_text(path)
+    try:
+        rows = _fast_rows(text)
+        if rows is not None:
+            return _series_of(*rows)
+    except ParseError:
+        pass  # the exact parser below names the error
+    return _series_of(*_exact_rows(text))
+
+
+def _read_text(path) -> str:
+    """The file as UTF-8 text, with CRLF and CR line ends read as LF, as text mode reads them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        raise ParseError(message, line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _value_columns(header: list[str]) -> int:
+    """The value column count s of a series CSV header, which must be series_id,time,v1,...,vs."""
+    if len(header) < 3 or header[0] != "series_id" or header[1] != "time":
+        raise ParseError(f"header must be series_id,time,v1,...,vs; got {','.join(header)}", line=1)
+    expected = [f"v{i}" for i in range(1, len(header) - 1)]
+    if header[2:] != expected:
+        raise ParseError(
+            f"value columns must be {','.join(expected)}; got {','.join(header[2:])}", line=1
+        )
+    return len(header) - 2
+
+
+def _fast_rows(text: str):
+    """(s, ids, lines, numbers) of every row by numpy's C parser, or None where it may differ.
+
+    It reads a file only where csv.reader and float give the same fields and
+    numbers: no character of _EXACT_ONLY, no line longer than csv's field
+    limit, and s+1 commas a line in total. Each id is cut off at its line's
+    first comma, and one np.loadtxt call parses the other fields of every
+    line. loadtxt refuses a line with too few fields; with the comma count,
+    no line has one too many, which usecols would drop. It skips a blank
+    line, which the row count catches, so every line number stays the
+    file's. A number it refuses (1_0, non-ASCII digits) may still be one
+    float accepts, so that file goes to the exact parser too.
+    """
+    if not text or any(c in text for c in _EXACT_ONLY):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final line end
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    s = _value_columns(lines[0].split(","))
+    if text.count(",") != len(lines) * (s + 1):
+        return None
+    del lines[0]
+    ids = [line.partition(",")[0] for line in lines]
+    numbers = np.empty((0, s + 1))
+    if lines:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, header required", line=1) from None
-        if len(header) < 3 or header[0] != "series_id" or header[1] != "time":
-            raise ParseError(
-                f"header must be series_id,time,v1,...,vs; got {','.join(header)}", line=1
+            numbers = np.loadtxt(
+                lines, delimiter=",", comments=None, quotechar=None, ndmin=2, usecols=range(1, s + 2)
             )
-        s = len(header) - 2
-        expected = [f"v{i}" for i in range(1, s + 1)]
-        if header[2:] != expected:
-            raise ParseError(
-                f"value columns must be {','.join(expected)}; got {','.join(header[2:])}", line=1
-            )
-        code_of: dict[str, int] = {}  # series id -> its rank of first appearance
-        parts = []  # per chunk: (codes, lines, times, values) of its accepted rows
-        first_line = 2
-        error = None
-        while rows := list(itertools.islice(reader, INGEST_CHUNK)):
-            *part, error = _parse_rows(rows, first_line, s, code_of)
-            parts.append(part)
-            first_line += len(rows)
-            if error is not None:
-                break
-    if not parts:
-        return []
-    codes, lines, times, values = (np.concatenate([p[k] for p in parts]) for k in range(4))
-    order = np.lexsort((times, codes))
-    same = (codes[order][1:] == codes[order][:-1]) & (times[order][1:] == times[order][:-1])
-    if same.any():
-        # every later row of an equal (id, time) run repeats an earlier one
-        dup = order[1:][same][np.argmin(lines[order][1:][same])]
-        sid = list(code_of)[codes[dup]]
-        error = (int(lines[dup]), f"duplicate (series_id, time) = ({sid}, {float(times[dup])})")
-    if error is not None:
-        raise ParseError(error[1], line=error[0])
-    values = values[order]
-    sorted_times = times[order]
-    for a in (values, sorted_times):
-        a.setflags(write=False)  # handed to the batch without a copy
-    offsets = np.zeros(len(code_of) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(codes, minlength=len(code_of)), out=offsets[1:])
-    batch = SeriesBatch(ids=list(code_of), s=s, offsets=offsets, times=sorted_times, values=values)
-    return batch.series()
+        except ValueError:
+            return None
+    if numbers.shape != (len(lines), s + 1):
+        return None
+    return s, ids, np.arange(2, len(lines) + 2), numbers
 
 
-def _parse_rows(rows: list[list[str]], first_line: int, s: int, code_of: dict[str, int]):
+def _exact_rows(text: str):
+    """(s, ids, lines, numbers, error) of the rows by csv.reader and float, INGEST_CHUNK at a time.
+
+    The rows are those before the first one that csv or float rejects, or
+    that has the wrong field count; error is that row's (line, message), or
+    None. Blank rows are skipped.
+    """
+    reader = csv.reader(StringIO(text))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+    if header is None:
+        raise ParseError("empty file, header required", line=1)
+    s = _value_columns(header)
+    parts = []  # per chunk: (ids, lines, numbers) of its accepted rows
+    first_line = 2
+    while True:
+        rows, error = [], None
+        try:
+            for row in itertools.islice(reader, INGEST_CHUNK):
+                rows.append(row)
+        except csv.Error as exc:
+            error = (reader.line_num, str(exc))
+        *part, row_error = _parse_rows(rows, first_line, s)
+        parts.append(part)
+        first_line += len(rows)
+        error = row_error or error
+        if error is not None or len(rows) < INGEST_CHUNK:
+            break
+    ids = [sid for part in parts for sid in part[0]]
+    lines, numbers = (np.concatenate([p[k] for p in parts]) for k in (1, 2))
+    return s, ids, lines, numbers, error
+
+
+def _parse_rows(rows: list[list[str]], first_line: int, s: int):
     """Parse one chunk of series CSV rows, the first at line first_line.
 
-    Returns (codes, lines, times, values, error) for the rows before the
-    chunk's first offending one; error is that row's (line, message), or
-    None. Ids met for the first time get the next codes in code_of.
+    Returns (ids, lines, numbers, error) for the rows before the chunk's first
+    offending one, numbers holding the time and then v1..vs of each; error is
+    that row's (line, message), or None.
     """
     width = s + 2
     lines = np.arange(first_line, first_line + len(rows))
@@ -196,7 +264,21 @@ def _parse_rows(rows: list[list[str]], first_line: int, s: int, code_of: dict[st
         rows, lines = rows[:cut], lines[:cut]
         columns = list(zip(*rows)) or [()] * width
         numbers = [np.fromiter(map(float, col), float, len(rows)) for col in columns[1:]]
-    sids, times, values = columns[0], numbers[0], np.stack(numbers[1:], axis=1)
+    return columns[0], lines, np.stack(numbers, axis=1), error
+
+
+def _series_of(
+    s: int, ids: list[str], lines: np.ndarray, numbers: np.ndarray, error=None
+) -> list[RawSeries]:
+    """The series of parsed rows: the checks no parser makes, then one SeriesBatch.
+
+    Rows come in file order, with their line numbers, numbers holding the
+    time and then v1..vs of each; error is the (line, message) of a row that
+    ended parsing after all of them, or None. The first offending line in
+    file order is raised: a time outside (0, 1], a non-finite value, a
+    repeated (id, time), or error.
+    """
+    times, values = numbers[:, 0], numbers[:, 1:]
     bad_time = ~((times > 0.0) & (times <= 1.0))
     bad_value = ~np.isfinite(values)
     bad = bad_time | bad_value.any(axis=1)
@@ -208,11 +290,26 @@ def _parse_rows(rows: list[list[str]], first_line: int, s: int, code_of: dict[st
             j = int(np.argmax(bad_value[cut]))
             message = f"non-finite value {float(values[cut, j])} in column v{j + 1}"
         error = (int(lines[cut]), message)
-        sids, lines, times, values = sids[:cut], lines[:cut], times[:cut], values[:cut]
-    for sid in dict.fromkeys(sids):  # distinct ids, in order of first appearance
-        code_of.setdefault(sid, len(code_of))
-    codes = np.fromiter(map(code_of.__getitem__, sids), np.intp, len(sids))
-    return codes, lines, times, values, error
+        ids, lines, times, values = ids[:cut], lines[:cut], times[:cut], values[:cut]
+    # each id's code is its rank of first appearance
+    code_of = {sid: code for code, sid in enumerate(dict.fromkeys(ids))}
+    codes = np.fromiter(map(code_of.__getitem__, ids), np.intp, len(ids))
+    order = np.lexsort((times, codes))
+    same = (codes[order][1:] == codes[order][:-1]) & (times[order][1:] == times[order][:-1])
+    if same.any():
+        # every later row of an equal (id, time) run repeats an earlier one
+        dup = order[1:][same][np.argmin(lines[order][1:][same])]
+        error = (int(lines[dup]), f"duplicate (series_id, time) = ({ids[dup]}, {float(times[dup])})")
+    if error is not None:
+        raise ParseError(error[1], line=error[0])
+    values = values[order]
+    sorted_times = times[order]
+    for a in (values, sorted_times):
+        a.setflags(write=False)  # handed to the batch without a copy
+    offsets = np.zeros(len(code_of) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=len(code_of)), out=offsets[1:])
+    batch = SeriesBatch(ids=list(code_of), s=s, offsets=offsets, times=sorted_times, values=values)
+    return batch.series()
 
 
 def _write_csv(path, header: str, fmt: str, rows) -> None:

@@ -1,6 +1,12 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import flatclust
 
@@ -22,3 +28,13 @@ def test_every_exported_name_resolves():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert reexported and set(reexported) <= exported
+
+
+@pytest.mark.parametrize("module", ["flatclust", "flatclust.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy is imported where it is called, so importing the package or the command line skips it."""
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(flatclust.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,33 @@ class TestSeriesCsv:
             got = by_id[original.id]
             assert np.array_equal(got.times, original.times)
             assert np.array_equal(got.values, original.values)
+
+    def test_fast_path_reads_emitted_csv_without_csv_reader(self, tmp_path, monkeypatch):
+        raws, _, _ = sample_raw_series(jump_family(), 6, 17, seed=12)
+        names = ["a_1", "b 2", "é_x", "名前", " lead", "trail "]
+        raws = [RawSeries(id=name, s=r.s, times=r.times, values=r.values) for name, r in zip(names, raws)]
+        path = tmp_path / "s.csv"
+        emit_series_csv(path, raws)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a file the fast path reads")
+
+        monkeypatch.setattr(fio.csv, "reader", refuse)
+        back = ingest_series_csv(path)
+        assert [y.id for y in back] == names
+        for got, original in zip(back, raws):
+            assert got.times.tobytes() == original.times.tobytes()
+            assert got.values.tobytes() == original.values.tobytes()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_invalid_utf8_names_its_line(self, tmp_path, ending):
+        rows = ["series_id,time,v1", "a,0.5,0.1", "a,1.0,0.2", "b,0.5,\udcff", "b,1.0,0.3"]
+        data = ending.join(rows).encode("utf-8", "surrogateescape")  # \udcff is the byte 0xff
+        path = tmp_path / "s.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=r"^line 4: byte 0xff is not UTF-8 \(invalid start byte\)$") as caught:
+            ingest_series_csv(path)
+        assert caught.value.line == 4
 
 
 class TestRunCluster:
@@ -385,6 +413,24 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "parse-error" and err["line"] == 6
+
+    @pytest.mark.parametrize(
+        "tail, line, message",
+        [
+            (b"b" * 131073 + b",0.5,0.1\n", 3, "line 3: field larger than field limit (131072)"),
+            (b"b,0.5,\xff\n", 3, "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+        ],
+        ids=["field-over-the-csv-limit", "invalid-utf8"],
+    )
+    def test_unreadable_csv_is_one_parse_error(self, tmp_path, capsys, tail, line, message):
+        _, config_path = _write_cluster_inputs(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"series_id,time,v1\na,0.5,0.1\n" + tail)
+        rc = main(["cluster", "--config", str(config_path), "--input", str(bad), "--outdir", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "parse-error", "line": line, "message": message}
 
     def test_experiment_summary_shows_wall_clock(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
@@ -714,19 +760,31 @@ def _row_loop_ingest(path):
     return out
 
 
-_TIMES = st.sampled_from(["0.25", "0.5", "0.75", "1", "1.0", "0.125", "3e-1", " 0.5 ", "1_0e-1"])
-_BAD_TIMES = st.sampled_from(["0", "0.0", "-0.5", "1.5", "nan", "inf", "", "abc", "0x1"])
-_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
-_BAD_VALUES = st.sampled_from(["nan", "-inf", "inf", "x", "", "1,5", "--1"])
+_TIMES = st.sampled_from(["0.25", "0.5", "0.75", "1", "1.0", "0.125", "3e-1", " 0.5 ", "0.5\x0c"])
+_ODD_TIMES = st.sampled_from(["1_0e-1", "\u0660.\u0665", "0.2\u0665"])  # float reads them, numpy does not
+_BAD_TIMES = st.sampled_from(["0", "0.0", "-0.5", "1.5", "nan", "inf", "", "abc", "0x1", "#0.5", "0.5\x1c", "0._5"])
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17g" % x),
+    st.sampled_from([" 0.25", "0.25\x0c", "-0", "1e-400"]),
+)
+_ODD_VALUES = st.sampled_from(["1_5e-1", "\u0661", "\u0661\u0665e-1"])
+_BAD_VALUES = st.sampled_from(["nan", "-inf", "inf", "x", "", "1,5", "--1", "1#", "#1", "\x1c1", "1__0"])
+_IDS = ["a", "b", "c", "", "d e", "a_1", "#x", "\u00e9", "\u540d", "x\x0cy"]
 
 
 @st.composite
 def _series_csv(draw):
+    """A series CSV text, valid or not, with the line ends and odd lines a file may hold."""
     s = draw(st.integers(1, 3))
     corrupt = draw(st.booleans())
-    times = st.one_of(_TIMES, _TIMES, _TIMES, _BAD_TIMES) if corrupt else _TIMES
-    values = st.one_of(_VALUES, _VALUES, _VALUES, _BAD_VALUES) if corrupt else _VALUES
-    row = st.tuples(st.sampled_from(["a", "b", "c", "", "d e"]), times, st.lists(values, min_size=s, max_size=s))
+    ids = _IDS + ["a,b", 'q"t'] if draw(st.integers(0, 2)) == 0 else _IDS  # csv.writer quotes these
+    times, values = _TIMES, _VALUES
+    if draw(st.integers(0, 2)) == 0:
+        times, values = st.one_of(times, times, times, _ODD_TIMES), st.one_of(values, values, _ODD_VALUES)
+    if corrupt:
+        times, values = st.one_of(times, times, times, _BAD_TIMES), st.one_of(values, values, values, _BAD_VALUES)
+    row = st.tuples(st.sampled_from(ids), times, st.lists(values, min_size=s, max_size=s))
     rows = [[sid, t, *vals] for sid, t, vals in draw(st.lists(row, max_size=30))]
     if corrupt:
         for i in draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=3)):
@@ -736,31 +794,117 @@ def _series_csv(draw):
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["series_id", "time"] + [f"v{i}" for i in range(1, s + 1)])
     writer.writerows(rows)
-    return text.getvalue()
+    lines = text.getvalue().split("\n")[:-1]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # blank and whitespace-only lines
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\x0c", "\t"])))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    final = ending if draw(st.integers(0, 3)) else ""  # sometimes no final line end
+    return ending.join(lines) + final
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(text=_series_csv(), chunk=st.sampled_from([1, 2, 3, 7, 8192]))
 def test_chunked_ingest_agrees_with_the_row_loop(tmp_path_factory, text, chunk):
+    """Either path, any chunk size: the reference's series bit for bit, or its error and line."""
     path = tmp_path_factory.mktemp("ingest") / "s.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
+    saved = fio.INGEST_CHUNK
+    fio.INGEST_CHUNK = chunk
+    try:
+        _assert_ingest_is_the_row_loop(path)
+    finally:
+        fio.INGEST_CHUNK = saved
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "series_id,time,v1\na,0.5,0.1,0.2\n",  # a field too many, which usecols would drop
+        "series_id,time,v1\na,0.5,0.1,0.2,0.3\n \n",  # the right comma count, in a row too long and a blank one
+        "series_id,time,v1\na,0.5,0.1,0.2,0.3\n\n",  # the same with an empty line, which loadtxt skips
+        "series_id,time,v1\na,0.5,0.1\n \na,1.0,0.2\n",  # whitespace-only line
+        "series_id,time,v1\na,0.5,0.1\n\na,2.0,0.2\n",  # a blank line before the error
+        "series_id,time,v1\na,0.5,0.1\na,\n",  # nothing after the id
+        "series_id,time,v1\na\nb\n",  # no numbers at all, which loadtxt would warn about
+        "series_id,time,v1\na,0.5,1_0\n",  # float reads 1_0, numpy does not
+        "series_id,time,v1\na,0.5,1\x1c\n",  # numpy reads 1\x1c, float does not
+        "series_id,time,v1\n\u540d,0.5,\u0661\n",  # non-ASCII id and digit
+    ],
+)
+def test_fast_path_traps_read_as_the_row_loop(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_ingest_is_the_row_loop(path)
+
+
+def _assert_ingest_is_the_row_loop(path):
+    text = path.read_bytes().decode("utf-8")
     try:
         want = _row_loop_ingest(path)
     except ParseError as exc:
         want = exc
-    saved = fio.INGEST_CHUNK
-    fio.INGEST_CHUNK = chunk
     try:
-        got = ingest_series_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach the command line's stderr
+            got = ingest_series_csv(path)
     except ParseError as exc:
         got = exc
-    finally:
-        fio.INGEST_CHUNK = saved
     if isinstance(want, ParseError):
         assert isinstance(got, ParseError), text
         assert (str(got), got.line) == (str(want), want.line)
     else:
         assert not isinstance(got, ParseError), (text, str(got))
-        assert [(y.id, y.times.tolist(), y.values.tolist()) for y in got] == [
-            (sid, t.tolist(), v.tolist()) for sid, t, v in want
+        assert [(y.id, y.times.tobytes(), y.values.tobytes()) for y in got] == [
+            (sid, t.tobytes(), v.tobytes()) for sid, t, v in want
         ]
+
+_NUMBER_PROBES = [
+    "0.5", "1", "1.", ".5", "-0", "+1", "1e500", "1e-400", "4.9e-324", "nan", "-nan", "+inf", "Infinity",
+    "1_0", "1__0", "0x1p3", "1d5", "1.0j", "1e", "++1", "#1", "1#", " ", "\x001", "1\x00",
+    "١", "٠.٥", " 1 ", "\t1", "1\x0c", "\x0b1", "1\x85", "1\xa0", "1 ", "　1",
+    "1\x1c", "\x1d1", "1\x1e", "\x1f1",
+]
+_NUMBER_CHARS = list("0123456789+-.eE_ infnaINFNAxjd#") + [
+    "\t", "\x0b", "\x0c", "\x00", "\x1c", "\x1f", "\x85", "\xa0", " ", "　", "١", "１",
+]
+
+
+def _loadtxt_number(token: str):
+    """The bits np.loadtxt reads from token as the fast path calls it, or None where it refuses it."""
+    try:
+        got = np.loadtxt([f"id,{token}"], delimiter=",", comments=None, quotechar=None, ndmin=2, usecols=[1])
+    except ValueError:
+        return None
+    assert got.shape == (1, 1), token
+    return got.tobytes()
+
+
+def _check_number(token: str) -> bool:
+    """Where numpy's parser reads a number, float reads the same bits, but for the characters
+    the fast path leaves to the exact parser. Returns whether numpy read it."""
+    bits = _loadtxt_number(token)
+    if bits is None:
+        return False  # the exact parser reads the file
+    if any(c in token for c in fio._EXACT_ONLY):
+        with pytest.raises(ValueError):  # numpy strips \x1c-\x1f as whitespace, float refuses them
+            float(token)
+    else:
+        assert np.float64(float(token)).tobytes() == bits, token
+    return True
+
+
+def test_loadtxt_reads_the_probes_as_float_does():
+    read = [token for token in _NUMBER_PROBES if _check_number(token)]
+    assert "1\x1c" in read and "1_0" not in read and "\u0661" not in read and "0.5" in read
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    token=st.one_of(
+        st.text(st.sampled_from(_NUMBER_CHARS), min_size=1, max_size=8),
+        st.floats().map(repr),
+        st.floats().map(lambda x: "%.17g" % x),
+    )
+)
+def test_loadtxt_reads_no_number_that_float_reads_otherwise(token):
+    _check_number(token)
