@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import flat_array
-from .spatial import GridIndex, sq_dists
+from .spatial import GridIndex, checked_points, sorted_line_counts, sq_dists
 
 __all__ = [
     "NOISE",
@@ -126,16 +126,21 @@ def _ids_by_smallest_member(comp: np.ndarray, members: np.ndarray, n: int) -> np
 
 
 def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Component labels on the subgraph of link pairs between core points."""
+    """Component labels on the subgraph of link pairs between core points.
+
+    The pairs come in ascending (src, dst) order, so they already are a CSR
+    graph's rows and sorted column indices, and scipy sorts nothing.
+    """
     # deferred, like spatial's cKDTree: `import flatclust` need not load scipy
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = is_core.size
     keep = is_core[src] & is_core[dst]
-    graph = coo_matrix(
-        (np.ones(int(keep.sum()), dtype=np.int8), (src[keep], dst[keep])), shape=(n, n)
-    )
+    src, dst = src[keep], dst[keep]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(dst.size), dst, indptr), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     core = np.nonzero(is_core)[0]
     return _ids_by_smallest_member(labels[core], core, n)
@@ -217,13 +222,36 @@ def ball_union_components(core_pts, delta: float) -> list[frozenset]:
     return [frozenset(g) for g in sorted(groups.values(), key=min)]
 
 
+def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
+    """(counts, assign): every point's closed delta-ball count, and a labeler of core sets.
+
+    Off a line, one pair query at the larger of link and delta yields both:
+    the pairs within delta, each counted at both ends, give the counts, and
+    the pairs within link are the graph. On a line, one sort yields both:
+    each ball is a run of consecutive points, and the link components are
+    runs of consecutive core points, which avoids the pair list that dense
+    1-D samples make quadratic.
+    """
+    n = pts.shape[0]
+    if pts.shape[1] == 1:
+        order = np.argsort(pts[:, 0], kind="stable")
+        sorted_x = pts[order, 0]
+        counts = np.empty(n, dtype=np.intp)
+        counts[order] = sorted_line_counts(sorted_x, delta)
+        return counts, lambda is_core: _assignments_1d(order, sorted_x, is_core, link)
+    src, dst, sq = GridIndex(pts).pair_sq_dists(max(link, delta))
+    near = sq <= delta * delta
+    counts = 1 + np.bincount(src[near], minlength=n) + np.bincount(dst[near], minlength=n)
+    linked = sq <= link * link
+    src, dst = src[linked], dst[linked]
+    return counts, lambda is_core: _assignments_for_core(is_core, src, dst)
+
+
 def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> ClusterTree:
     """One labeling per k, k strictly descending, with containment links.
 
-    Neighbor counts and the link graph are computed once and shared by all
-    levels; only the core set changes with k, and core sets grow as k falls.
-    On a line the link components are runs of consecutive core points, which
-    avoids the pair list that dense 1-D samples make quadratic.
+    One neighbour pass serves every level: only the core set changes with
+    k, and core sets grow as k falls.
     """
     pts = flat_array(points)
     ks = tuple(ks)
@@ -233,21 +261,7 @@ def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> 
     ks = tuple(int(k) for k in ks)
     if any(k1 <= k2 for k1, k2 in zip(ks[:-1], ks[1:])):
         raise ValueError(f"ks must be strictly descending, got {ks}")
-    index = GridIndex(pts)
-    counts = index.counts_within_all(delta)
-    if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        sorted_x = pts[order, 0]
-
-        def assign(is_core):
-            return _assignments_1d(order, sorted_x, is_core, link)
-
-    else:
-        src, dst = index.pairs_within(link)
-
-        def assign(is_core):
-            return _assignments_for_core(is_core, src, dst)
-
+    counts, assign = _neighbour_pass(checked_points(pts), delta, link)
     labelings = [Labeling(assign(counts >= k), k=k, delta=delta, link_radius=link) for k in ks]
     parents = [_parents(lab, finer) for lab, finer in zip(labelings[:-1], labelings[1:])] + [()]
     levels = tuple(TreeLevel(k=lab.k, labeling=lab, parents=p) for lab, p in zip(labelings, parents))

@@ -215,17 +215,18 @@ def _exact_rows(text: str):
         raise ParseError("empty file, header required", line=1)
     s = _value_columns(header)
     parts = []  # per chunk: (ids, lines, numbers) of its accepted rows
-    first_line = 2
+    end = reader.line_num  # the last physical line read; a quoted field may span several
     while True:
-        rows, error = [], None
+        rows, starts, error = [], [], None
         try:
             for row in itertools.islice(reader, INGEST_CHUNK):
                 rows.append(row)
+                starts.append(end + 1)
+                end = reader.line_num
         except csv.Error as exc:
             error = (reader.line_num, str(exc))
-        *part, row_error = _parse_rows(rows, first_line, s)
+        *part, row_error = _parse_rows(rows, np.array(starts, dtype=np.int64), s)
         parts.append(part)
-        first_line += len(rows)
         error = row_error or error
         if error is not None or len(rows) < INGEST_CHUNK:
             break
@@ -234,20 +235,19 @@ def _exact_rows(text: str):
     return s, ids, lines, numbers, error
 
 
-def _parse_rows(rows: list[list[str]], first_line: int, s: int):
-    """Parse one chunk of series CSV rows, the first at line first_line.
+def _parse_rows(rows: list[list[str]], lines: np.ndarray, s: int):
+    """Parse one chunk of series CSV rows, row i starting on physical line lines[i].
 
     Returns (ids, lines, numbers, error) for the rows before the chunk's first
     offending one, numbers holding the time and then v1..vs of each; error is
     that row's (line, message), or None.
     """
     width = s + 2
-    lines = np.arange(first_line, first_line + len(rows))
     error = None
     if set(map(len, rows)) != {width}:
         cut = next((i for i, row in enumerate(rows) if row and len(row) != width), len(rows))
         if cut < len(rows):
-            error = (first_line + cut, f"expected {width} fields, got {len(rows[cut])}")
+            error = (int(lines[cut]), f"expected {width} fields, got {len(rows[cut])}")
         kept = [i for i, row in enumerate(rows[:cut]) if row]  # blank rows are skipped
         rows, lines = [rows[i] for i in kept], lines[kept]
     columns = list(zip(*rows)) or [()] * width
@@ -312,11 +312,26 @@ def _series_of(
     return batch.series()
 
 
+_NEEDS_QUOTES = frozenset(',"\r\n')
+
+
+def _csv_field(text: str) -> str:
+    """text as one csv field: quoted, its '"' doubled, when it holds a comma, '"', CR or LF.
+
+    These are the csv module's minimal-quoting rules, so csv.reader reads
+    the text back; ingest does too, but reads a CR in it as LF.
+    """
+    if _NEEDS_QUOTES.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _write_csv(path, header: str, fmt: str, rows) -> None:
     """Write the header line, then `fmt % row` for each row as it is generated.
 
     A %.17g field writes the same digits as format(float(x), ".17g"), so
-    every float round-trips exactly.
+    every float round-trips exactly. A %s field holding an id or a name must
+    already be a _csv_field.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -328,35 +343,37 @@ def emit_series_csv(path, series: list[RawSeries] | list[GridSeries]) -> None:
     if not series:
         raise ValueError("nothing to write")
     s = series[0].s
-    rows = (
-        (sr.id, t, *vals)
-        for sr in series  # one series' values converted at a time
-        for t, vals in zip(sr.times.tolist(), sr.values.tolist())
-    )
+
+    def rows():
+        for sr in series:  # one series' id quoted and values converted at a time
+            sid = _csv_field(sr.id)
+            for t, vals in zip(sr.times.tolist(), sr.values.tolist()):
+                yield (sid, t, *vals)
+
     header = "series_id,time," + ",".join(f"v{i}" for i in range(1, s + 1))
-    _write_csv(path, header, "%s" + ",%.17g" * (s + 1) + "\n", rows)
+    _write_csv(path, header, "%s" + ",%.17g" * (s + 1) + "\n", rows())
 
 
 def emit_points_csv(path, points: np.ndarray, ids: list[str]) -> None:
     points = np.asarray(points, dtype=float)
     sd = points.shape[1]
-    rows = ((pid, *row.tolist()) for pid, row in zip(ids, points))
+    rows = ((pid, *row.tolist()) for pid, row in zip(map(_csv_field, ids), points))
     header = "point_id," + ",".join(f"x{i}" for i in range(1, sd + 1))
     _write_csv(path, header, "%s" + ",%.17g" * sd + "\n", rows)
 
 
 def emit_curves_csv(path, curves: dict) -> None:
     """Write experiment curves as `curve,x,y` rows, curves in name order."""
-    rows = ((curve, x, y) for curve in sorted(curves) for x, y in curves[curve])
+    rows = ((_csv_field(curve), x, y) for curve in sorted(curves) for x, y in curves[curve])
     _write_csv(path, "curve,x,y", "%s,%.17g,%.17g\n", rows)
 
 
 def emit_assignments_csv(path, ids: list[str], assignments) -> None:
-    _write_csv(path, "series_id,cluster", "%s,%d\n", zip(ids, assignments))
+    _write_csv(path, "series_id,cluster", "%s,%d\n", zip(map(_csv_field, ids), assignments))
 
 
 def emit_labels_csv(path, ids: list[str], labels) -> None:
-    _write_csv(path, "id,label", "%s,%d\n", zip(ids, labels))
+    _write_csv(path, "id,label", "%s,%d\n", zip(map(_csv_field, ids), labels))
 
 
 def write_json_document(path, doc: dict) -> None:

@@ -5,15 +5,23 @@ asked for radii widened or narrowed by a relative slack, and every point it
 cannot settle is decided by `sq_dists(...) <= r * r`, the one
 squared-distance kernel shared with the brute-force paths. Indexed, batched
 and brute-force answers therefore agree bit for bit, closed balls and ties
-included (<=, never <). Approximate neighbor answers are not allowed
-anywhere in the pipeline.
+included (<=, never <). On a line, sorted_line_counts needs no tree: each
+ball is a run of the sorted points, bisected with the same predicate.
+Approximate neighbor answers are not allowed anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GridIndex", "sq_dists", "brute_indices_within", "brute_count_within"]
+__all__ = [
+    "GridIndex",
+    "sq_dists",
+    "checked_points",
+    "sorted_line_counts",
+    "brute_indices_within",
+    "brute_count_within",
+]
 
 # Relative radius slack of the kd prefilter. The tree's own distance
 # arithmetic differs from sq_dists by a few ulps of the distance (about
@@ -32,12 +40,27 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = a[..., 0] - b[..., 0]
+    return _sum_of_squares(a[..., j] - b[..., j] for j in range(a.shape[-1]))
+
+
+def _sum_of_squares(diffs) -> np.ndarray:
+    """diff_0**2 + diff_1**2 + ..., accumulated left to right: the one order every path uses."""
+    diffs = iter(diffs)
+    diff = next(diffs)
     acc = diff * diff
-    for j in range(1, a.shape[-1]):
-        diff = a[..., j] - b[..., j]
+    for diff in diffs:
         acc += diff * diff
     return acc
+
+
+def checked_points(points) -> np.ndarray:
+    """points as a float (n, dim) array; an empty, misshapen or non-finite set is an error."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError("points must be a nonempty (n, dim) array")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite (no NaN or inf coordinates)")
+    return points
 
 
 def _checked_radius(r) -> float:
@@ -63,17 +86,39 @@ def brute_count_within(points: np.ndarray, x, r: float) -> int:
     return int(np.count_nonzero(sq_dists(points, x) <= r * r))
 
 
+def sorted_line_counts(xs: np.ndarray, r: float) -> np.ndarray:
+    """|B(xs[i], r)| for every point of an ascending 1-D array, self included.
+
+    On a line fl(x_i - x_j) is monotone in x_j, so every closed ball is one
+    run of consecutive points around i. A vectorized bisection finds how far
+    the run reaches on each side with the kernel's own predicate,
+    (x_i - x_j)**2 <= r*r, so the counts equal counts_within_all's bit for bit.
+    """
+    r = _checked_radius(r)
+    n = xs.size
+    pos = np.arange(n)
+
+    def reach(sign: int, room: np.ndarray) -> np.ndarray:
+        # ball members at steps 1..lo from i, none at step hi (room + 1 is off the end)
+        lo, hi = np.zeros(n, dtype=np.intp), room + 1
+        while np.any(hi - lo > 1):
+            mid = (lo + hi) // 2
+            diff = xs - xs[pos + sign * mid]
+            inside = diff * diff <= r * r
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
+        return lo
+
+    return 1 + reach(1, n - 1 - pos) + reach(-1, pos)
+
+
 class GridIndex:
     """Exact radius queries: a kd-tree prefilter plus the sq_dists refilter."""
 
     def __init__(self, points: np.ndarray):
         from scipy.spatial import cKDTree  # deferred: adds ~0.1 s to `import flatclust`
 
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, dim) array")
-        if not np.isfinite(points).all():
-            raise ValueError("points must be finite (no NaN or inf coordinates)")
+        points = checked_points(points)
         self.points = points
         self.dim = points.shape[1]
         self._tree = cKDTree(points)
@@ -118,8 +163,26 @@ class GridIndex:
         return self.counts_within(self.points, r)
 
     def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """All index pairs with |p_src - p_dst| <= r, src < dst, in no set order."""
+        """All index pairs with |p_src - p_dst| <= r, src < dst, in ascending (src, dst) order."""
+        src, dst, _ = self.pair_sq_dists(r)
+        return src, dst
+
+    def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, sq) of every pair within r, as pairs_within orders them.
+
+        sq holds each pair's sq_dists value, so any smaller radius r' selects
+        its own pairs exactly by `sq <= r' * r'`. The tree is asked once, the
+        pairs are sorted by the key src * n + dst, and the refilter gathers
+        one coordinate column at a time: the same rounded operations as
+        sq_dists(p[src], p[dst]), without gathering whole rows.
+        """
         r = _checked_radius(r)
-        src, dst = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray").T
-        keep = sq_dists(self.points[src], self.points[dst]) <= r * r
-        return src[keep], dst[keep]
+        n = len(self)
+        pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray").astype(np.int64, copy=False)
+        key = pairs[:, 0] * n + pairs[:, 1]
+        key.sort()
+        src, dst = np.divmod(key, n)
+        columns = np.ascontiguousarray(self.points.T)
+        sq = _sum_of_squares(col[src] - col[dst] for col in columns)
+        keep = sq <= r * r
+        return src[keep], dst[keep], sq[keep]

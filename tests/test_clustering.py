@@ -292,8 +292,10 @@ def test_parents_match_per_cluster_loop_with_empty_levels(sd):
 
 @pytest.mark.parametrize("sd", [1, 8])
 def test_cluster_tree_is_one_sweep(monkeypatch, sd):
+    # one neighbour pass: off a line one pair query yields counts and links,
+    # on a line the sort alone does, with no index at all
     calls = []
-    for name in ("__init__", "counts_within_all", "pairs_within"):
+    for name in ("__init__", "counts_within", "counts_within_all", "pairs_within", "pair_sq_dists"):
         method = getattr(GridIndex, name)
 
         def counted(self, *args, _method=method, _name=name, **kwargs):
@@ -306,8 +308,28 @@ def test_cluster_tree_is_one_sweep(monkeypatch, sd):
     pts = np.clip(centers[rng.integers(0, 3, 1000)] + rng.normal(0, 0.05, (1000, sd)), 0, 1)
     tree = cluster_tree(pts, 0.1 * np.sqrt(sd), (40, 10, 3))
     assert len(tree.levels) == 3
-    pairs = ["pairs_within"] if sd > 1 else []  # on a line, runs of core points replace pairs
-    assert sorted(calls) == sorted(["__init__", "counts_within_all", *pairs])
+    assert calls == (["__init__", "pair_sq_dists"] if sd > 1 else [])
+
+
+@pytest.mark.parametrize("sd", [1, 2, 5])
+@pytest.mark.parametrize("link_factor", [0.5, 1.0, 2.0])
+def test_cluster_tree_equals_oracle_for_any_link_radius(sd, link_factor):
+    # the one pair query runs at max(link, delta): a link radius below,
+    # at and above delta must each give the oracle's labels and parents
+    rng = np.random.default_rng(int(40 + sd + 10 * link_factor))
+    for case in range(8):
+        n = int(rng.integers(20, 150))
+        pts = rng.integers(0, 9, size=(n, sd)) * 0.1
+        pts[: n // 4] = pts[n // 4 : 2 * (n // 4)]  # duplicates
+        delta = int(rng.integers(1, 4)) * 0.1
+        link = delta * link_factor
+        ks = (9, 5, 3, 2, 1)
+        tree = cluster_tree(pts, delta, ks, link_radius=link)
+        oracle = [components_bruteforce(pts, k, delta, link_radius=link) for k in ks]
+        for level, want in zip(tree.levels, oracle):
+            assert np.array_equal(level.labeling.assignments, want.assignments), (case, level.k)
+        want_parents = [_parents(a, b) for a, b in zip(oracle[:-1], oracle[1:])] + [()]
+        assert [level.parents for level in tree.levels] == want_parents, case
 
 
 def test_non_nested_levels_raise():

@@ -137,6 +137,17 @@ class TestSeriesCsv:
             ingest_series_csv(path)
         assert caught.value.line == 3
 
+    def test_error_names_physical_line_after_multiline_id(self, tmp_path):
+        # the quoted id spans lines 2-3, so the bad time is on line 4
+        path = tmp_path / "s.csv"
+        path.write_text('series_id,time,v1\n"a\nb",0.5,0.1\nc,2.0,0.1\n')
+        with pytest.raises(ParseError, match=r"^line 4: time 2.0 outside \(0, 1\]$") as caught:
+            ingest_series_csv(path)
+        assert caught.value.line == 4
+        path.write_text('series_id,time,v1\n"a\n\nb",0.5,0.1\n\nc,0.5\n')
+        with pytest.raises(ParseError, match=r"^line 6: expected 3 fields, got 2$"):
+            ingest_series_csv(path)
+
     def test_first_offending_line_wins_across_chunks(self, tmp_path, monkeypatch):
         # a duplicate on line 4 comes before a bad field count on line 6,
         # though the chunk holding line 6 is read after the duplicate's
@@ -728,12 +739,35 @@ def test_curves_csv_bytes_match_the_inline_writer(tmp_path):
         assert (tmp_path / "l.csv").read_bytes() == want.encode("utf-8")
 
 
+@pytest.mark.parametrize("odd_id", ["a,b", 'a"b', "a\nb", "a\rb", '"', ","])
+def test_ids_that_need_quotes_round_trip(tmp_path, odd_id):
+    ids = [odd_id, "plain"]
+    raws = [RawSeries(id=sid, s=1, times=[0.5, 1.0], values=[[0.1], [0.2]]) for sid in ids]
+    emit_series_csv(tmp_path / "s.csv", raws)
+    if "\r" not in odd_id:  # ingest reads a CR, even a quoted one, as a line end
+        back = ingest_series_csv(tmp_path / "s.csv")
+        assert [(y.id, y.times.tolist(), y.values.tolist()) for y in back] == [
+            (x.id, x.times.tolist(), x.values.tolist()) for x in raws
+        ]
+    for emit, name in ((fio.emit_assignments_csv, "a.csv"), (fio.emit_labels_csv, "l.csv")):
+        emit(tmp_path / name, ids, [0, -1])
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == [[odd_id, "0"], ["plain", "-1"]]
+    fio.emit_points_csv(tmp_path / "p.csv", np.array([[0.5], [0.25]]), ids)
+    emit_curves_csv(tmp_path / "c.csv", {odd_id: [[1, 2]]})
+    for name, want in (("p.csv", [[odd_id, "0.5"], ["plain", "0.25"]]), ("c.csv", [[odd_id, "1", "2"]])):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1:] == want
+
+
 def _row_loop_ingest(path):
     """Reference ingest: one row at a time, every rule in row order."""
     reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
     s = len(next(reader)) - 2
     rows, seen = {}, set()
-    for lineno, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        lineno, end = end + 1, reader.line_num  # a row's first physical line
         if not row:
             continue
         if len(row) != s + 2:
@@ -778,7 +812,7 @@ def _series_csv(draw):
     """A series CSV text, valid or not, with the line ends and odd lines a file may hold."""
     s = draw(st.integers(1, 3))
     corrupt = draw(st.booleans())
-    ids = _IDS + ["a,b", 'q"t'] if draw(st.integers(0, 2)) == 0 else _IDS  # csv.writer quotes these
+    ids = _IDS + ["a,b", 'q"t', "l\nf"] if draw(st.integers(0, 2)) == 0 else _IDS  # csv.writer quotes these
     times, values = _TIMES, _VALUES
     if draw(st.integers(0, 2)) == 0:
         times, values = st.one_of(times, times, times, _ODD_TIMES), st.one_of(values, values, _ODD_VALUES)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from flatclust.clustering import cluster_tree, components_bruteforce, dbscan_cluster
+from flatclust.clustering import _neighbour_pass, cluster_tree, components_bruteforce, dbscan_cluster
 from flatclust.density import KdeModel, kde_counts_batch
-from flatclust.spatial import GridIndex, brute_count_within, brute_indices_within, sq_dists
+from flatclust.spatial import (
+    GridIndex,
+    brute_count_within,
+    brute_indices_within,
+    sorted_line_counts,
+    sq_dists,
+)
 
 
 def _brute_pairs(pts, r):
@@ -162,3 +168,66 @@ def test_sq_dists_shape():
         assert np.array_equal(full[i], sq_dists(p, p[i]))
     i, j = np.triu_indices(30, 1)
     assert np.array_equal(sq_dists(p[i], p[j]), full[i, j])
+
+
+def _hard_point_sets(rng, sd):
+    """Point sets built to land pairs on a ball's boundary, with radii to match.
+
+    0.1-lattice ties, exact duplicates, far outliers (up to 1e6) among unit
+    points, and clusters spaced at a tiny radius (down to 1e-7).
+    """
+    lattice = rng.integers(0, 11, size=(80, sd)) * 0.1
+    yield lattice, 0.3
+    yield lattice, 0.1
+    dup = np.repeat(rng.uniform(0.0, 1.0, size=(25, sd)), 3, axis=0)
+    yield dup, 0.2
+    yield dup, 0.0
+    out = np.vstack([rng.uniform(0.0, 1.0, size=(60, sd)), rng.uniform(-1e6, 1e6, size=(6, sd)), np.full((2, sd), 1e6)])
+    yield out, 0.25
+    yield out, 2e6
+    tiny = rng.integers(0, 4, size=(60, sd)) * 1e-7 + 0.5
+    yield tiny, 1e-7
+    yield tiny, 2e-7
+    far = rng.integers(0, 4, size=(60, sd)) * 1e-7 + 1e6
+    yield far, 1e-7
+
+
+@pytest.mark.parametrize("sd", [1, 2, 3, 8])
+def test_counts_from_one_pass_equal_every_counting_path(sd):
+    # the counts cluster_tree takes from its one pair query (or, on a line,
+    # from the sort) agree with the per-point scan and the index count
+    rng = np.random.default_rng(36 + sd)
+    for case, (pts, r) in enumerate(_hard_point_sets(rng, sd)):
+        want = np.array([brute_count_within(pts, p, r) for p in pts])
+        assert np.array_equal(GridIndex(pts).counts_within_all(r), want), (sd, case)
+        for link in (r / 2, r, 2 * r):
+            counts, _ = _neighbour_pass(pts, r, link)
+            assert np.array_equal(counts, want), (sd, case, link)
+        if sd == 1:
+            order = np.argsort(pts[:, 0], kind="stable")
+            assert np.array_equal(sorted_line_counts(pts[order, 0], r), want[order]), case
+
+
+def test_sorted_line_counts_small_cases():
+    assert sorted_line_counts(np.array([0.5]), 0.1).tolist() == [1]
+    assert sorted_line_counts(np.array([0.0, 0.0, 0.0]), 0.0).tolist() == [3, 3, 3]
+    # 0.4 - 0.1 rounds above 0.3, so the closed 0.3-ball of 0.1 misses 0.4;
+    # 0.6 - 0.3 rounds to 0.3, so the ball of 0.3 holds 0.6
+    xs = np.array([0.1, 0.3, 0.4, 0.6])
+    assert sorted_line_counts(xs, 0.3).tolist() == [2, 4, 3, 3]
+    assert sorted_line_counts(xs, 0.3).tolist() == [brute_count_within(xs[:, None], [x], 0.3) for x in xs]
+    with pytest.raises(ValueError, match="radius must be a nonnegative number"):
+        sorted_line_counts(xs, -1.0)
+
+
+def test_pairs_within_ascending_and_with_exact_sq():
+    rng = np.random.default_rng(37)
+    for sd in (2, 3, 8):
+        pts = rng.integers(0, 6, size=(150, sd)) * 0.1
+        index = GridIndex(pts)
+        src, dst = index.pairs_within(0.3)
+        key = src * pts.shape[0] + dst
+        assert src.size and np.all(np.diff(key) > 0) and np.all(src < dst)
+        s2, d2, sq = index.pair_sq_dists(0.3)
+        assert np.array_equal(s2, src) and np.array_equal(d2, dst)
+        assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))
