@@ -652,14 +652,26 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> dict:
     }
 
 
+_FLIP_TILE = 128
+
+
 def _membership_flips(
     clean: np.ndarray, est: np.ndarray, queries: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Per query: how many sample balls the estimation error moved across."""
+    """Per query: how many sample balls the estimation error moved across.
+
+    Brute force on purpose, so that it checks the indexed KDE counts. The
+    queries go through in tiles of _FLIP_TILE rows, so no (queries, n)
+    block of distances is ever built; each query's count is the same.
+    """
     r2 = delta * delta
-    in_clean = sq_dists(queries[:, None, :], clean[None, :, :]) <= r2
-    in_est = sq_dists(queries[:, None, :], est[None, :, :]) <= r2
-    return (in_clean != in_est).sum(axis=1)
+    flips = np.empty(queries.shape[0], dtype=np.intp)
+    for a in range(0, queries.shape[0], _FLIP_TILE):
+        q = queries[a : a + _FLIP_TILE, None, :]
+        in_clean = sq_dists(q, clean[None, :, :]) <= r2
+        in_est = sq_dists(q, est[None, :, :]) <= r2
+        flips[a : a + _FLIP_TILE] = (in_clean != in_est).sum(axis=1)
+    return flips
 
 
 # ---------------------------------------------------------------------------
@@ -684,22 +696,31 @@ class SymDiffConfig(Codec):
 
 
 def _sym_diff_mc(dist: float, delta: float, dim: int, budget: int, rng) -> tuple[float, float]:
-    """Rejection-sampling estimate of the symmetric-difference volume."""
+    """Rejection-sampling estimate of the symmetric-difference volume.
+
+    Each chunk draws and maps its points as rng.uniform(lo, hi, size) would,
+    lo + (hi - lo) * u, but in place over the flat array, and moves ball B's
+    centre to the origin by shifting column 0: the same bits and the same
+    generator state, without the copies. Both sums of squares stay np.einsum,
+    which pairs the terms in another order than sq_dists at some dimensions,
+    so each sum keeps its bits.
+    """
     lo = np.full(dim, -delta)
     hi = np.full(dim, delta)
     hi[0] = dist + delta
     box_vol = float(np.prod(hi - lo))
-    center_b = np.zeros(dim)
-    center_b[0] = dist
     hits = 0
     done = 0
     chunk = 250_000
     while done < budget:
         take = min(chunk, budget - done)
-        pts = rng.uniform(lo, hi, size=(take, dim))
+        pts = rng.random((take, dim))
+        flat = pts.reshape(-1)
+        flat *= np.tile(hi - lo, take)
+        flat += np.tile(lo, take)
         in_a = np.einsum("ij,ij->i", pts, pts) <= delta * delta
-        d_b = pts - center_b
-        in_b = np.einsum("ij,ij->i", d_b, d_b) <= delta * delta
+        pts[:, 0] -= dist
+        in_b = np.einsum("ij,ij->i", pts, pts) <= delta * delta
         hits += int(np.count_nonzero(in_a != in_b))
         done += take
     p = hits / budget

@@ -136,7 +136,7 @@ def ingest_series_csv(path) -> list[RawSeries]:
 
 
 def _read_text(path) -> str:
-    """The file as UTF-8 text, with CRLF and CR line ends read as LF, as text mode reads them."""
+    """The file as UTF-8 text, line ends as they are: a quoted CR belongs to its field."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -146,7 +146,7 @@ def _read_text(path) -> str:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         message = f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         raise ParseError(message, line=line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _value_columns(header: list[str]) -> int:
@@ -176,6 +176,8 @@ def _fast_rows(text: str):
     """
     if not text or any(c in text for c in _EXACT_ONLY):
         return None
+    if "\r" in text:  # with no quotes, CRLF and CR end a line as LF does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()  # the final line end
@@ -206,7 +208,7 @@ def _exact_rows(text: str):
     that has the wrong field count; error is that row's (line, message), or
     None. Blank rows are skipped.
     """
-    reader = csv.reader(StringIO(text))
+    reader = csv.reader(StringIO(text, newline=""))  # LF, CR and CRLF each end one physical line
     try:
         header = next(reader, None)
     except csv.Error as exc:

@@ -116,12 +116,26 @@ def _rows(a: np.ndarray, offsets: np.ndarray, idx: np.ndarray, m: int) -> np.nda
 
 
 def _groups(batch: SeriesBatch, gammas: np.ndarray):
-    """(series indices, sample times, gamma) for each set of series sharing both."""
+    """(series indices, sample times, gamma) for each set of series sharing both.
+
+    Groups come in the order of their first series, members ascending. When
+    all series have one length, a series whose times and gamma equal its
+    predecessor's joins it in one vectorized comparison, and only the first
+    series of each such run is keyed by its bytes.
+    """
+    n = len(batch)
+    m = batch.m
+    if n and np.all(m == m[0]):
+        rows = batch.times.reshape(n, m[0])
+        repeats = np.all(rows[1:] == rows[:-1], axis=1) & (gammas[1:] == gammas[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], ~repeats)))
+    else:
+        starts = np.arange(n)
     by_key: dict[tuple, list[int]] = {}
     o = batch.offsets.tolist()
-    for i, (a, b, gamma) in enumerate(zip(o, o[1:], gammas.tolist())):
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), n]):
         # times lie in (0, 1], so equal bytes are exactly equal values
-        by_key.setdefault((gamma, batch.times[a:b].tobytes()), []).append(i)
+        by_key.setdefault((float(gammas[a]), batch.times[o[a] : o[a + 1]].tobytes()), []).extend(range(a, b))
     for (gamma, _), members in by_key.items():
         i = members[0]
         yield np.array(members), batch.times[o[i] : o[i + 1]], gamma

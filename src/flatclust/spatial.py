@@ -6,7 +6,8 @@ cannot settle is decided by `sq_dists(...) <= r * r`, the one
 squared-distance kernel shared with the brute-force paths. Indexed, batched
 and brute-force answers therefore agree bit for bit, closed balls and ties
 included (<=, never <). On a line, sorted_line_counts needs no tree: each
-ball is a run of the sorted points, bisected with the same predicate.
+ball is a run of the sorted points, whose ends are checked, or bisected,
+with the same predicate.
 Approximate neighbor answers are not allowed anywhere in the pipeline.
 """
 
@@ -90,26 +91,38 @@ def sorted_line_counts(xs: np.ndarray, r: float) -> np.ndarray:
     """|B(xs[i], r)| for every point of an ascending 1-D array, self included.
 
     On a line fl(x_i - x_j) is monotone in x_j, so every closed ball is one
-    run of consecutive points around i. A vectorized bisection finds how far
-    the run reaches on each side with the kernel's own predicate,
-    (x_i - x_j)**2 <= r*r, so the counts equal counts_within_all's bit for bit.
+    run of consecutive points around i, and the kernel's own predicate,
+    (x_i - x_j)**2 <= r*r, holds for a prefix of the steps away from i.
+    np.searchsorted at x_i + r and x_i - r guesses where each run ends. A
+    guess is kept where the predicate holds at it and fails one step further
+    (or that step is off the end), which makes it exact. Only the rows whose
+    guess fails go through a vectorized bisection. The counts equal
+    counts_within_all's bit for bit.
     """
     r = _checked_radius(r)
     n = xs.size
     pos = np.arange(n)
 
-    def reach(sign: int, room: np.ndarray) -> np.ndarray:
-        # ball members at steps 1..lo from i, none at step hi (room + 1 is off the end)
-        lo, hi = np.zeros(n, dtype=np.intp), room + 1
+    def inside(rows: np.ndarray, steps: np.ndarray, sign: int) -> np.ndarray:
+        diff = xs[rows] - xs[rows + sign * steps]
+        return diff * diff <= r * r
+
+    def reach(sign: int, room: np.ndarray, guess: np.ndarray) -> np.ndarray:
+        ok = inside(pos, guess, sign) & ((guess == room) | ~inside(pos, np.minimum(guess + 1, room), sign))
+        rows = np.nonzero(~ok)[0]
+        # ball members at steps 1..lo from rows, none at step hi (room + 1 is off the end)
+        lo, hi = np.zeros(rows.size, dtype=np.intp), room[rows] + 1
         while np.any(hi - lo > 1):
             mid = (lo + hi) // 2
-            diff = xs - xs[pos + sign * mid]
-            inside = diff * diff <= r * r
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-        return lo
+            within = inside(rows, mid, sign)
+            lo = np.where(within, mid, lo)
+            hi = np.where(within, hi, mid)
+        guess[rows] = lo
+        return guess
 
-    return 1 + reach(1, n - 1 - pos) + reach(-1, pos)
+    right = np.searchsorted(xs, xs + r, "right") - 1 - pos
+    left = pos - np.searchsorted(xs, xs - r, "left")
+    return 1 + reach(1, n - 1 - pos, right) + reach(-1, pos, left)
 
 
 class GridIndex:

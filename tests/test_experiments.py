@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -18,6 +19,8 @@ from flatclust.experiments import (
     SandwichConfig,
     SmoothingRateConfig,
     SymDiffConfig,
+    _membership_flips,
+    _sym_diff_mc,
     compensating_differential,
     compensating_experiment,
     experiment_names,
@@ -31,6 +34,7 @@ from flatclust.experiments import (
     smoothing_rate_experiment,
     sym_diff_mc_experiment,
 )
+from flatclust.spatial import sq_dists
 from flatclust.synthetic import (
     Bump1D,
     ClusterTemplate,
@@ -172,6 +176,19 @@ class TestNoisyKdeGap:
         assert r.checks["gap_le_zprime_eps_over_delta"]
         assert r.checks["gap_nonincreasing_le_1_inversion"]
 
+    @pytest.mark.parametrize("queries", [1, 127, 128, 129, 300])
+    def test_membership_flips_equal_the_dense_count(self, queries):
+        rng = np.random.default_rng(910 + queries)
+        clean = rng.integers(0, 11, size=(200, 2)) * 0.1  # lattice ties on the ball boundaries
+        est = clean + rng.uniform(-0.05, 0.05, size=clean.shape)
+        q = np.vstack([rng.integers(0, 11, size=(queries - queries // 2, 2)) * 0.1, rng.uniform(0, 1, (queries // 2, 2))])
+        est[0], q[0] = clean[0] + [0.05, 0.0], clean[0] - [0.17, 0.0]  # point 0 leaves query 0's ball
+        r2 = 0.2 * 0.2
+        want = ((sq_dists(q[:, None], clean[None]) <= r2) != (sq_dists(q[:, None], est[None]) <= r2)).sum(axis=1)
+        got = _membership_flips(clean, est, q, 0.2)
+        assert want[0] > 0
+        assert np.array_equal(got, want)
+
     def test_rejects_rungs_at_or_below_d(self):
         fam = lipschitz_family(d=32, eps_bar=0.02)
         with pytest.raises(ValueError, match="exceed"):
@@ -189,6 +206,37 @@ class TestSymDiff:
     def test_rejects_large_dims(self):
         with pytest.raises(ValueError):
             sym_diff_mc_experiment(SymDiffConfig(dims=(7,)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_mc_is_the_uniform_draw_bit_for_bit(self, dim):
+        # 250_001 crosses a chunk; dist 0 and near 2*delta are the extremes of the box
+        for budget in (1, 7, 100_000, 250_001):
+            for dist in (0.0, 2 * 0.7 * (1 - 1e-12)):
+                want_rng, got_rng = np.random.default_rng(911), np.random.default_rng(911)
+                want = _uniform_sym_diff_mc(dist, 0.7, dim, budget, want_rng)
+                assert _sym_diff_mc(dist, 0.7, dim, budget, got_rng) == want, (budget, dist)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _uniform_sym_diff_mc(dist, delta, dim, budget, rng):
+    """_sym_diff_mc as first written, with rng.uniform and a shifted copy for ball B: the reference."""
+    lo = np.full(dim, -delta)
+    hi = np.full(dim, delta)
+    hi[0] = dist + delta
+    box_vol = float(np.prod(hi - lo))
+    center_b = np.zeros(dim)
+    center_b[0] = dist
+    hits = done = 0
+    while done < budget:
+        take = min(250_000, budget - done)
+        pts = rng.uniform(lo, hi, size=(take, dim))
+        in_a = np.einsum("ij,ij->i", pts, pts) <= delta * delta
+        d_b = pts - center_b
+        in_b = np.einsum("ij,ij->i", d_b, d_b) <= delta * delta
+        hits += int(np.count_nonzero(in_a != in_b))
+        done += take
+    p = hits / budget
+    return p * box_vol, math.sqrt(max(p * (1.0 - p), 1e-12) / budget) * box_vol
 
 
 class TestGridResolution:
@@ -268,6 +316,19 @@ class TestRegistry:
         spec = single_bump_mixture_1d().to_dict()
         r = run_experiment("sandwich", {"n": 128, "trials": 2, "seed": 4, "mixture": spec})
         assert r.name == "sandwich"
+
+    def test_reports_keep_their_pinned_bytes(self):
+        """Every experiment at a small scale, seed 1: its report document hashes to the pinned digest.
+
+        sym_diff_mc's budget of 250_001 crosses a Monte Carlo chunk. The
+        digests were taken with the numpy and scipy versions stored beside them.
+        """
+        pinned = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())
+        versions = f"pinned with numpy {pinned['numpy']}, scipy {pinned['scipy']}"
+        assert sorted(pinned["reports"]) == experiment_names()
+        for name, pin in pinned["reports"].items():
+            doc = json.dumps(run_experiment(name, pin["config"]).to_document(), sort_keys=True)
+            assert hashlib.sha256(doc.encode()).hexdigest() == pin["sha256"], (name, versions)
 
     def test_all_defaults_construct(self):
         """Default and benchmark-scaled configs echo their pinned bytes and round-trip."""

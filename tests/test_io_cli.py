@@ -163,6 +163,23 @@ class TestSeriesCsv:
         (series,) = ingest_series_csv(path)
         assert series.m == 2
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_errors_name_the_physical_line_whatever_the_line_end(self, tmp_path, ending):
+        path = tmp_path / "s.csv"
+        # no quotes, so the fast path reads the rows; the bad time is on line 4
+        path.write_bytes(ending.join(["series_id,time,v1", "a,0.5,0.1", "a,1.0,0.2", "b,1.5,0.3", ""]).encode())
+        with pytest.raises(ParseError, match=r"^line 4: time 1.5 outside") as caught:
+            ingest_series_csv(path)
+        assert caught.value.line == 4
+        # a quoted id keeps its line end and spans lines 3-4, so the bad time is on line 6
+        rows = ["series_id,time,v1", "a,0.5,0.1", f'"q{ending}r",0.5,0.1', "b,0.5,0.2", "b,1.5,0.3", ""]
+        path.write_bytes(ending.join(rows).encode())
+        with pytest.raises(ParseError, match=r"^line 6: time 1.5 outside") as caught:
+            ingest_series_csv(path)
+        assert caught.value.line == 6
+        path.write_bytes(ending.join(rows[:-2] + [""]).encode())
+        assert [y.id for y in ingest_series_csv(path)] == ["a", f"q{ending}r", "b"]
+
     def test_emit_ingest_round_trip_is_exact(self, tmp_path):
         fam = jump_family()
         raws, _, _ = sample_raw_series(fam, 5, 17, seed=12)
@@ -744,11 +761,10 @@ def test_ids_that_need_quotes_round_trip(tmp_path, odd_id):
     ids = [odd_id, "plain"]
     raws = [RawSeries(id=sid, s=1, times=[0.5, 1.0], values=[[0.1], [0.2]]) for sid in ids]
     emit_series_csv(tmp_path / "s.csv", raws)
-    if "\r" not in odd_id:  # ingest reads a CR, even a quoted one, as a line end
-        back = ingest_series_csv(tmp_path / "s.csv")
-        assert [(y.id, y.times.tolist(), y.values.tolist()) for y in back] == [
-            (x.id, x.times.tolist(), x.values.tolist()) for x in raws
-        ]
+    back = ingest_series_csv(tmp_path / "s.csv")
+    assert [(y.id, y.times.tolist(), y.values.tolist()) for y in back] == [
+        (x.id, x.times.tolist(), x.values.tolist()) for x in raws
+    ]
     for emit, name in ((fio.emit_assignments_csv, "a.csv"), (fio.emit_labels_csv, "l.csv")):
         emit(tmp_path / name, ids, [0, -1])
         with open(tmp_path / name, newline="", encoding="utf-8") as fh:
@@ -762,7 +778,7 @@ def test_ids_that_need_quotes_round_trip(tmp_path, odd_id):
 
 def _row_loop_ingest(path):
     """Reference ingest: one row at a time, every rule in row order."""
-    reader = csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8")))
+    reader = csv.reader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
     s = len(next(reader)) - 2
     rows, seen = {}, set()
     end = reader.line_num
@@ -812,7 +828,7 @@ def _series_csv(draw):
     """A series CSV text, valid or not, with the line ends and odd lines a file may hold."""
     s = draw(st.integers(1, 3))
     corrupt = draw(st.booleans())
-    ids = _IDS + ["a,b", 'q"t', "l\nf"] if draw(st.integers(0, 2)) == 0 else _IDS  # csv.writer quotes these
+    ids = _IDS + ["a,b", 'q"t', "l\nf", "c\rr"] if draw(st.integers(0, 2)) == 0 else _IDS  # csv.writer quotes these
     times, values = _TIMES, _VALUES
     if draw(st.integers(0, 2)) == 0:
         times, values = st.one_of(times, times, times, _ODD_TIMES), st.one_of(values, values, _ODD_VALUES)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from flatclust.series import RawSeries, SeriesBatch, grid_times
 from flatclust.smoothing import (
     EmptyWindowWarning,
+    _groups,
     estimate_grid_series,
     gamma_schedule,
     kernel_le,
@@ -206,7 +207,36 @@ def _irregular_series(rng, n, s):
     return out
 
 
+def _hashed_groups(batch, gammas):
+    """Every series keyed by (gamma, the bytes of its times), groups in first-appearance order: the reference."""
+    by_key = {}
+    o = batch.offsets.tolist()
+    for i, (a, b, gamma) in enumerate(zip(o, o[1:], gammas.tolist())):
+        by_key.setdefault((gamma, batch.times[a:b].tobytes()), []).append(i)
+    return [(members, times, gamma) for (gamma, times), members in by_key.items()]
+
+
 class TestSmoothBatch:
+    @pytest.mark.parametrize("case", ["shared", "a_b_a", "ragged", "gammas_differ"])
+    def test_groups_are_the_hashed_groups(self, case):
+        rng = np.random.default_rng(44)
+        a, b = np.arange(1, 33) / 32, np.sort(rng.uniform(1e-3, 1.0, 32))
+        gammas = np.full(9, 0.1)
+        if case == "shared":
+            schedules = [a] * 9
+        elif case == "a_b_a":  # a repeat that does not follow its first run still joins it
+            schedules = [a, a, b, b, b, a, b, a, a]
+        elif case == "ragged":
+            schedules = [a, a, b[:20], b[:20], a, b[:20], b[:31], a, b[:31]]
+        else:
+            schedules = [a] * 9
+            gammas = np.array([0.1, 0.1, 0.2, 0.2, 0.1, 0.3, 0.1, 0.2, 0.2])
+        raws = [RawSeries(id=f"g{i}", s=1, times=t, values=np.full((t.size, 1), 0.5)) for i, t in enumerate(schedules)]
+        batch = SeriesBatch.from_series(raws)
+        got = [(members.tolist(), times.tobytes(), gamma) for members, times, gamma in _groups(batch, gammas)]
+        assert got == _hashed_groups(batch, gammas)
+        assert len(got) == {"shared": 1, "a_b_a": 2, "ragged": 3, "gammas_differ": 3}[case]
+
     @pytest.mark.parametrize("s", [1, 3])
     @pytest.mark.parametrize("d", [1, 4, 7])
     def test_bit_identical_to_per_slot_loop_on_uniform_times(self, s, d):

@@ -220,6 +220,30 @@ def test_sorted_line_counts_small_cases():
         sorted_line_counts(xs, -1.0)
 
 
+def _line_cases(rng):
+    """Sorted lines whose searchsorted run ends are off by a step, with those that are not."""
+    lattice = np.sort(rng.integers(0, 11, 80) * 0.1)
+    yield lattice, 0.3  # x + 0.3 rounds past points that (x - y)**2 <= 0.09 keeps out, and the reverse
+    yield lattice, 0.2
+    yield lattice, 0.0
+    yield np.sort(np.concatenate([rng.uniform(0, 1, 60), [-1e6, -1e6 + 1e-7, 1e6, 1e6]])), 1e-7
+    yield np.sort(rng.integers(0, 4, 60) * 1e-7 + 1e6), 1e-7  # 1e6 + 1e-7 rounds to a neighbour
+    yield np.full(7, 0.3), 0.0
+    yield np.full(7, 0.3), 0.5
+    yield np.array([0.5]), 0.1
+
+
+def test_sorted_line_counts_exact_where_searchsorted_guesses_wrong():
+    rng = np.random.default_rng(38)
+    wrong = 0
+    for case, (xs, r) in enumerate(_line_cases(rng)):
+        guess = np.searchsorted(xs, xs + r, "right") - np.searchsorted(xs, xs - r, "left")
+        want = np.array([brute_count_within(xs[:, None], [x], r) for x in xs])
+        wrong += int(np.count_nonzero(guess != want))
+        assert np.array_equal(sorted_line_counts(xs, r), want), case
+    assert wrong > 50  # the guesses alone would fail
+
+
 def test_pairs_within_ascending_and_with_exact_sq():
     rng = np.random.default_rng(37)
     for sd in (2, 3, 8):
