@@ -160,6 +160,8 @@ def main(argv=None) -> int:
         return _fail(1, "invalid-argument", str(exc))
     except OSError as exc:
         return _fail(1, "io-error", str(exc))
+    except MemoryError as exc:  # such as numpy refusing an array larger than the address space
+        return _fail(1, "out-of-memory", str(exc))
 
 
 if __name__ == "__main__":

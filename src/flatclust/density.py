@@ -9,7 +9,6 @@ common constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,35 +28,23 @@ __all__ = [
 ]
 
 
-@dataclass
 class KdeModel:
     """A sample of flattened points with bandwidth delta and a spatial index."""
 
-    points: np.ndarray
-    delta: float
-    sd: int = field(init=False)
-    n: int = field(init=False)
+    def __init__(self, points, delta: float):
+        pts = flat_array(points)
+        if not delta > 0:
+            raise ValueError(f"delta must be positive, got {delta!r}")
+        self.index = GridIndex(pts)
+        self.points = self.index.points
+        self.n, self.sd = self.points.shape
+        self.delta = delta
+        self.normalizer = _normalizer(self.n, delta, self.sd)
 
-    def __post_init__(self):
-        pts = flat_array(self.points)
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("need at least one point")
-        self.points = pts
-        self.n = pts.shape[0]
-        self.sd = pts.shape[1]
-        self._norm = self.n * self.delta**self.sd * ball_volume(self.sd)
-        self._index = GridIndex(pts)
 
-    @property
-    def index(self) -> GridIndex:
-        return self._index
-
-    @property
-    def normalizer(self) -> float:
-        """n * delta^sd * v_sd, the constant dividing every ball count."""
-        return self._norm
+def _normalizer(n: int, delta: float, sd: int) -> float:
+    """n * delta^sd * v_sd, the constant dividing every ball count."""
+    return n * delta**sd * ball_volume(sd)
 
 
 def kde_eval(model: KdeModel, x) -> float:
@@ -102,12 +89,12 @@ def delta_schedule(n: int, sd: int, scale: float = 1.0) -> float:
 
 def lambda_of_k(k: float, n: int, delta: float, sd: int) -> float:
     """Density level corresponding to a neighbor-count threshold k."""
-    return k / (n * delta**sd * ball_volume(sd))
+    return k / _normalizer(n, delta, sd)
 
 
 def k_of_lambda(lam: float, n: int, delta: float, sd: int) -> float:
     """Neighbor-count threshold corresponding to a density level lambda."""
-    return lam * n * delta**sd * ball_volume(sd)
+    return lam * _normalizer(n, delta, sd)
 
 
 def evaluation_lattice(

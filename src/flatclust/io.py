@@ -414,8 +414,6 @@ def run_smooth(cfg: PipelineConfig, series: list[RawSeries]) -> list[GridSeries]
     for sr in series:
         if sr.s != cfg.s:
             raise ValueError(f"series {sr.id!r} has s={sr.s}, config expects {cfg.s}")
-        if sr.m <= cfg.d:
-            raise ValueError(f"series {sr.id!r} has m={sr.m} <= d={cfg.d}; need m > d")
     batch = SeriesBatch.from_series(series, s=cfg.s)
     gammas = [_resolve_gamma(cfg, m) for m in batch.m.tolist()]
     return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, gammas))
@@ -456,9 +454,8 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
     points = flatten(np.stack([g.values for g in grids]))
     n, sd = points.shape
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
-    link = 2.0 * delta if cfg.link_radius is None else float(cfg.link_radius)
     k = _resolve_k(cfg, n, delta, sd)
-    labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=link)
+    labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=cfg.link_radius)
     gammas = {sr.id: _resolve_gamma(cfg, sr.m) for sr in series}
     manifest = {
         "config": cfg.to_dict(),
@@ -468,18 +465,12 @@ def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
             "gamma": gammas,
             "k": k,
             "lambda_of_k": lambda_of_k(k, n, delta, sd),
-            "link_radius": link,
+            "link_radius": labeling.link_radius,
             "sd": sd,
         },
     }
-    out = {
-        "ids": ids,
-        "assignments": labeling.assignments,
-        "labeling": labeling,
-        "manifest": manifest,
-        "tree": None,
-    }
+    out = {"ids": ids, "assignments": labeling.assignments, "manifest": manifest, "tree": None}
     if cfg.k_ladder is not None:
-        tree = cluster_tree(points, delta, cfg.k_ladder, link_radius=link)
+        tree = cluster_tree(points, delta, cfg.k_ladder, link_radius=cfg.link_radius)
         out["tree"] = _tree_document(tree, ids, n, sd)
     return out

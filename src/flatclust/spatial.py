@@ -175,14 +175,10 @@ class GridIndex:
         """Neighbor counts |B(p_i, r)| for every indexed point (self included)."""
         return self.counts_within(self.points, r)
 
-    def pairs_within(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """All index pairs with |p_src - p_dst| <= r, src < dst, in ascending (src, dst) order."""
-        src, dst, _ = self.pair_sq_dists(r)
-        return src, dst
-
     def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, sq) of every pair within r, as pairs_within orders them.
+        """(src, dst, sq) of every index pair with |p_src - p_dst| <= r.
 
+        Each pair is listed once, src < dst, in ascending (src, dst) order.
         sq holds each pair's sq_dists value, so any smaller radius r' selects
         its own pairs exactly by `sq <= r' * r'`. The tree is asked once, the
         pairs are sorted by the key src * n + dst, and the refilter gathers

@@ -69,21 +69,16 @@ class Bump1D:
         return (4.0 if self.kind == "triangular" else 6.0) / self.width**2
 
     def pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.lo) / self.width
-        inside = (z >= 0.0) & (z <= 1.0)
+        return self.pdf_in_z((np.asarray(x, dtype=float) - self.lo) / self.width)
+
+    def pdf_in_z(self, z):
+        """Density (in x units) at box coordinate z; 0 outside [0, 1]."""
+        z = np.asarray(z, dtype=float)
         if self.kind == "triangular":
             core = 4.0 * np.minimum(z, 1.0 - z)
         else:
             core = 6.0 * z * (1.0 - z)
-        return np.where(inside, core, 0.0) / self.width
-
-    def pdf_in_z(self, z: float) -> float:
-        """Density (in x units) at box coordinate z."""
-        if not 0.0 <= z <= 1.0:
-            return 0.0
-        if self.kind == "triangular":
-            return 4.0 * min(z, 1.0 - z) / self.width
-        return 6.0 * z * (1.0 - z) / self.width
+        return np.where((z >= 0.0) & (z <= 1.0), core, 0.0) / self.width
 
     def ppf(self, u):
         """Inverse CDF, exact; maps [0,1] onto [lo, hi]."""
@@ -108,13 +103,16 @@ class _ComponentDocument(Codec):
 
 @dataclass(frozen=True)
 class MixtureComponent(Codec):
-    """Product of per-coordinate bumps over an axis-aligned support box."""
+    """Product of per-coordinate bumps of one kind over an axis-aligned support box."""
 
     bumps: tuple[Bump1D, ...]
 
     def __post_init__(self):
         if len(self.bumps) == 0:
             raise ValueError("component needs at least one coordinate bump")
+        kinds = sorted({b.kind for b in self.bumps})
+        if len(kinds) > 1:
+            raise ValueError(f"a component's bumps must share one kind, got {kinds}")
         for b in self.bumps:
             if b.lo < 0.0 or b.hi > 1.0:
                 raise ValueError(f"support [{b.lo}, {b.hi}] leaves [0, 1]")
@@ -174,6 +172,15 @@ class MixtureComponent(Codec):
             return cls(bumps=tuple(Bump1D(lo, hi, c.kind) for lo, hi in c.box))
 
 
+def _check_weights(weights, count: int, part: str) -> None:
+    """One weight per part, all nonnegative and summing to 1."""
+    if len(weights) != count:
+        raise ValueError(f"one weight per {part} required")
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must be nonnegative and sum to 1")
+
+
 def _box_distance(a: np.ndarray, b: np.ndarray) -> float:
     gaps = np.maximum(0.0, np.maximum(a[:, 0] - b[:, 1], b[:, 0] - a[:, 1]))
     return float(np.sqrt(np.sum(gaps * gaps)))
@@ -197,11 +204,7 @@ class MixtureSpec(Codec):
     def __post_init__(self):
         if len(self.components) == 0:
             raise ValueError("mixture needs at least one component")
-        if len(self.weights) != len(self.components):
-            raise ValueError("one weight per component required")
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        _check_weights(self.weights, len(self.components), "component")
         sd = self.components[0].sd
         if any(c.sd != sd for c in self.components):
             raise ValueError("all components must share one dimension")
@@ -422,11 +425,7 @@ class FunctionFamilySpec(Codec):
     def __post_init__(self):
         if len(self.clusters) == 0:
             raise ValueError("family needs at least one cluster template")
-        if len(self.weights) != len(self.clusters):
-            raise ValueError("one weight per cluster required")
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        _check_weights(self.weights, len(self.clusters), "cluster")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.eps_bar < 0.0:
@@ -467,16 +466,14 @@ class FunctionFamilySpec(Codec):
             return math.inf
         grid = grid_times(self.d)
         centers = [c.eval(grid) for c in self.clusters]
+        slack = [
+            c.offset_jitter + c.amp_jitter * max(abs(comp.amp) + abs(comp.slope) for comp in c.components)
+            for c in self.clusters
+        ]
         best = math.inf
         for i in range(self.C):
             for j in range(i + 1, self.C):
-                slack_i = self.clusters[i].offset_jitter + self.clusters[i].amp_jitter * max(
-                    abs(comp.amp) + abs(comp.slope) for comp in self.clusters[i].components
-                )
-                slack_j = self.clusters[j].offset_jitter + self.clusters[j].amp_jitter * max(
-                    abs(comp.amp) + abs(comp.slope) for comp in self.clusters[j].components
-                )
-                gap = float(np.max(np.abs(centers[i] - centers[j]))) - slack_i - slack_j
+                gap = float(np.max(np.abs(centers[i] - centers[j]))) - slack[i] - slack[j]
                 best = min(best, gap)
         return best
 

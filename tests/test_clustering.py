@@ -295,7 +295,7 @@ def test_cluster_tree_is_one_sweep(monkeypatch, sd):
     # one neighbour pass: off a line one pair query yields counts and links,
     # on a line the sort alone does, with no index at all
     calls = []
-    for name in ("__init__", "counts_within", "counts_within_all", "pairs_within", "pair_sq_dists"):
+    for name in ("__init__", "counts_within", "counts_within_all", "pair_sq_dists"):
         method = getattr(GridIndex, name)
 
         def counted(self, *args, _method=method, _name=name, **kwargs):

@@ -34,6 +34,13 @@ class TestKdeEval:
         # query at 0 sees itself and the point at exactly delta (closed ball)
         assert kde_eval(model, [0.0]) == pytest.approx(1.0 / (3.0 * delta), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "points", [np.empty((0, 2)), np.empty(0), np.zeros((2, 2, 2))], ids=["no-rows", "empty", "3-d"]
+    )
+    def test_points_must_be_a_nonempty_matrix(self, points):
+        with pytest.raises(ValueError, match=r"^points must be a nonempty \(n, dim\) array$"):
+            KdeModel(points, delta=0.1)
+
     def test_dimension_mismatch(self):
         model = KdeModel(np.array([[0.5, 0.5]]), delta=0.2)
         with pytest.raises(ValueError):

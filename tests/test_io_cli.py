@@ -261,6 +261,39 @@ class TestRunCluster:
         with pytest.raises(ValueError, match="stub"):
             run_cluster(cfg, raws + [truncated])
 
+    @pytest.mark.parametrize(
+        "odd, message",
+        [
+            (
+                lambda sr: RawSeries("odd", 2, sr.times, np.hstack([sr.values, sr.values])),
+                "series 'odd' has s=2, config expects 1",
+            ),
+            (
+                lambda sr: RawSeries("odd", 1, sr.times[:4], sr.values[:4]),
+                "series 'odd' has m=4 <= d=4; need m > d",
+            ),
+        ],
+        ids=["s-mismatch", "m-not-above-d"],
+    )
+    def test_refused_series_messages(self, odd, message):
+        raws, _, _ = self._series(n=3, m=24)
+        with pytest.raises(ValueError) as info:
+            run_cluster(PipelineConfig(s=1, d=4, delta=0.1, k=2), raws + [odd(raws[1])])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("link_radius, want", [(None, 0.2), (0.15, 0.15)], ids=["default", "configured"])
+    def test_manifest_link_radius(self, link_radius, want):
+        raws, _, _ = self._series()
+        cfg = PipelineConfig(s=1, d=4, delta=0.1, k=3, k_ladder=(8, 3), link_radius=link_radius)
+        result = run_cluster(cfg, raws)
+        assert result["manifest"]["resolved"]["link_radius"] == want
+        assert result["tree"]["link_radius"] == want
+
+    def test_result_keys(self):
+        raws, _, _ = self._series()
+        result = run_cluster(PipelineConfig(s=1, d=4, delta=0.1, k=3), raws)
+        assert sorted(result) == ["assignments", "ids", "manifest", "tree"]
+
     def test_tree_document_structure(self):
         raws, _, _ = self._series()
         cfg = PipelineConfig(s=1, d=4, delta=0.1, k=3, k_ladder=(8, 3, 1))
@@ -639,6 +672,27 @@ def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, messag
     payload = json.loads(err)
     assert payload == {"error": "invalid-argument", "message": message}
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"spec": _MIXTURE, "n": 10**15},
+        {"spec": {**lipschitz_family().to_dict(), "d": 10**14}},
+    ],
+    ids=["mixture-n", "family-d"],
+)
+def test_synth_beyond_the_address_space_is_one_json_error(tmp_path, capsys, document):
+    # numpy refuses an array larger than the address space at once, so nothing is allocated
+    path = tmp_path / "doc.json"
+    write_json_document(path, document)
+    rc = main(["synth", "--spec", str(path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "out-of-memory"
+    assert payload["message"].startswith("Unable to allocate")
 
 
 def _spread_family():

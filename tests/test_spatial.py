@@ -31,7 +31,7 @@ def test_rejects_bad_inputs():
         lambda pts, r: GridIndex(pts).count_within(pts[0], r),
         lambda pts, r: GridIndex(pts).counts_within(pts[:3], r),
         lambda pts, r: GridIndex(pts).counts_within_all(r),
-        lambda pts, r: GridIndex(pts).pairs_within(r),
+        lambda pts, r: GridIndex(pts).pair_sq_dists(r),
         lambda pts, r: brute_indices_within(pts, pts[0], r),
         lambda pts, r: brute_count_within(pts, pts[0], r),
     ],
@@ -40,7 +40,7 @@ def test_rejects_bad_inputs():
         "count_within",
         "counts_within",
         "counts_within_all",
-        "pairs_within",
+        "pair_sq_dists",
         "brute_indices_within",
         "brute_count_within",
     ],
@@ -96,7 +96,8 @@ def test_boundary_ties_are_included_identically():
         assert np.array_equal(got, want)
     assert index.count_within(np.zeros(2), 0.3) == 2  # self plus the tie at 0.3
     assert index.count_within(np.zeros(2), 0.5) == 3  # (0.3, 0) and (0, 0.4) both closed
-    assert set(zip(*map(np.ndarray.tolist, index.pairs_within(0.5)))) == {(0, 1), (0, 2), (1, 2)}
+    src, dst, _ = index.pair_sq_dists(0.5)
+    assert set(zip(src.tolist(), dst.tolist())) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_counts_within_all_matches_per_point_queries():
@@ -109,7 +110,7 @@ def test_counts_within_all_matches_per_point_queries():
         index = GridIndex(pts)
         want = np.array([brute_count_within(pts, p, r) for p in pts])
         assert np.array_equal(index.counts_within_all(r), want)
-        src, dst = index.pairs_within(r)
+        src, dst, _ = index.pair_sq_dists(r)
         assert np.all(src < dst)
         assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, r)
         assert src.size == (want.sum() - n) // 2
@@ -148,7 +149,7 @@ def test_lattice_ties_every_path_agrees(sd):
         assert np.array_equal(index.counts_within_all(r), counts[:n]), (sd, case)
         assert np.array_equal(index.counts_within(queries, r), counts), (sd, case)
         assert np.array_equal(kde_counts_batch(KdeModel(pts, r), queries), counts), (sd, case)
-        src, dst = index.pairs_within(r)
+        src, dst, _ = index.pair_sq_dists(r)
         assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, r), (sd, case)
         k = int(rng.integers(1, 6))
         link = r * int(rng.integers(1, 3))
@@ -244,14 +245,12 @@ def test_sorted_line_counts_exact_where_searchsorted_guesses_wrong():
     assert wrong > 50  # the guesses alone would fail
 
 
-def test_pairs_within_ascending_and_with_exact_sq():
+def test_pair_sq_dists_ascending_and_with_exact_sq():
     rng = np.random.default_rng(37)
     for sd in (2, 3, 8):
         pts = rng.integers(0, 6, size=(150, sd)) * 0.1
-        index = GridIndex(pts)
-        src, dst = index.pairs_within(0.3)
+        src, dst, sq = GridIndex(pts).pair_sq_dists(0.3)
         key = src * pts.shape[0] + dst
         assert src.size and np.all(np.diff(key) > 0) and np.all(src < dst)
-        s2, d2, sq = index.pair_sq_dists(0.3)
-        assert np.array_equal(s2, src) and np.array_equal(d2, dst)
+        assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, 0.3)
         assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -91,6 +92,13 @@ class TestMixtureSpec:
         with pytest.raises(ValueError):
             MixtureComponent(bumps=(Bump1D(-0.1, 0.4),))
 
+    def test_component_bumps_share_one_kind(self):
+        # the component document holds one kind for all coordinates
+        with pytest.raises(ValueError, match=r"bumps must share one kind, got \['quadratic', 'triangular'\]"):
+            MixtureComponent(bumps=(Bump1D(0.1, 0.4, "quadratic"), Bump1D(0.5, 0.9)))
+        comp = MixtureComponent(bumps=(Bump1D(0.1, 0.4, "quadratic"), Bump1D(0.5, 0.9, "quadratic")))
+        assert MixtureComponent.from_dict(comp.to_dict()) == comp
+
     def test_density_outside_box_is_zero(self):
         spec = two_bump_mixture_1d()
         assert spec.density(np.array([0.5])) == 0.0
@@ -146,6 +154,24 @@ class TestMixtureSpec:
         assert back == spec
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((1.0,), "one weight per {part} required"),
+        ((1.5, -0.5), "weights must be nonnegative and sum to 1"),
+        ((0.5, 0.4), "weights must be nonnegative and sum to 1"),
+    ],
+    ids=["count", "negative", "sum"],
+)
+@pytest.mark.parametrize(
+    "spec, part", [(two_bump_mixture_1d(), "component"), (lipschitz_family(), "cluster")], ids=["mixture", "family"]
+)
+def test_weights_messages(spec, part, weights, message):
+    with pytest.raises(ValueError) as info:
+        dataclasses.replace(spec, weights=weights)
+    assert str(info.value) == message.format(part=part)
+
+
 class TestSampleFlat:
     def test_single_component_labels(self):
         pts, labels = single_bump_mixture_1d().sample(50, seed=1)
@@ -187,7 +213,7 @@ class TestSampleFlat:
     def test_two_dim_product_sampling(self):
         spec = MixtureSpec(
             components=(
-                MixtureComponent(bumps=(Bump1D(0.1, 0.4, "quadratic"), Bump1D(0.5, 0.9))),
+                MixtureComponent(bumps=(Bump1D(0.1, 0.4, "quadratic"), Bump1D(0.5, 0.9, "quadratic"))),
             ),
             weights=(1.0,),
         )
