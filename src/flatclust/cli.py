@@ -103,19 +103,21 @@ def _cmd_synth(args) -> int:
     if isinstance(spec, dict) and kind not in ("mixture", "function_family"):
         return _fail(2, "config-error", f"spec.kind must be mixture or function_family, got {kind!r}")
     synth = SynthDocument.from_dict(doc)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if isinstance(synth.spec, MixtureSpec):
         points, labels = synth.spec.sample(synth.n, synth.seed)
         ids = [f"p{i:06d}" for i in range(synth.n)]
+    else:
+        m = 4 * synth.spec.d if synth.m is None else synth.m
+        raws, labels, grids = sample_raw_series(synth.spec, synth.n, m, synth.seed)
+        ids = [r.id for r in raws]
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    if isinstance(synth.spec, MixtureSpec):
         fio.emit_points_csv(outdir / "points.csv", points, ids)
-        fio.emit_labels_csv(outdir / "labels.csv", ids, labels)
-        return 0
-    m = 4 * synth.spec.d if synth.m is None else synth.m
-    raws, labels, grids = sample_raw_series(synth.spec, synth.n, m, synth.seed)
-    fio.emit_series_csv(outdir / "series.csv", raws)
-    fio.emit_series_csv(outdir / "grid_truth.csv", grids)
-    fio.emit_labels_csv(outdir / "labels.csv", [r.id for r in raws], labels)
+    else:
+        fio.emit_series_csv(outdir / "series.csv", raws)
+        fio.emit_series_csv(outdir / "grid_truth.csv", grids)
+    fio.emit_labels_csv(outdir / "labels.csv", ids, labels)
     return 0
 
 

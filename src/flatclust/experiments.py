@@ -32,7 +32,7 @@ from .density import (
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume
 from .series import flatten, grid_times
 from .smoothing import gamma_schedule, smooth_batch
-from .spatial import sq_dists
+from .spatial import _sum_of_squares
 from .synthetic import (
     ClusterTemplate,
     FunctionFamilySpec,
@@ -652,7 +652,7 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> dict:
     }
 
 
-_FLIP_TILE = 128
+_FLIP_TILE = 64
 
 
 def _membership_flips(
@@ -661,16 +661,26 @@ def _membership_flips(
     """Per query: how many sample balls the estimation error moved across.
 
     Brute force on purpose, so that it checks the indexed KDE counts. The
-    queries go through in tiles of _FLIP_TILE rows, so no (queries, n)
-    block of distances is ever built; each query's count is the same.
+    queries go through in tiles of _FLIP_TILE rows, whose distances to every
+    point are summed by spatial._sum_of_squares into buffers made once, one
+    contiguous coordinate column at a time: the bits of sq_dists, without
+    an array allocated per tile.
     """
     r2 = delta * delta
+    q_cols = np.ascontiguousarray(queries.T)[:, :, None]
+    sides = [np.ascontiguousarray(pts.T) for pts in (clean, est)]
+    shape = (min(_FLIP_TILE, queries.shape[0]), clean.shape[0])
+    sq, diff = np.empty(shape), np.empty(shape)
+    in_clean, in_est = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     flips = np.empty(queries.shape[0], dtype=np.intp)
     for a in range(0, queries.shape[0], _FLIP_TILE):
-        q = queries[a : a + _FLIP_TILE, None, :]
-        in_clean = sq_dists(q, clean[None, :, :]) <= r2
-        in_est = sq_dists(q, est[None, :, :]) <= r2
-        flips[a : a + _FLIP_TILE] = (in_clean != in_est).sum(axis=1)
+        k = min(_FLIP_TILE, queries.shape[0] - a)
+        for cols, inside in zip(sides, (in_clean, in_est)):
+            diffs = (np.subtract(q, p, out=diff[:k]) for q, p in zip(q_cols[:, a : a + k], cols))
+            _sum_of_squares(diffs, sq[:k])
+            np.less_equal(sq[:k], r2, out=inside[:k])
+        np.not_equal(in_clean[:k], in_est[:k], out=in_clean[:k])
+        flips[a : a + k] = np.count_nonzero(in_clean[:k], axis=1)
     return flips
 
 

@@ -44,14 +44,20 @@ def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _sum_of_squares(a[..., j] - b[..., j] for j in range(a.shape[-1]))
 
 
-def _sum_of_squares(diffs) -> np.ndarray:
-    """diff_0**2 + diff_1**2 + ..., accumulated left to right: the one order every path uses."""
-    diffs = iter(diffs)
-    diff = next(diffs)
-    acc = diff * diff
-    for diff in diffs:
-        acc += diff * diff
-    return acc
+def _sum_of_squares(diffs, out: np.ndarray | None = None) -> np.ndarray:
+    """diff_0**2 + diff_1**2 + ..., accumulated left to right: the one order every path uses.
+
+    Each diff is squared in place. Given out, a buffer of the broadcast
+    shape, the sum is written there; with diffs written into one reused
+    buffer, a whole sum allocates nothing, and its bits are the same.
+    """
+    for j, diff in enumerate(diffs):
+        if j == 0:
+            out = np.multiply(diff, diff, out=out)
+        else:
+            diff *= diff
+            out += diff
+    return out
 
 
 def checked_points(points) -> np.ndarray:

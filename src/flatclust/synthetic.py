@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import Codec, prefixed
-from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views, grid_times
+from .series import GridSeries, RawSeries, SeriesBatch, _unchecked, grid_series_views, grid_times
 
 __all__ = [
     "Bump1D",
@@ -312,22 +312,6 @@ class TemplateComponent(Codec):
         if self.jump_time is not None and not 0.0 < self.jump_time < 1.0:
             raise ValueError("jump_time must lie strictly inside (0, 1)")
 
-    def base(self, t, amp_scale: float = 1.0):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "sine":
-            return self.offset + amp_scale * self.amp * np.sin(
-                2.0 * math.pi * (self.freq * t + self.phase)
-            )
-        if self.kind == "linear":
-            return self.offset + amp_scale * self.slope * t
-        return self.offset + np.zeros_like(t)
-
-    def eval(self, t, amp_scale: float = 1.0, offset_shift: float = 0.0):
-        out = self.base(t, amp_scale) + offset_shift
-        if self.jump_time is not None:
-            out = out + self.jump_size * (np.asarray(t, dtype=float) >= self.jump_time)
-        return out
-
     def lipschitz(self, amp_scale: float = 1.0) -> float:
         """Slope bound on every continuous segment."""
         if self.kind == "sine":
@@ -382,15 +366,12 @@ class ClusterTemplate(Codec):
         call with one row.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        amp_scales = np.ones(self.s) if amp_scales is None else np.asarray(amp_scales)
-        offset_shifts = np.zeros(self.s) if offset_shifts is None else np.asarray(offset_shifts)
-        return np.stack(
-            [
-                c.eval(t, amp_scale=amp_scales[..., j, None], offset_shift=offset_shifts[..., j, None])
-                for j, c in enumerate(self.components)
-            ],
-            axis=-1,
-        )
+        amp_scales = np.ones(self.s) if amp_scales is None else np.asarray(amp_scales, dtype=float)
+        offset_shifts = np.zeros(self.s) if offset_shifts is None else np.asarray(offset_shifts, dtype=float)
+        scales, shifts = np.broadcast_arrays(np.atleast_2d(amp_scales), np.atleast_2d(offset_shifts))
+        out = np.empty((scales.shape[0], t.size, self.s))
+        _Paths((self,), t).fill(out, np.zeros(out.shape[0], dtype=np.intp), scales, shifts)
+        return out if max(amp_scales.ndim, offset_shifts.ndim) == 2 else out[0]
 
     def range_ok(self) -> bool:
         for c in self.components:
@@ -404,6 +385,53 @@ class ClusterTemplate(Codec):
         scales = rng.uniform(1.0 - self.amp_jitter, 1.0 + self.amp_jitter, size=self.s)
         shifts = rng.uniform(-self.offset_jitter, self.offset_jitter, size=self.s)
         return scales, shifts
+
+
+class _Paths:
+    """Templates at fixed times t, for writing jittered paths into rows of an array.
+
+    The one owner of the path formula: ClusterTemplate.eval and the batch
+    sampler both fill through it.
+    """
+
+    def __init__(self, templates: tuple[ClusterTemplate, ...], t: np.ndarray):
+        comps = [(c, j, comp) for c, template in enumerate(templates) for j, comp in enumerate(template.components)]
+        C, s = len(templates), templates[0].s
+        self.curves = np.empty((C, t.size, s))
+        self.coefs = np.empty((C, s))
+        self.offsets = np.empty((C, s))
+        for c, j, comp in comps:
+            # the unit curve and the coefficient an amp scale multiplies
+            if comp.kind == "sine":
+                self.curves[c, :, j] = np.sin(2.0 * math.pi * (comp.freq * t + comp.phase))
+                self.coefs[c, j] = comp.amp
+            elif comp.kind == "linear":
+                self.curves[c, :, j] = t
+                self.coefs[c, j] = comp.slope
+            else:
+                self.curves[c, :, j] = 0.0
+                self.coefs[c, j] = 0.0
+            self.offsets[c, j] = comp.offset
+        self.jumps = [
+            (c, j, comp.jump_size * (t >= comp.jump_time)) for c, j, comp in comps if comp.jump_time is not None
+        ]
+
+    def fill(self, out: np.ndarray, labels: np.ndarray, amp_scales: np.ndarray, offset_shifts: np.ndarray) -> None:
+        """out[i] = templates[labels[i]] at t under amp_scales[i] and offset_shifts[i].
+
+        out is (k, len(t), s), the jitter arrays (k, s). Each value is
+        rounded step by step as Python evaluates `offset + amp_scale * coef
+        * curve + offset_shift + jump`: the curve times (amp_scale * coef),
+        plus the offset, plus the shift, plus the jump term where the
+        component has a jump.
+        """
+        # mode="clip" (labels are in range anyway): "raise" would stage out in a copy
+        np.take(self.curves, labels, axis=0, out=out, mode="clip")
+        out *= (amp_scales * self.coefs[labels])[:, None, :]
+        out += self.offsets[labels][:, None, :]
+        out += offset_shifts[:, None, :]
+        for c, j, term in self.jumps:
+            np.add(out[..., j], term, out=out[..., j], where=(labels == c)[:, None])
 
 
 @dataclass(frozen=True)
@@ -496,41 +524,46 @@ def _sample_batch(
     `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
     [amp scales s | offset shifts s | noise m*s] from one bulk `random`
     draw, mapped by `low + (high - low) * u` as `uniform` maps it, so the
-    values are bit-identical to that loop's.
+    values are bit-identical to that loop's. Each chunk's draw is mapped in
+    place, and its paths are filled straight into the batch's arrays.
     """
     n = labels.size
     s = templates[0].s
     times = np.arange(1, m + 1) / m
     noisy = eps_bar > 0
     width = 2 * s + (m * s if noisy else 0)
+    # draw_jitter's (amp scale, offset shift) bounds per template, shaped (C, 2, 1) for (k, 2, s) draws
+    jitter_lo = np.array([[1.0 - t.amp_jitter, -t.offset_jitter] for t in templates])[:, :, None]
+    jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
+    paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(d))
     values = np.empty((n * m, s))  # owns its data, so the batch keeps it without a copy
     blocks = values.reshape(n, m, s)
     grid = np.empty((n, d, s))
     for start in range(0, n, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, n)
+        chunk_labels = labels[start:stop]
         u = rng.random((stop - start) * width).reshape(stop - start, width)
-        for c, template in enumerate(templates):
-            rows = np.nonzero(labels[start:stop] == c)[0]
-            if rows.size == 0:
-                continue
-            lo, hi = 1.0 - template.amp_jitter, 1.0 + template.amp_jitter
-            scales = lo + (hi - lo) * u[rows, :s]
-            lo, hi = -template.offset_jitter, template.offset_jitter
-            shifts = lo + (hi - lo) * u[rows, s : 2 * s]
-            block = template.eval(times, scales, shifts)
-            if noisy:
-                lo, hi = -eps_bar, eps_bar
-                block = block + (lo + (hi - lo) * u[rows, 2 * s :]).reshape(-1, m, s)
-            blocks[start + rows] = block
-            grid[start + rows] = template.eval(grid_times(d), scales, shifts)
+        jitter = u[:, : 2 * s].reshape(-1, 2, s)
+        jitter *= jitter_width[chunk_labels]
+        jitter += jitter_lo[chunk_labels]
+        paths.fill(blocks[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
+        grid_paths.fill(grid[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
+        if noisy:
+            noise, lo, hi = u[:, 2 * s :], -eps_bar, eps_bar
+            noise *= hi - lo
+            noise += lo
+            blocks[start:stop] += noise.reshape(-1, m, s)
     all_times = np.empty(n * m)
     all_times.reshape(n, m)[:] = times
-    for a in (values, all_times):
-        a.setflags(write=False)  # handed to the batch without a copy
-    batch = SeriesBatch(
-        ids=[f"series{i:05d}" for i in range(n)],
+    offsets = np.arange(n + 1) * m
+    for a in (values, all_times, offsets):
+        a.setflags(write=False)  # a batch keeps read-only arrays, here without a copy
+    # unchecked: every series has the times j/m (m > d >= 1) and (m, s) values by construction
+    batch = _unchecked(
+        SeriesBatch,
+        ids=tuple(f"series{i:05d}" for i in range(n)),
         s=s,
-        offsets=np.arange(n + 1) * m,
+        offsets=offsets,
         times=all_times,
         values=values,
     )

@@ -19,6 +19,7 @@ from flatclust.experiments import (
     SandwichConfig,
     SmoothingRateConfig,
     SymDiffConfig,
+    _FLIP_TILE,
     _membership_flips,
     _sym_diff_mc,
     compensating_differential,
@@ -176,18 +177,24 @@ class TestNoisyKdeGap:
         assert r.checks["gap_le_zprime_eps_over_delta"]
         assert r.checks["gap_nonincreasing_le_1_inversion"]
 
-    @pytest.mark.parametrize("queries", [1, 127, 128, 129, 300])
+    # tile edges: T - 1, T, T + 1 and 2T - 1, 2T, 2T + 1 for the tile of T = 64 queries
+    @pytest.mark.parametrize("queries", [1, 63, 64, 65, 127, 128, 129, 300])
     def test_membership_flips_equal_the_dense_count(self, queries):
-        rng = np.random.default_rng(910 + queries)
-        clean = rng.integers(0, 11, size=(200, 2)) * 0.1  # lattice ties on the ball boundaries
-        est = clean + rng.uniform(-0.05, 0.05, size=clean.shape)
-        q = np.vstack([rng.integers(0, 11, size=(queries - queries // 2, 2)) * 0.1, rng.uniform(0, 1, (queries // 2, 2))])
-        est[0], q[0] = clean[0] + [0.05, 0.0], clean[0] - [0.17, 0.0]  # point 0 leaves query 0's ball
-        r2 = 0.2 * 0.2
-        want = ((sq_dists(q[:, None], clean[None]) <= r2) != (sq_dists(q[:, None], est[None]) <= r2)).sum(axis=1)
-        got = _membership_flips(clean, est, q, 0.2)
-        assert want[0] > 0
-        assert np.array_equal(got, want)
+        assert _FLIP_TILE == 64
+        for sd in (2, 1, 3, 8):
+            rng = np.random.default_rng(910 + queries if sd == 2 else [910 + queries, sd])
+            clean = rng.integers(0, 11, size=(200, sd)) * 0.1  # lattice ties on the ball boundaries
+            est = clean + rng.uniform(-0.05, 0.05, size=clean.shape)
+            q = np.vstack(
+                [rng.integers(0, 11, size=(queries - queries // 2, sd)) * 0.1, rng.uniform(0, 1, (queries // 2, sd))]
+            )
+            step = np.eye(sd)[0]
+            est[0], q[0] = clean[0] + 0.05 * step, clean[0] - 0.17 * step  # point 0 leaves query 0's ball
+            r2 = 0.2 * 0.2
+            want = ((sq_dists(q[:, None], clean[None]) <= r2) != (sq_dists(q[:, None], est[None]) <= r2)).sum(axis=1)
+            got = _membership_flips(clean, est, q, 0.2)
+            assert want[0] > 0, sd
+            assert np.array_equal(got, want), sd
 
     def test_rejects_rungs_at_or_below_d(self):
         fam = lipschitz_family(d=32, eps_bar=0.02)

@@ -693,6 +693,19 @@ def test_synth_beyond_the_address_space_is_one_json_error(tmp_path, capsys, docu
     payload = json.loads(err)
     assert payload["error"] == "out-of-memory"
     assert payload["message"].startswith("Unable to allocate")
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_that_fails_while_sampling_writes_no_directory(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    write_json_document(path, {"spec": lipschitz_family(d=4).to_dict(), "m": 4})
+    rc = main(["synth", "--spec", str(path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "invalid-argument",
+        "message": "need m > d, got m=4, d=4",
+    }
+    assert not (tmp_path / "o").exists()
 
 
 def _spread_family():

@@ -5,6 +5,7 @@ from flatclust.clustering import _neighbour_pass, cluster_tree, components_brute
 from flatclust.density import KdeModel, kde_counts_batch
 from flatclust.spatial import (
     GridIndex,
+    _sum_of_squares,
     brute_count_within,
     brute_indices_within,
     sorted_line_counts,
@@ -169,6 +170,21 @@ def test_sq_dists_shape():
         assert np.array_equal(full[i], sq_dists(p, p[i]))
     i, j = np.triu_indices(30, 1)
     assert np.array_equal(sq_dists(p[i], p[j]), full[i, j])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_sq_dists_keeps_its_bits_through_the_shared_kernel(dim):
+    rng = np.random.default_rng(36 + dim)
+    a, b = rng.uniform(-1.0, 1.0, size=(40, dim)), rng.uniform(-1.0, 1.0, size=(25, dim))
+    want = (a[:, None, 0] - b[None, :, 0]) * (a[:, None, 0] - b[None, :, 0])
+    for j in range(1, dim):
+        want += (a[:, None, j] - b[None, :, j]) * (a[:, None, j] - b[None, :, j])
+    assert np.array_equal(sq_dists(a[:, None], b[None]), want)
+    out, diff = np.full((40, 25), np.nan), np.full((40, 25), np.nan)
+    cols = zip(np.ascontiguousarray(a.T)[:, :, None], np.ascontiguousarray(b.T))
+    assert _sum_of_squares((np.subtract(p, q, out=diff) for p, q in cols), out) is out
+    assert np.array_equal(out, want)
+    assert np.array_equal(sq_dists(a[3], b[4]), want[3, 4])
 
 
 def _hard_point_sets(rng, sd):

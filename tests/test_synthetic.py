@@ -19,6 +19,7 @@ from flatclust.synthetic import (
     jump_family,
     lipschitz_family,
     sample_raw_series,
+    _sample_batch,
     sample_series_batch,
     single_bump_mixture_1d,
     two_bump_mixture_1d,
@@ -226,8 +227,9 @@ class TestSampleFlat:
 class TestTemplates:
     def test_eval_shapes_and_jump(self):
         t = TemplateComponent(kind="constant", offset=0.4, jump_time=0.55, jump_size=0.3)
-        out = t.eval(np.array([0.5, 0.55, 0.6]))
-        assert np.allclose(out, [0.4, 0.7, 0.7])
+        out = ClusterTemplate(components=(t,)).eval(np.array([0.5, 0.55, 0.6]))
+        assert out.shape == (3, 1)
+        assert np.allclose(out[:, 0], [0.4, 0.7, 0.7])
 
     def test_lipschitz_values(self):
         assert TemplateComponent(kind="sine", amp=0.2, freq=2.0).lipschitz() == pytest.approx(
@@ -342,6 +344,20 @@ class TestGridResolutionTemplates:
         assert np.max(np.abs(a.eval(fine) - b.eval(fine))) > 0.2
 
 
+def _reference_component(c, t, amp_scale, offset_shift):
+    """One template component at times t, written out in full: the formula the sampler must round as."""
+    if c.kind == "sine":
+        out = c.offset + amp_scale * c.amp * np.sin(2.0 * math.pi * (c.freq * t + c.phase))
+    elif c.kind == "linear":
+        out = c.offset + amp_scale * c.slope * t
+    else:
+        out = c.offset + np.zeros_like(t)
+    out = out + offset_shift
+    if c.jump_time is not None:
+        out = out + c.jump_size * (t >= c.jump_time)
+    return out
+
+
 def _per_series_draws(templates, labels, m, d, eps_bar, rng):
     """The per-series sampling loop the batch sampler must reproduce bit for bit."""
     times = np.arange(1, m + 1) / m
@@ -352,7 +368,7 @@ def _per_series_draws(templates, labels, m, d, eps_bar, rng):
 
         def at(t):
             return np.column_stack(
-                [c.eval(t, amp_scale=scales[j], offset_shift=shifts[j]) for j, c in enumerate(template.components)]
+                [_reference_component(c, t, scales[j], shifts[j]) for j, c in enumerate(template.components)]
             )
 
         noise = rng.uniform(-eps_bar, eps_bar, size=(m, template.s)) if eps_bar > 0 else 0.0
@@ -361,13 +377,74 @@ def _per_series_draws(templates, labels, m, d, eps_bar, rng):
     return np.stack(values), np.stack(grid)
 
 
+def _two_sine_family():
+    """Three two-component sinusoid clusters with phases and both jitters, s = 2 (a tree-workload family)."""
+
+    def template(o1, o2, phase):
+        return ClusterTemplate(
+            components=(
+                TemplateComponent(kind="sine", offset=o1, amp=0.1, freq=0.5, phase=phase),
+                TemplateComponent(kind="sine", offset=o2, amp=0.1, freq=0.5, phase=phase + 0.25),
+            ),
+            offset_jitter=0.06,
+            amp_jitter=0.5,
+        )
+
+    return FunctionFamilySpec(
+        clusters=(template(0.22, 0.5, 0.0), template(0.5, 0.78, 0.5), template(0.78, 0.22, 0.25)),
+        weights=(1 / 3, 1 / 3, 1 / 3),
+        d=4,
+        eps_bar=0.05,
+    )
+
+
+def _mixed_family():
+    """Linear, constant and sine components, with jumps of both signs in only some templates."""
+    return FunctionFamilySpec(
+        clusters=(
+            ClusterTemplate(
+                components=(
+                    TemplateComponent(kind="linear", offset=0.1, slope=0.2),
+                    TemplateComponent(kind="constant", offset=0.3, jump_time=0.55, jump_size=0.2),
+                ),
+                offset_jitter=0.02,
+                amp_jitter=0.3,
+            ),
+            ClusterTemplate(
+                components=(
+                    TemplateComponent(kind="constant", offset=0.6, amp=0.4),
+                    TemplateComponent(kind="sine", offset=0.7, amp=0.1, freq=2.0, phase=0.3),
+                ),
+                offset_jitter=0.01,
+            ),
+            ClusterTemplate(
+                components=(
+                    TemplateComponent(kind="sine", offset=0.85, amp=0.05, jump_time=0.3, jump_size=-0.1),
+                    TemplateComponent(kind="linear", offset=0.4, slope=-0.1),
+                ),
+                amp_jitter=0.2,
+            ),
+        ),
+        weights=(0.2, 0.5, 0.3),
+        d=3,
+        eps_bar=0.01,
+    )
+
+
 class TestBatchSampler:
     @pytest.mark.parametrize(
         "family",
-        [lipschitz_family(d=4, eps_bar=0.05), jump_family(), gap_family(), lipschitz_family(d=3, eps_bar=0.0)],
-        ids=["lipschitz", "jump", "gap", "eps_bar_0"],
+        [
+            lipschitz_family(d=4, eps_bar=0.05),
+            jump_family(),
+            gap_family(),
+            lipschitz_family(d=3, eps_bar=0.0),
+            _two_sine_family(),
+            _mixed_family(),
+        ],
+        ids=["lipschitz", "jump", "gap", "eps_bar_0", "two_sine", "mixed"],
     )
-    @pytest.mark.parametrize("n, m", [(1, 9), (64, 17), (150, 40)])
+    @pytest.mark.parametrize("n, m", [(1, 9), (64, 17), (150, 40), (65, 17), (129, 33)])
     def test_bit_identical_to_per_series_draws(self, family, n, m):
         seed = 1000 + n + m
         rng = np.random.default_rng(seed)
@@ -381,7 +458,42 @@ class TestBatchSampler:
         assert np.array_equal(batch.times, np.tile(np.arange(1, m + 1) / m, n))
         assert batch.ids == tuple(f"series{i:05d}" for i in range(n))
 
+        # the generator is left where the loop leaves it
+        rng_batch = np.random.default_rng(seed)
+        rng_batch.choice(family.C, size=n, p=np.asarray(family.weights, dtype=float))
+        _sample_batch(family.clusters, labels, m, family.d, family.eps_bar, rng_batch)
+        assert rng_batch.random() == rng.random()
+
         raws, raw_labels, grids = sample_raw_series(family, n, m, seed)
         assert np.array_equal(raw_labels, labels)
         assert all(np.array_equal(r.values, v) for r, v in zip(raws, want_values))
         assert all(np.array_equal(g.values, v) for g, v in zip(grids, want_grid))
+
+
+def test_batch_sampler_with_a_template_missing_from_a_chunk():
+    # the first chunk holds only template 0, the second also 1 and 2, the third only 2
+    family = _mixed_family()
+    labels = np.concatenate([np.zeros(64, dtype=np.intp), np.arange(64) % 3, np.full(5, 2)])
+    want_values, want_grid = _per_series_draws(family.clusters, labels, 20, family.d, family.eps_bar, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    batch, grid = _sample_batch(family.clusters, labels, 20, family.d, family.eps_bar, rng)
+    assert np.array_equal(batch.values.reshape(labels.size, 20, family.s), want_values)
+    assert np.array_equal(grid, want_grid)
+
+
+@pytest.mark.parametrize("family", [_two_sine_family(), _mixed_family(), jump_family()], ids=["two_sine", "mixed", "jump"])
+def test_template_eval_is_the_written_out_formula(family):
+    t = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(17)
+    for template in family.clusters:
+        scales, shifts = rng.uniform(0.5, 1.5, (3, template.s)), rng.uniform(-0.05, 0.05, (3, template.s))
+        got = template.eval(t, scales, shifts)
+        assert got.shape == (3, t.size, template.s)
+        for k in range(3):
+            want = np.column_stack(
+                [_reference_component(c, t, scales[k, j], shifts[k, j]) for j, c in enumerate(template.components)]
+            )
+            assert np.array_equal(got[k], want)
+            assert np.array_equal(template.eval(t, scales[k], shifts[k]), want)
+        plain = np.column_stack([_reference_component(c, t, 1.0, 0.0) for c in template.components])
+        assert np.array_equal(template.eval(t), plain)
