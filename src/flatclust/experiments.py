@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._ufuncs import row_loops
 from .clustering import cluster_tree, dbscan_cluster, hartigan_disjoint
 from .codec import Codec
 from .density import (
@@ -673,14 +674,15 @@ def _membership_flips(
     sq, diff = np.empty(shape), np.empty(shape)
     in_clean, in_est = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     flips = np.empty(queries.shape[0], dtype=np.intp)
-    for a in range(0, queries.shape[0], _FLIP_TILE):
-        k = min(_FLIP_TILE, queries.shape[0] - a)
-        for cols, inside in zip(sides, (in_clean, in_est)):
-            diffs = (np.subtract(q, p, out=diff[:k]) for q, p in zip(q_cols[:, a : a + k], cols))
-            _sum_of_squares(diffs, sq[:k])
-            np.less_equal(sq[:k], r2, out=inside[:k])
-        np.not_equal(in_clean[:k], in_est[:k], out=in_clean[:k])
-        flips[a : a + k] = np.count_nonzero(in_clean[:k], axis=1)
+    with row_loops(clean.shape[0]):  # each query's row of differences is one inner loop
+        for a in range(0, queries.shape[0], _FLIP_TILE):
+            k = min(_FLIP_TILE, queries.shape[0] - a)
+            for cols, inside in zip(sides, (in_clean, in_est)):
+                diffs = (np.subtract(q, p, out=diff[:k]) for q, p in zip(q_cols[:, a : a + k], cols))
+                _sum_of_squares(diffs, sq[:k])
+                np.less_equal(sq[:k], r2, out=inside[:k])
+            np.not_equal(in_clean[:k], in_est[:k], out=in_clean[:k])
+            flips[a : a + k] = np.count_nonzero(in_clean[:k], axis=1)
     return flips
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ufuncs import row_loops
 from .codec import Codec, prefixed
 from .series import GridSeries, RawSeries, SeriesBatch, _unchecked, grid_series_views, grid_times
 
@@ -427,9 +428,13 @@ class _Paths:
         """
         # mode="clip" (labels are in range anyway): "raise" would stage out in a copy
         np.take(self.curves, labels, axis=0, out=out, mode="clip")
-        out *= (amp_scales * self.coefs[labels])[:, None, :]
-        out += self.offsets[labels][:, None, :]
-        out += offset_shifts[:, None, :]
+        scales, offsets = amp_scales * self.coefs[labels], self.offsets[labels]
+        for j in range(out.shape[2]):
+            # component j of every row as one (k, len(t)) block, with per-row operands
+            col = out[:, :, j]
+            col *= scales[:, j, None]
+            col += offsets[:, j, None]
+            col += offset_shifts[:, j, None]
         for c, j, term in self.jumps:
             np.add(out[..., j], term, out=out[..., j], where=(labels == c)[:, None])
 
@@ -539,20 +544,23 @@ def _sample_batch(
     values = np.empty((n * m, s))  # owns its data, so the batch keeps it without a copy
     blocks = values.reshape(n, m, s)
     grid = np.empty((n, d, s))
-    for start in range(0, n, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, n)
-        chunk_labels = labels[start:stop]
-        u = rng.random((stop - start) * width).reshape(stop - start, width)
-        jitter = u[:, : 2 * s].reshape(-1, 2, s)
-        jitter *= jitter_width[chunk_labels]
-        jitter += jitter_lo[chunk_labels]
-        paths.fill(blocks[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
-        grid_paths.fill(grid[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
-        if noisy:
-            noise, lo, hi = u[:, 2 * s :], -eps_bar, eps_bar
-            noise *= hi - lo
-            noise += lo
-            blocks[start:stop] += noise.reshape(-1, m, s)
+    with row_loops(m):
+        for start in range(0, n, SAMPLE_CHUNK):
+            stop = min(start + SAMPLE_CHUNK, n)
+            chunk_labels = labels[start:stop]
+            draw = rng.random((stop - start) * width)
+            u = draw.reshape(stop - start, width)
+            jitter = u[:, : 2 * s].reshape(-1, 2, s)
+            jitter *= jitter_width[chunk_labels]
+            jitter += jitter_lo[chunk_labels]
+            paths.fill(blocks[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
+            grid_paths.fill(grid[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
+            if noisy:
+                # mapped as one flat run: the jitter columns it also maps are spent
+                lo, hi = -eps_bar, eps_bar
+                draw *= hi - lo
+                draw += lo
+                blocks[start:stop] += u[:, 2 * s :].reshape(-1, m, s)
     all_times = np.empty(n * m)
     all_times.reshape(n, m)[:] = times
     offsets = np.arange(n + 1) * m
