@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import betainc as scipy_betainc
 
 from flatclust.experiments import (
     GAP_Z_PRIME,
@@ -20,6 +22,7 @@ from flatclust.experiments import (
     SmoothingRateConfig,
     SymDiffConfig,
     _FLIP_TILE,
+    _MC_CHUNK,
     _membership_flips,
     _sym_diff_mc,
     compensating_differential,
@@ -35,6 +38,7 @@ from flatclust.experiments import (
     smoothing_rate_experiment,
     sym_diff_mc_experiment,
 )
+from flatclust.geometry import RegimeWarning, ball_sym_diff_bound, ball_sym_diff_volume, ball_volume
 from flatclust.spatial import sq_dists
 from flatclust.synthetic import (
     Bump1D,
@@ -216,13 +220,97 @@ class TestSymDiff:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_mc_is_the_uniform_draw_bit_for_bit(self, dim):
-        # 250_001 crosses a chunk; dist 0 and near 2*delta are the extremes of the box
-        for budget in (1, 7, 100_000, 250_001):
+        # budgets on both sides of one chunk, and 250_001, which crosses the
+        # reference's chunk and ends in a partial one of both; dist 0 and near
+        # 2*delta are the extremes of the box
+        for budget in (1, 7, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 100_000, 250_001):
             for dist in (0.0, 2 * 0.7 * (1 - 1e-12)):
                 want_rng, got_rng = np.random.default_rng(911), np.random.default_rng(911)
                 want = _uniform_sym_diff_mc(dist, 0.7, dim, budget, want_rng)
                 assert _sym_diff_mc(dist, 0.7, dim, budget, got_rng) == want, (budget, dist)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_mc_keeps_the_einsum_sums_on_the_spheres(self, dim):
+        """Points on both spheres, where summing the squares in column order moves some across one.
+
+        Random points almost never fall within an ulp of a sphere, so only
+        these can tell two orders of the sum apart: the count must still be
+        the einsum reference's. Dims 1 and 2 have only one order.
+        """
+        dist, delta, n = 0.3, 0.7, _MC_CHUNK + 1000
+        lo, hi = np.full(dim, -delta), np.full(dim, delta)
+        hi[0] = dist + delta
+        on = np.random.default_rng(dim).standard_normal((n, dim))
+        on *= delta / np.linalg.norm(on, axis=1, keepdims=True)
+        on[n // 2 :, 0] += dist  # the second half on ball B's sphere
+        u = (on - lo) / (hi - lo)
+        pts = lo + (hi - lo) * u
+        moved = 0
+        for centre in (0.0, dist):
+            pts[:, 0] -= centre
+            in_order = np.cumsum(pts * pts, axis=1)[:, -1] <= delta * delta
+            moved += np.count_nonzero(in_order != (np.einsum("ij,ij->i", pts, pts) <= delta * delta))
+        assert moved > 0
+        want = _uniform_sym_diff_mc(dist, delta, dim, n, _Replay(u))
+        assert _sym_diff_mc(dist, delta, dim, n, _Replay(u)) == want
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_array_geometry_is_the_per_pair_calls_bit_for_bit(self, dim):
+        """The experiment's own pairs: one array call equals a scalar call per pair and the written-out formula.
+
+        Doubled, the first 500 shifts also cross delta (and some 2*delta), where
+        the bound warns: the array call warns when a scalar call does.
+        """
+        rng = np.random.default_rng([SymDiffConfig().seed, dim])
+        deltas = rng.uniform(0.3, 1.2, size=10_000)
+        dists = rng.uniform(0.05, 1.0, size=10_000) * deltas
+        for eps, delta, outside in ((dists, deltas, False), (2.0 * dists[:500], deltas[:500], True)):
+            pairs = list(zip(eps.tolist(), delta.tolist()))
+            with warnings.catch_warnings(record=True) as scalar_warnings:
+                warnings.simplefilter("always")
+                want_exact = [ball_sym_diff_volume(e, d, dim) for e, d in pairs]
+                want_bound = [ball_sym_diff_bound(e, d, dim) for e, d in pairs]
+            with warnings.catch_warnings(record=True) as array_warnings:
+                warnings.simplefilter("always")
+                got_exact = ball_sym_diff_volume(eps, delta, dim)
+                got_bound = ball_sym_diff_bound(eps, delta, dim)
+            assert got_exact.tobytes() == np.array(want_exact).tobytes()
+            assert got_bound.tobytes() == np.array(want_bound).tobytes()
+            assert got_exact.tobytes() == np.array([_python_sym_diff(e, d, dim) for e, d in pairs]).tobytes()
+            assert got_bound.tobytes() == np.array([2.0**dim * d ** (dim - 1) * e for e, d in pairs]).tobytes()
+            for caught in (scalar_warnings, array_warnings):
+                assert {w.category for w in caught} == ({RegimeWarning} if outside else set())
+
+
+class _Replay:
+    """A generator stand-in that hands out fixed uniforms, through random(out=...) or uniform(lo, hi, size)."""
+
+    def __init__(self, u):
+        self.flat = u.reshape(-1)
+        self.used = 0
+
+    def _next(self, count):
+        self.used += count
+        return self.flat[self.used - count : self.used]
+
+    def random(self, *, out):
+        out.reshape(-1)[:] = self._next(out.size)
+        return out
+
+    def uniform(self, lo, hi, size):
+        return lo + (hi - lo) * self._next(math.prod(size)).reshape(size)
+
+
+def _python_sym_diff(dist, delta, dim):
+    """ball_sym_diff_volume as first written, in Python floats: the reference for its bits."""
+    full = 2.0 * delta**dim * ball_volume(dim)
+    if dist == 0.0:
+        return 0.0
+    if dist >= 2.0 * delta:
+        return full
+    u = (dist * dist) / (4.0 * delta * delta)
+    return full * float(scipy_betainc(0.5, 0.5 * (dim + 1), u))
 
 
 def _uniform_sym_diff_mc(dist, delta, dim, budget, rng):
@@ -327,8 +415,9 @@ class TestRegistry:
     def test_reports_keep_their_pinned_bytes(self):
         """Every experiment at a small scale, seed 1: its report document hashes to the pinned digest.
 
-        sym_diff_mc's budget of 250_001 crosses a Monte Carlo chunk. The
-        digests were taken with the numpy and scipy versions stored beside them.
+        sym_diff_mc's budget of 250_001 crosses Monte Carlo chunks and ends in
+        a partial one. The digests were taken with the numpy and scipy
+        versions stored beside them.
         """
         pinned = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())
         versions = f"pinned with numpy {pinned['numpy']}, scipy {pinned['scipy']}"
@@ -385,6 +474,8 @@ class TestConfigChecks:
             ("compensating", {"n_values": [1000, 2]}, "n_values must be a nonempty list of integers >= 3"),
             ("compensating", {"s_values": [0]}, "s_values must be a nonempty list of integers >= 1, got [0]"),
             ("compensating", {"d_values": []}, "d_values must be a nonempty list of integers >= 1, got []"),
+            ("sym_diff_mc", {"mc_pairs_per_dim": 0}, "mc_pairs_per_dim must be >= 1, got 0"),
+            ("sym_diff_mc", {"mc_pairs_per_dim": -3}, "mc_pairs_per_dim must be >= 1, got -3"),
         ],
     )
     def test_bad_value_refused_when_built(self, name, overrides, message):

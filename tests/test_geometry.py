@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +53,22 @@ class TestBallVolume:
         with pytest.raises(ValueError):
             ball_volume(dim)
 
+    @pytest.mark.parametrize("dim", [True, 3.0, np.float64(3.0), "3"])
+    def test_rejects_non_integral_dim(self, dim):
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            ball_volume(dim)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int32, np.int64, np.uint16])
+    def test_accepts_numpy_integer_dims(self, kind):
+        for dim in (1, 3, 21):
+            assert type(ball_volume(kind(dim))) is float
+            assert ball_volume(kind(dim)) == ball_volume(dim)
+            assert log_ball_volume(kind(dim)) == log_ball_volume(dim)
+        assert ball_sym_diff_volume(0.3, 0.7, kind(3)) == ball_sym_diff_volume(0.3, 0.7, 3)
+        assert ball_sym_diff_bound(0.3, 0.7, kind(3)) == ball_sym_diff_bound(0.3, 0.7, 3)
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            ball_volume(kind(0))
+
 
 class TestRegIncBeta:
     def test_uniform_cdf(self):
@@ -93,6 +111,18 @@ class TestRegIncBeta:
         assert reg_inc_beta(x, a, b) == pytest.approx(
             float(scipy_betainc(a, b, x)), abs=1e-10
         )
+
+    def test_array_form_is_the_scalar_calls(self):
+        x = np.linspace(0.0, 1.0, 101)
+        got = reg_inc_beta(x, 0.5, 2.0)
+        assert got.shape == x.shape
+        assert got.tobytes() == np.array([reg_inc_beta(v, 0.5, 2.0) for v in x.tolist()]).tobytes()
+        assert type(reg_inc_beta(0.25, 0.5, 2.0)) is float
+
+    @pytest.mark.parametrize("x", [math.nan, -0.1, 1.1, [0.5, math.nan], [0.2, 1.5, -1.0]])
+    def test_rejects_x_outside_the_unit_interval(self, x):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\], got (nan|-0.1|1.1|1.5)$"):
+            reg_inc_beta(x, 1.0, 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -178,6 +208,15 @@ class TestBallSymDiff:
         with pytest.raises(ValueError):
             ball_sym_diff_volume(-0.1, 1.0, 2)
 
+    def test_array_form(self):
+        dists = np.array([[0.0, 0.3], [0.7, 1.4], [2.0, 5.0]])
+        got = ball_sym_diff_volume(dists, 0.7, 3)
+        assert got.shape == (3, 2)
+        assert got.tobytes() == np.array([ball_sym_diff_volume(d, 0.7, 3) for d in dists.flat]).tobytes()
+        assert got[0, 0] == 0.0
+        assert got[2, 0] == got[2, 1] == 2.0 * 0.7**3 * ball_volume(3)
+        assert type(ball_sym_diff_volume(np.float64(0.3), np.float64(0.7), 3)) is float
+
 
 class TestBallSymDiffBound:
     def test_zero_eps(self):
@@ -200,3 +239,38 @@ class TestBallSymDiffBound:
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             ball_sym_diff_bound(-0.2, 0.5, 2)
+
+    def test_array_form_warns_once_naming_the_first_pair_outside(self):
+        eps = np.array([0.1, 0.6, 0.9])
+        with pytest.warns(RegimeWarning, match=re.escape("eps=0.6 exceeds delta=0.5")) as caught:
+            got = ball_sym_diff_bound(eps, 0.5, 2)
+        assert len(caught) == 1
+        assert got.tobytes() == np.array([4.0 * 0.5 * e for e in eps.tolist()]).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ball_sym_diff_bound(eps, np.array([0.1, 0.6, 0.9]), 2)
+        assert type(ball_sym_diff_bound(0.1, 0.5, 2)) is float
+
+
+_NON_FINITE = [
+    (ball_sym_diff_volume, (math.nan, 0.5, 2), "dist must be nonnegative and finite, got nan"),
+    (ball_sym_diff_volume, (math.inf, 0.5, 2), "dist must be nonnegative and finite, got inf"),
+    (ball_sym_diff_volume, (0.1, math.inf, 2), "delta must be positive and finite, got inf"),
+    (ball_sym_diff_volume, (0.1, math.nan, 2), "delta must be positive and finite, got nan"),
+    (ball_sym_diff_volume, ([0.1, math.nan], 0.5, 2), "dist must be nonnegative and finite, got nan"),
+    (ball_sym_diff_volume, ([0.1, 0.2], [0.5, -math.inf], 2), "delta must be positive and finite, got -inf"),
+    (ball_sym_diff_volume, (-0.1, 0.5, 2), "dist must be nonnegative and finite, got -0.1"),
+    (ball_sym_diff_volume, (0.1, 0.0, 2), "delta must be positive and finite, got 0.0"),
+    (ball_sym_diff_bound, (math.nan, 0.5, 2), "eps must be nonnegative and finite, got nan"),
+    (ball_sym_diff_bound, (-math.inf, 0.5, 2), "eps must be nonnegative and finite, got -inf"),
+    (ball_sym_diff_bound, (0.1, math.inf, 2), "delta must be positive and finite, got inf"),
+    (ball_sym_diff_bound, ([0.1, math.inf], 0.5, 2), "eps must be nonnegative and finite, got inf"),
+    (ball_sym_diff_bound, (0.1, [0.5, math.nan], 2), "delta must be positive and finite, got nan"),
+    (ball_sym_diff_bound, (0.1, -0.5, 2), "delta must be positive and finite, got -0.5"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", _NON_FINITE)
+def test_refuses_non_finite_or_out_of_range_input_with_its_own_message(fn, args, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        fn(*args)
