@@ -2,10 +2,12 @@
 
 RawSeries holds the noisy observed sample of one series; GridSeries holds its
 values at the d clustering timepoints t = 1/d, ..., 1. SeriesBatch holds many
-raw series in columnar form, checked once per batch; the per-series objects
-it hands out are read-only views into its arrays. `flatten` turns an
-(n, d, s) grid array into n points of [0,1]^(s*d), time-major, the one place
-that order is written down.
+raw series in columnar form, checked once per batch: its times hold either
+one entry per observation or, when every series is sampled at the same m
+times, that one schedule once. The per-series objects it hands out are
+read-only views into its arrays. `flatten` turns an (n, d, s) grid array
+into n points of [0,1]^(s*d), time-major, the one place that order is
+written down.
 """
 
 from __future__ import annotations
@@ -50,23 +52,25 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _check_raw(s: int, times: np.ndarray, values: np.ndarray, offsets: np.ndarray) -> None:
+def _check_raw(s: int, times: np.ndarray, values: np.ndarray, offsets: np.ndarray, shared: bool = False) -> None:
     """The RawSeries rules, for one series or every series of a batch at once.
 
-    Series i owns rows offsets[i]:offsets[i+1] of times and values.
+    Series i owns rows offsets[i]:offsets[i+1] of values, and the same rows
+    of times unless shared: then times is one schedule every series has.
     """
     if s < 1:
         raise ValueError(f"component count s must be >= 1, got {s}")
-    if times.ndim != 1 or np.any(offsets[1:] <= offsets[:-1]):
+    bounds = np.array([0, times.size]) if shared else offsets
+    if times.ndim != 1 or np.any(bounds[1:] <= bounds[:-1]):
         raise ValueError("times must be a nonempty 1-d array")
     if times.size and not (times.min() > 0.0 and times.max() <= 1.0):  # NaN fails too
         raise ValueError("times must lie in (0, 1]")
     rising = times[1:] > times[:-1]
-    rising[offsets[1:-1] - 1] = True  # pairs that straddle two series
+    rising[bounds[1:-1] - 1] = True  # pairs that straddle two series
     if not np.all(rising):
         raise ValueError("times must be strictly increasing")
-    if values.shape != (times.size, s):
-        raise ValueError(f"values must have shape (m, s) = ({times.size}, {s}), got {values.shape}")
+    if values.shape != (offsets[-1], s):
+        raise ValueError(f"values must have shape (m, s) = ({offsets[-1]}, {s}), got {values.shape}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,19 @@ class RawSeries:
 
 @dataclass(frozen=True, eq=False)
 class SeriesBatch:
-    """n raw series in columnar form: series i owns rows offsets[i]:offsets[i+1].
+    """n raw series in columnar form: series i owns rows offsets[i]:offsets[i+1] of values.
 
-    times has shape (N,) and values (N, s), N = offsets[-1]. Every RawSeries
-    rule is checked once for the whole batch, with the same messages. Arrays
-    that are read-only and own their data are kept as they are; others are
-    copied.
+    values has shape (N, s), N = offsets[-1]. times comes in one of two layouts:
+
+    - one entry per observation, shape (N,): series i owns the same rows of
+      times as of values. Ingest and from_series build this layout.
+    - one schedule every series shares, shape (m,), stored once: every step
+      of offsets must then be m. The batch sampler builds this layout.
+
+    A batch whose times has N entries is read as the first layout, so a
+    one-series batch is the same in both. Every RawSeries rule is checked
+    once for the whole batch, with the same messages. Arrays that are
+    read-only and own their data are kept as they are; others are copied.
     """
 
     ids: tuple
@@ -122,16 +133,39 @@ class SeriesBatch:
         offsets = _kept_readonly(self.offsets, np.intp)
         times = _kept_readonly(self.times)
         values = _kept_readonly(self.values)
-        if offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or offsets[-1] != times.size:
-            raise ValueError("offsets must run from 0 to len(times), one step per id")
-        _check_raw(self.s, times, values, offsets)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        if (
+            offsets.shape != (len(ids) + 1,)
+            or offsets[0] != 0
+            or (self._shared and np.any(offsets[1:] - offsets[:-1] != times.size))
+        ):
+            raise ValueError("offsets must run from 0 to len(times), or step by len(times), one step per id")
+        _check_raw(self.s, times, values, offsets, self._shared)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def _shared(self) -> bool:
+        """Whether times is one schedule that every series shares; the one place the layouts are told apart."""
+        return self.times.size != self.offsets[-1]
+
+    def _series_times(self) -> np.ndarray | list[np.ndarray]:
+        """Each series' sample times as a view, one row per series.
+
+        When every series has m samples the rows form one (n, m) array; a
+        shared schedule is broadcast into it, not copied.
+        """
+        m = self.m
+        if self._shared:
+            return np.broadcast_to(self.times, (len(self), self.times.size))
+        if m.size and np.all(m == m[0]):
+            return self.times.reshape(m.size, m[0])
+        o = self.offsets.tolist()
+        return [self.times[a:b] for a, b in zip(o, o[1:])]
 
     @property
     def m(self) -> np.ndarray:
@@ -157,10 +191,8 @@ class SeriesBatch:
         """Every series as a RawSeries view into the batch arrays."""
         o = self.offsets.tolist()
         return [
-            _unchecked(
-                RawSeries, id=sid, s=self.s, times=self.times[a:b], values=self.values[a:b], m=b - a
-            )
-            for sid, a, b in zip(self.ids, o, o[1:])
+            _unchecked(RawSeries, id=sid, s=self.s, times=times, values=self.values[a:b], m=b - a)
+            for sid, times, a, b in zip(self.ids, self._series_times(), o, o[1:])
         ]
 
 

@@ -51,10 +51,12 @@ def nw_weights(t: float, times: np.ndarray, gamma: float) -> tuple[np.ndarray, b
 
     Returns (weights, empty): weights are nonnegative, vanish outside
     [t - gamma, t], and sum to 1 unless no sample falls in the window, in
-    which case all weights are zero and empty is True (0/0 := 0).
+    which case all weights are zero and empty is True (0/0 := 0). gamma
+    must be finite: at gamma = inf, (t_j - t)/gamma is +0.0 for a future
+    sample too, which the left kernel's support would admit.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
     times = np.asarray(times, dtype=float)
     # (t_j - t)/gamma lands in the kernel support [-1, 0] exactly when
     # t_j lies in the backward window [t - gamma, t]
@@ -121,30 +123,30 @@ def _groups(batch: SeriesBatch, gammas: np.ndarray):
     Groups come in the order of their first series, members ascending. When
     all series have one length, a series whose times and gamma equal its
     predecessor's joins it in one vectorized comparison, and only the first
-    series of each such run is keyed by its bytes.
+    series of each such run is keyed by the bytes of its times. A schedule
+    that the batch stores once for all its series reaches this comparison as
+    a broadcast view of its one row.
     """
     n = len(batch)
-    m = batch.m
-    if n and np.all(m == m[0]):
-        rows = batch.times.reshape(n, m[0])
-        repeats = np.all(rows[1:] == rows[:-1], axis=1) & (gammas[1:] == gammas[:-1])
-        starts = np.flatnonzero(np.concatenate(([True], ~repeats)))
-    else:
-        starts = np.arange(n)
+    if not n:
+        return
+    times = batch._series_times()
+    # rows of one array when every series has one length; ragged series are compared by key only
+    repeats = gammas[1:] == gammas[:-1]
+    repeats &= np.all(times[1:] == times[:-1], axis=1) if isinstance(times, np.ndarray) else False
+    starts = np.flatnonzero(np.concatenate(([True], ~repeats))).tolist()
     by_key: dict[tuple, list[int]] = {}
-    o = batch.offsets.tolist()
-    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), n]):
+    for a, b in zip(starts, [*starts[1:], n]):
         # times lie in (0, 1], so equal bytes are exactly equal values
-        by_key.setdefault((float(gammas[a]), batch.times[o[a] : o[a + 1]].tobytes()), []).extend(range(a, b))
+        by_key.setdefault((float(gammas[a]), times[a].tobytes()), []).extend(range(a, b))
     for (gamma, _), members in by_key.items():
-        i = members[0]
-        yield np.array(members), batch.times[o[i] : o[i + 1]], gamma
+        yield np.array(members), times[members[0]], gamma
 
 
 def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
     """Smooth every series of a batch at 1/d, ..., 1 into an (n, d, s) array.
 
-    gammas is one bandwidth per series, or one for all. Series that share
+    gammas is one bandwidth for all, or one per series. Series that share
     their sample times and gamma are smoothed together: at each grid time
     their (n_g, m, s) block is reduced by one nw_weights vector, `w @ block`,
     which is bit-identical to smooth_at's `w @ values` per series. (A
@@ -162,7 +164,10 @@ def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
     if short.size:
         i = short[0]
         raise ValueError(f"series {batch.ids[i]!r} has m={int(m[i])} <= d={d}; need m > d")
-    gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (n,))
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim > 1 or gammas.size not in (1, n):
+        raise ValueError(f"gammas must be one bandwidth or one per series, got {gammas.size} for {n} series")
+    gammas = np.broadcast_to(gammas, (n,))
     out = np.zeros((n, d, batch.s))
     for idx, times, gamma in _groups(batch, gammas):
         block = _rows(batch.values, batch.offsets, idx, times.size)

@@ -11,6 +11,7 @@ templates with bounded uniform noise and known cluster labels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -561,18 +562,16 @@ def _sample_batch(
                 draw *= hi - lo
                 draw += lo
                 blocks[start:stop] += u[:, 2 * s :].reshape(-1, m, s)
-    all_times = np.empty(n * m)
-    all_times.reshape(n, m)[:] = times
     offsets = np.arange(n + 1) * m
-    for a in (values, all_times, offsets):
+    for a in (values, times, offsets):
         a.setflags(write=False)  # a batch keeps read-only arrays, here without a copy
-    # unchecked: every series has the times j/m (m > d >= 1) and (m, s) values by construction
+    # unchecked: every series shares the times j/m (m > d >= 1), stored once, and has (m, s) values by construction
     batch = _unchecked(
         SeriesBatch,
         ids=tuple(f"series{i:05d}" for i in range(n)),
         s=s,
         offsets=offsets,
-        times=all_times,
+        times=times,
         values=values,
     )
     return batch, grid
@@ -586,9 +585,14 @@ def sample_series_batch(
 ) -> tuple[SeriesBatch, np.ndarray, np.ndarray]:
     """Draw n noisy series of length m, their labels, and their exact (n, d, s) grid values.
 
-    Observation times are j/m; noise is i.i.d. uniform on [-eps_bar, eps_bar]
-    across series, components, and times.
+    Observation times are j/m, stored once in the batch for all its series;
+    noise is i.i.d. uniform on [-eps_bar, eps_bar] across series,
+    components, and times.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m <= fspec.d:
         raise ValueError(f"need m > d, got m={m}, d={fspec.d}")
     rng = np.random.default_rng(seed)

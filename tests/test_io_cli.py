@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -727,6 +728,21 @@ def _spread_family():
         d=4,
         eps_bar=0.05,
     )
+
+
+@pytest.mark.parametrize(
+    "family, n, m, seed, sha256",
+    [
+        (jump_family(), 5, 13, 3, "c0dea1ea666bd94814938fd44967d90afcf48ae6c23f18e21f9e943f1ecafc59"),
+        (_spread_family(), 70, 24, 8, "d3b622f377152b716da01556cff0a763b4a90a98a7a19a23302308a0774fbc7a"),
+    ],
+    ids=["jump", "spread_two_chunks"],
+)
+def test_sampled_series_csv_bytes_are_pinned(tmp_path, family, n, m, seed, sha256):
+    # a sampled batch stores its j/m schedule once; the CSV (as `synth` writes it) still has every row's time
+    raws, _, _ = sample_raw_series(family, n, m, seed)
+    emit_series_csv(tmp_path / "s.csv", raws)
+    assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == sha256
 
 
 def _per_level_tree_document(tree, ids, n, sd):

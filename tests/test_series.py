@@ -75,6 +75,56 @@ class TestSeriesBatch:
             SeriesBatch(ids=["a"], s=1, offsets=[0, 1], times=[0.5, 1.0], values=[[0.0], [0.0]])
 
 
+class TestSharedSchedule:
+    def _batch(self, times, offsets=(0, 3, 6), s=1):
+        n = len(offsets) - 1
+        return SeriesBatch(
+            ids=[f"s{i}" for i in range(n)], s=s, offsets=offsets, times=times, values=np.full((offsets[-1], s), 0.5)
+        )
+
+    def test_series_are_views_of_the_one_schedule(self):
+        times = np.array([0.25, 0.5, 1.0])
+        batch = self._batch(times)
+        assert batch._shared and batch.times.shape == (3,)
+        assert batch.m.tolist() == [3, 3]
+        for y in batch.series():
+            assert y.times.tobytes() == times.tobytes() and y.m == 3
+            assert np.shares_memory(y.times, batch.times) and not y.times.flags.writeable
+
+    def test_one_series_reads_as_per_observation(self):
+        batch = self._batch([0.5, 1.0], offsets=(0, 2))
+        assert not batch._shared
+        assert batch.series()[0].times.tolist() == [0.5, 1.0]
+
+    def test_an_empty_batch_may_keep_its_schedule(self):
+        batch = self._batch([0.5, 1.0], offsets=(0,))
+        assert len(batch) == 0 and batch.series() == []
+
+    @pytest.mark.parametrize(
+        "times, offsets, message",
+        [
+            ([0.5, 1.0], (0, 2, 5), r"step by len\(times\)"),
+            ([0.5, 1.0], (0, 3, 4), r"step by len\(times\)"),
+            ([0.5, 0.4, 1.0], (0, 3, 6), "strictly increasing"),
+            ([0.5, 0.5, 1.0], (0, 3, 6), "strictly increasing"),
+            ([0.0, 0.5, 1.0], (0, 3, 6), r"lie in \(0, 1\]"),
+            ([0.5, 0.75, 1.5], (0, 3, 6), r"lie in \(0, 1\]"),
+            ([0.5, np.nan, 1.0], (0, 3, 6), r"lie in \(0, 1\]"),
+        ],
+        ids=["unequal_steps", "short_step", "falling", "repeated", "zero", "past_one", "nan"],
+    )
+    def test_rejects_bad_schedules_with_the_raw_series_messages(self, times, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            self._batch(times, offsets)
+        if message != r"step by len\(times\)":
+            with pytest.raises(ValueError, match=message):
+                RawSeries(id="a", s=1, times=times, values=np.full((len(times), 1), 0.5))
+
+    def test_rejects_values_that_do_not_cover_every_series(self):
+        with pytest.raises(ValueError, match="values must have shape"):
+            SeriesBatch(ids=["a", "b"], s=1, offsets=[0, 2, 4], times=[0.5, 1.0], values=np.full((2, 1), 0.5))
+
+
 class TestGridSeries:
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):

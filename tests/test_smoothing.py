@@ -57,6 +57,23 @@ class TestNwWeights:
         assert w[1] == pytest.approx(2.0 / 3.5, rel=1e-12)
         assert w[0] == pytest.approx(1.5 / 3.5, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+    def test_rejects_a_gamma_that_is_not_positive_and_finite(self, gamma):
+        # (t_j - t)/inf is +0.0 for a future sample, which the left kernel would admit
+        with pytest.raises(ValueError, match=f"gamma must be a positive finite number, got {gamma!r}"):
+            nw_weights(0.5, np.array([0.25, 0.5, 0.75, 1.0]), gamma)
+
+    def test_infinite_gamma_is_refused_by_every_estimator(self):
+        y = RawSeries.from_uniform("step", [0.0, 0.0, 1.0, 1.0])
+        assert smooth_at(y, 0.5, 10.0)[0] == 0.0  # a wide finite window still sees only the past
+        for estimate in (
+            lambda: smooth_at(y, 0.5, math.inf),
+            lambda: smooth_batch(SeriesBatch.from_series([y]), 2, math.inf),
+            lambda: estimate_grid_series(y, 2, math.inf),
+        ):
+            with pytest.raises(ValueError, match="gamma must be a positive finite number, got inf"):
+                estimate()
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.floats(min_value=0.05, max_value=1.0),
@@ -208,12 +225,33 @@ def _irregular_series(rng, n, s):
 
 
 def _hashed_groups(batch, gammas):
-    """Every series keyed by (gamma, the bytes of its times), groups in first-appearance order: the reference."""
-    by_key = {}
+    """Every series keyed by (gamma, the bytes of its times), groups in first-appearance order: the reference.
+
+    Each series' times are sliced from the batch arrays here, not read through the batch's own views.
+    """
     o = batch.offsets.tolist()
-    for i, (a, b, gamma) in enumerate(zip(o, o[1:], gammas.tolist())):
-        by_key.setdefault((gamma, batch.times[a:b].tobytes()), []).append(i)
+    by_key = {}
+    for i, gamma in enumerate(gammas.tolist()):
+        times = batch.times[o[i] : o[i + 1]] if batch.times.size == o[-1] else batch.times
+        by_key.setdefault((gamma, times.tobytes()), []).append(i)
     return [(members, times, gamma) for (gamma, times), members in by_key.items()]
+
+
+def _shared_batch(rng, n, s, times):
+    """n series that all share one schedule, stored once, and the same series as RawSeries."""
+    values = rng.normal(0.5, 0.6, size=(n, times.size, s))
+    ids = [f"s{i}" for i in range(n)]
+    batch = SeriesBatch(
+        ids=ids, s=s, offsets=np.arange(n + 1) * times.size, times=times, values=values.reshape(-1, s)
+    )
+    return batch, [RawSeries(id=sid, s=s, times=times, values=v) for sid, v in zip(ids, values)]
+
+
+def _smoothed_with_warnings(batch, d, gammas):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = smooth_batch(batch, d, gammas)
+    return got, [(w.category, str(w.message)) for w in caught]
 
 
 class TestSmoothBatch:
@@ -290,5 +328,48 @@ class TestSmoothBatch:
         batch = SeriesBatch.from_series(raws)
         with pytest.raises(ValueError, match="'short' has m=4 <= d=4"):
             smooth_batch(batch, 4, 0.2)
-        with pytest.raises(ValueError, match="gamma must be positive"):
+        with pytest.raises(ValueError, match="gamma must be a positive finite number, got -0.1"):
             smooth_batch(batch, 3, [0.2, -0.1])
+
+    def test_rejects_a_gamma_count_that_is_neither_one_nor_n(self):
+        batch = SeriesBatch.from_series([RawSeries.from_uniform(f"u{i}", np.full(10, 0.5)) for i in range(4)])
+        with pytest.raises(ValueError, match="gammas must be one bandwidth or one per series, got 2 for 4 series"):
+            smooth_batch(batch, 3, [0.2, 0.3])
+        assert np.array_equal(smooth_batch(batch, 3, [0.2]), smooth_batch(batch, 3, [0.2] * 4))
+
+    @pytest.mark.parametrize("case", ["one_gamma", "runs", "all_differ"])
+    def test_groups_of_a_shared_schedule_are_the_hashed_groups(self, case):
+        batch, _ = _shared_batch(np.random.default_rng(45), 5, 1, np.arange(1, 17) / 16)
+        gammas = {
+            "one_gamma": np.full(5, 0.2),
+            "runs": np.array([0.2, 0.2, 0.3, 0.3, 0.2]),
+            "all_differ": np.array([0.5, 0.4, 0.3, 0.2, 0.1]),
+        }[case]
+        got = [(members.tolist(), times.tobytes(), gamma) for members, times, gamma in _groups(batch, gammas)]
+        assert got == _hashed_groups(batch, gammas)
+        assert len(got) == {"one_gamma": 1, "runs": 2, "all_differ": 5}[case]
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("case", ["one_gamma", "runs", "empty_window"])
+    def test_shared_schedule_smooths_as_its_per_observation_batch(self, case, s):
+        rng = np.random.default_rng(46 + s)
+        times = np.arange(1, 41) / 40
+        if case == "empty_window":  # a hole before t = 0.55 empties the windows at 1/3 and 1/2
+            times = np.concatenate([times[times < 0.2], times[times > 0.55]])
+        batch, raws = _shared_batch(rng, 5, s, times)
+        gammas = np.array([0.1, 0.1, 0.25, 0.25, 0.1]) if case == "runs" else 0.1
+        per_observation = SeriesBatch.from_series(raws)
+        views = batch.series()
+        assert [(y.times.tobytes(), y.values.tobytes()) for y in views] == [
+            (y.times.tobytes(), y.values.tobytes()) for y in raws
+        ]
+        assert not per_observation._shared and batch._shared
+        got, got_warnings = _smoothed_with_warnings(batch, 6, gammas)
+        want, want_warnings = _smoothed_with_warnings(per_observation, 6, gammas)
+        assert np.array_equal(got, want)
+        assert got_warnings == want_warnings
+        reference, empty = _per_slot_smoothing(raws, 6, np.broadcast_to(gammas, (5,)))
+        assert np.array_equal(got, reference)
+        assert len(got_warnings) == empty
+        assert (empty > 0) == (case == "empty_window")
+        assert all(category is EmptyWindowWarning for category, _ in got_warnings)

@@ -455,7 +455,10 @@ class TestBatchSampler:
         assert np.array_equal(got_labels, labels)
         assert np.array_equal(batch.values.reshape(n, m, family.s), want_values)
         assert np.array_equal(got_grid, want_grid)
-        assert np.array_equal(batch.times, np.tile(np.arange(1, m + 1) / m, n))
+        # the j/m schedule is stored once, and every series' times are views of it
+        schedule = (np.arange(1, m + 1) / m).tobytes()
+        assert batch.times.tobytes() == schedule
+        assert all(y.times.tobytes() == schedule for y in batch.series())
         assert batch.ids == tuple(f"series{i:05d}" for i in range(n))
 
         # the generator is left where the loop leaves it
@@ -468,6 +471,32 @@ class TestBatchSampler:
         assert np.array_equal(raw_labels, labels)
         assert all(np.array_equal(r.values, v) for r, v in zip(raws, want_values))
         assert all(np.array_equal(g.values, v) for g, v in zip(grids, want_grid))
+
+
+@pytest.mark.parametrize(
+    "n, m, message",
+    [
+        (-1, 8, "n must be a nonnegative integer, got -1"),
+        (2.5, 8, "n must be a nonnegative integer, got 2.5"),
+        (True, 8, "n must be a nonnegative integer, got True"),
+        (np.bool_(True), 8, "n must be a nonnegative integer"),
+        (3, 2.5, "m must be an integer, got 2.5"),
+        (3, True, "m must be an integer, got True"),
+        (3, 8.0, "m must be an integer, got 8.0"),
+    ],
+)
+@pytest.mark.parametrize("sampler", [sample_series_batch, sample_raw_series])
+def test_samplers_refuse_counts_that_are_not_integers(sampler, n, m, message):
+    with pytest.raises(ValueError, match=message):
+        sampler(gap_family(), n, m, 1)
+
+
+def test_samplers_take_numpy_counts_and_an_empty_n():
+    batch, labels, grid = sample_series_batch(gap_family(), np.int64(3), np.int32(8), 1)
+    assert len(batch) == 3 and batch.values.shape == (24, 1)
+    batch, labels, grid = sample_series_batch(gap_family(), 0, 8, 1)
+    assert len(batch) == 0 and labels.shape == (0,) and grid.shape == (0, 2, 1)
+    assert sample_raw_series(gap_family(), 0, 8, 1)[0] == []
 
 
 def test_batch_sampler_with_a_template_missing_from_a_chunk():
