@@ -304,14 +304,9 @@ def _series_of(
         error = (int(lines[dup]), f"duplicate (series_id, time) = ({ids[dup]}, {float(times[dup])})")
     if error is not None:
         raise ParseError(error[1], line=error[0])
-    values = values[order]
-    sorted_times = times[order]
-    for a in (values, sorted_times):
-        a.setflags(write=False)  # handed to the batch without a copy
     offsets = np.zeros(len(code_of) + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=len(code_of)), out=offsets[1:])
-    batch = SeriesBatch(ids=list(code_of), s=s, offsets=offsets, times=sorted_times, values=values)
-    return batch.series()
+    return SeriesBatch._adopt(list(code_of), s, offsets, times[order], values[order]).series()
 
 
 _NEEDS_QUOTES = frozenset(',"\r\n')

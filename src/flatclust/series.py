@@ -34,16 +34,6 @@ def _as_readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _kept_readonly(a, dtype=float) -> np.ndarray:
-    """a itself when it is a read-only array of dtype that owns its data, else a read-only copy.
-
-    A read-only view is copied too: its base could still be written.
-    """
-    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and a.base is None:
-        return a
-    return _as_readonly(a, dtype)
-
-
 def _unchecked(cls, **fields):
     """An instance of a frozen series type whose fields were checked elsewhere."""
     obj = object.__new__(cls)
@@ -118,8 +108,9 @@ class SeriesBatch:
 
     A batch whose times has N entries is read as the first layout, so a
     one-series batch is the same in both. Every RawSeries rule is checked
-    once for the whole batch, with the same messages. Arrays that are
-    read-only and own their data are kept as they are; others are copied.
+    once for the whole batch, with the same messages. The batch keeps
+    read-only copies of the arrays it is given, so a later write to the
+    caller's arrays cannot undo the check.
     """
 
     ids: tuple
@@ -129,43 +120,41 @@ class SeriesBatch:
     values: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        offsets = _kept_readonly(self.offsets, np.intp)
-        times = _kept_readonly(self.times)
-        values = _kept_readonly(self.values)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "offsets", _as_readonly(self.offsets, np.intp))
+        object.__setattr__(self, "times", _as_readonly(self.times))
+        object.__setattr__(self, "values", _as_readonly(self.values))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, ids, s: int, offsets: np.ndarray, times: np.ndarray, values: np.ndarray) -> "SeriesBatch":
+        """A batch on arrays its caller in this package just made and no longer writes, kept without a copy.
+
+        They are made read-only here and checked as the constructor checks.
+        """
+        for a in (offsets, times, values):
+            a.setflags(write=False)
+        batch = _unchecked(cls, ids=tuple(ids), s=s, offsets=offsets, times=times, values=values)
+        batch._check()
+        return batch
+
+    def _check(self) -> None:
+        offsets, times = self.offsets, self.times
         if (
-            offsets.shape != (len(ids) + 1,)
+            offsets.shape != (len(self.ids) + 1,)
             or offsets[0] != 0
             or (self._shared and np.any(offsets[1:] - offsets[:-1] != times.size))
         ):
             raise ValueError("offsets must run from 0 to len(times), or step by len(times), one step per id")
-        _check_raw(self.s, times, values, offsets, self._shared)
+        _check_raw(self.s, times, self.values, offsets, self._shared)
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @property
     def _shared(self) -> bool:
-        """Whether times is one schedule that every series shares; the one place the layouts are told apart."""
+        """Whether times is one schedule that every series shares; the one flag, read here and by smoothing."""
         return self.times.size != self.offsets[-1]
-
-    def _series_times(self) -> np.ndarray | list[np.ndarray]:
-        """Each series' sample times as a view, one row per series.
-
-        When every series has m samples the rows form one (n, m) array; a
-        shared schedule is broadcast into it, not copied.
-        """
-        m = self.m
-        if self._shared:
-            return np.broadcast_to(self.times, (len(self), self.times.size))
-        if m.size and np.all(m == m[0]):
-            return self.times.reshape(m.size, m[0])
-        o = self.offsets.tolist()
-        return [self.times[a:b] for a, b in zip(o, o[1:])]
 
     @property
     def m(self) -> np.ndarray:
@@ -183,16 +172,15 @@ class SeriesBatch:
         np.cumsum([y.m for y in series], out=offsets[1:])
         times = np.concatenate([y.times for y in series]) if series else np.empty(0)
         values = np.concatenate([y.values for y in series]) if series else np.empty((0, s))
-        for a in (offsets, times, values):
-            a.setflags(write=False)  # owned here, so the batch keeps them without a copy
-        return cls(ids=tuple(y.id for y in series), s=s, offsets=offsets, times=times, values=values)
+        return cls._adopt([y.id for y in series], s, offsets, times, values)
 
     def series(self) -> list[RawSeries]:
         """Every series as a RawSeries view into the batch arrays."""
         o = self.offsets.tolist()
+        starts = [0] * len(self) if self._shared else o  # a shared schedule is every series' times
         return [
-            _unchecked(RawSeries, id=sid, s=self.s, times=times, values=self.values[a:b], m=b - a)
-            for sid, times, a, b in zip(self.ids, self._series_times(), o, o[1:])
+            _unchecked(RawSeries, id=sid, s=self.s, times=self.times[t : t + b - a], values=self.values[a:b], m=b - a)
+            for sid, t, a, b in zip(self.ids, starts, o, o[1:])
         ]
 
 

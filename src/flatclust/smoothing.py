@@ -32,6 +32,23 @@ class EmptyWindowWarning(UserWarning):
     """No samples fell inside [t - gamma, t]; the 0/0 convention returned 0."""
 
 
+def _warn_empty(sid: str, t: float, gamma: float, stacklevel: int) -> None:
+    """Warn that series sid has no samples in [t - gamma, t]; stacklevel counts from the caller."""
+    warnings.warn(
+        f"series {sid!r}: no samples in [{t - gamma:.6g}, {t:.6g}]",
+        EmptyWindowWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
+def _check_bandwidths(gammas) -> None:
+    """Raise nw_weights' error for the first bandwidth that is not a positive finite number."""
+    gammas = np.asarray(gammas)
+    ok = (gammas > 0.0) & (gammas < math.inf)
+    if not ok.all():
+        raise ValueError(f"gamma must be a positive finite number, got {gammas.flat[np.argmin(ok)].item()!r}")
+
+
 def kernel_le(u):
     """Left-side Epanechnikov kernel: 2 - 2u^2 on [-1, 0], zero elsewhere."""
     u = np.asarray(u, dtype=float)
@@ -55,8 +72,7 @@ def nw_weights(t: float, times: np.ndarray, gamma: float) -> tuple[np.ndarray, b
     must be finite: at gamma = inf, (t_j - t)/gamma is +0.0 for a future
     sample too, which the left kernel's support would admit.
     """
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be a positive finite number, got {gamma!r}")
+    _check_bandwidths(gamma)
     times = np.asarray(times, dtype=float)
     # (t_j - t)/gamma lands in the kernel support [-1, 0] exactly when
     # t_j lies in the backward window [t - gamma, t]
@@ -78,11 +94,7 @@ def smooth_at(y: RawSeries, t: float, gamma: float) -> np.ndarray:
         raise ValueError(f"t must lie in (0, 1], got {t!r}")
     w, empty = nw_weights(t, y.times, gamma)
     if empty:
-        warnings.warn(
-            f"series {y.id!r}: no samples in [{t - gamma:.6g}, {t:.6g}]",
-            EmptyWindowWarning,
-            stacklevel=2,
-        )
+        _warn_empty(y.id, t, gamma, stacklevel=2)
         return np.zeros(y.s)
     return np.clip(w @ y.values, 0.0, 1.0)
 
@@ -117,71 +129,75 @@ def _rows(a: np.ndarray, offsets: np.ndarray, idx: np.ndarray, m: int) -> np.nda
     return a[offsets[idx, None] + np.arange(m)]
 
 
-def _groups(batch: SeriesBatch, gammas: np.ndarray):
-    """(series indices, sample times, gamma) for each set of series sharing both.
+def _times_rows(batch: SeriesBatch, idx: np.ndarray, m: int) -> np.ndarray:
+    """Sample times of the series idx, all of length m, one row each; a shared schedule is its one row."""
+    return batch.times[None] if batch._shared else _rows(batch.times, batch.offsets, idx, m)
 
-    Groups come in the order of their first series, members ascending. When
-    all series have one length, a series whose times and gamma equal its
-    predecessor's joins it in one vectorized comparison, and only the first
-    series of each such run is keyed by the bytes of its times. A schedule
-    that the batch stores once for all its series reaches this comparison as
-    a broadcast view of its one row.
-    """
-    n = len(batch)
-    if not n:
-        return
-    times = batch._series_times()
-    # rows of one array when every series has one length; ragged series are compared by key only
-    repeats = gammas[1:] == gammas[:-1]
-    repeats &= np.all(times[1:] == times[:-1], axis=1) if isinstance(times, np.ndarray) else False
-    starts = np.flatnonzero(np.concatenate(([True], ~repeats))).tolist()
-    by_key: dict[tuple, list[int]] = {}
-    for a, b in zip(starts, [*starts[1:], n]):
-        # times lie in (0, 1], so equal bytes are exactly equal values
-        by_key.setdefault((float(gammas[a]), times[a].tobytes()), []).extend(range(a, b))
-    for (gamma, _), members in by_key.items():
-        yield np.array(members), times[members[0]], gamma
+
+# Observations per block of series weighted row by row: bounds smooth_batch's (rows, m) temporaries.
+_ROW_BLOCK = 1 << 14
 
 
 def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
     """Smooth every series of a batch at 1/d, ..., 1 into an (n, d, s) array.
 
-    gammas is one bandwidth for all, or one per series. Series that share
-    their sample times and gamma are smoothed together: at each grid time
-    their (n_g, m, s) block is reduced by one nw_weights vector, `w @ block`,
-    which is bit-identical to smooth_at's `w @ values` per series. (A
-    windowed np.add.reduceat, or one (d, m) weight matrix for all grid
-    times, sums in another order and is off by a few ulp.) Requires m > d
-    for every series. Empty windows give zero slots and one
+    gammas is one bandwidth for all, or one per series. Series are grouped
+    by length m alone, groups in the order of their first series. At each
+    grid time a group's rows of sample times and bandwidths give one row of
+    nw_weights each, W, and its (n_g, m, s) block of values is reduced by
+    `np.matmul(W[:, None, :], block)`, which is bit-identical to smooth_at's
+    `w @ values` per series. When every series of a group has the same
+    times and bandwidth, one weight row serves them all; otherwise rows are
+    weighted in blocks of about _ROW_BLOCK observations, which bounds the
+    temporaries. (A windowed np.add.reduceat, or one (d, m) weight matrix
+    for all grid times, sums in another order and is off by a few ulp.)
+    Requires m > d for every series. Empty windows give zero slots and one
     EmptyWindowWarning per series and slot; every coordinate is clipped
     into [0, 1].
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     n = len(batch)
-    m = batch.m
-    short = np.nonzero(m <= d)[0]
+    lengths = batch.m
+    short = np.nonzero(lengths <= d)[0]
     if short.size:
         i = short[0]
-        raise ValueError(f"series {batch.ids[i]!r} has m={int(m[i])} <= d={d}; need m > d")
+        raise ValueError(f"series {batch.ids[i]!r} has m={int(lengths[i])} <= d={d}; need m > d")
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim > 1 or gammas.size not in (1, n):
         raise ValueError(f"gammas must be one bandwidth or one per series, got {gammas.size} for {n} series")
     gammas = np.broadcast_to(gammas, (n,))
+    _check_bandwidths(gammas)
     out = np.zeros((n, d, batch.s))
-    for idx, times, gamma in _groups(batch, gammas):
-        block = _rows(batch.values, batch.offsets, idx, times.size)
-        for j, t in enumerate(grid_times(d)):
-            w, empty = nw_weights(t, times, gamma)
-            if empty:
-                for i in idx:
-                    warnings.warn(
-                        f"series {batch.ids[i]!r}: no samples in [{t - gamma:.6g}, {t:.6g}]",
-                        EmptyWindowWarning,
-                        stacklevel=2,
-                    )
-            else:
-                out[idx, j] = w @ block
+    grid = grid_times(d)
+    order = np.argsort(lengths, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if n else []
+    for idx in sorted(groups, key=lambda g: g[0]):
+        m = int(lengths[idx[0]])
+        step = max(1, _ROW_BLOCK // m)
+        blocks = [idx[a : a + step] for a in range(0, idx.size, step)]
+        first = _times_rows(batch, idx[:1], m)
+        # a shared schedule is every block's row; comparing it per block took half the smoothing at m = 4096
+        one_row = np.all(gammas[idx] == gammas[idx[0]]) and (
+            batch._shared or all(np.all(_times_rows(batch, rows, m) == first) for rows in blocks)
+        )
+        blocks = [idx] if one_row else blocks
+        for rows in blocks:
+            times = first if one_row else _times_rows(batch, rows, m)
+            bandwidths = gammas[rows[:1] if one_row else rows, None]
+            block = _rows(batch.values, batch.offsets, rows, m)
+            for j, t in enumerate(grid):
+                raw = kernel_le((times - t) / bandwidths)
+                total = raw.sum(axis=1, keepdims=True)
+                empty = total[:, 0] <= 0.0
+                total[empty] = 1.0  # an empty window's zero weights stay zero
+                slots = np.matmul((raw / total)[:, None, :], block)[:, 0]
+                if empty.any():
+                    empty = np.broadcast_to(empty, rows.shape)
+                    slots[empty] = 0.0  # not 0 @ values, which is -0.0 where values are negative
+                    for i in rows[empty].tolist():
+                        _warn_empty(batch.ids[i], t, gammas[i], stacklevel=2)
+                out[rows, j] = slots
     return np.clip(out, 0.0, 1.0, out=out)
 
 

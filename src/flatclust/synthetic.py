@@ -18,7 +18,7 @@ import numpy as np
 
 from ._ufuncs import row_loops
 from .codec import Codec, prefixed
-from .series import GridSeries, RawSeries, SeriesBatch, _unchecked, grid_series_views, grid_times
+from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views, grid_times
 
 __all__ = [
     "Bump1D",
@@ -542,7 +542,7 @@ def _sample_batch(
     jitter_lo = np.array([[1.0 - t.amp_jitter, -t.offset_jitter] for t in templates])[:, :, None]
     jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
     paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(d))
-    values = np.empty((n * m, s))  # owns its data, so the batch keeps it without a copy
+    values = np.empty((n * m, s))
     blocks = values.reshape(n, m, s)
     grid = np.empty((n, d, s))
     with row_loops(m):
@@ -562,18 +562,8 @@ def _sample_batch(
                 draw *= hi - lo
                 draw += lo
                 blocks[start:stop] += u[:, 2 * s :].reshape(-1, m, s)
-    offsets = np.arange(n + 1) * m
-    for a in (values, times, offsets):
-        a.setflags(write=False)  # a batch keeps read-only arrays, here without a copy
-    # unchecked: every series shares the times j/m (m > d >= 1), stored once, and has (m, s) values by construction
-    batch = _unchecked(
-        SeriesBatch,
-        ids=tuple(f"series{i:05d}" for i in range(n)),
-        s=s,
-        offsets=offsets,
-        times=times,
-        values=values,
-    )
+    # every series shares the times j/m, stored once
+    batch = SeriesBatch._adopt([f"series{i:05d}" for i in range(n)], s, np.arange(n + 1) * m, times, values)
     return batch, grid
 
 

@@ -58,15 +58,28 @@ class TestSeriesBatch:
         assert batch.times.tolist() == [0.5, 1.0, 0.25, 0.5, 0.75, 1.0]
         assert all(np.all(y.values == 0.5) and y.times.min() > 0.0 for y in batch.series())
 
-    def test_owned_read_only_arrays_are_kept_and_writable_ones_copied(self):
+    def test_every_array_a_caller_gives_is_copied(self):
+        # numpy lets the owner of a read-only array make it writable again
         times = np.array([0.5, 1.0])
+        times.setflags(write=False)
         values = np.array([[0.1], [0.2]])
-        values.setflags(write=False)
         batch = SeriesBatch(ids=["a"], s=1, offsets=[0, 2], times=times, values=values)
-        assert batch.values is values
-        assert batch.times is not times and not batch.times.flags.writeable
-        times[0] = 0.7
-        assert batch.times[0] == 0.5
+        times.setflags(write=True)
+        times[0] = 7.0  # would break the checked (0, 1] rule
+        values[0] = -1.0
+        assert batch.times.tolist() == [0.5, 1.0] and batch.values.tolist() == [[0.1], [0.2]]
+        assert batch.series()[0].times.tolist() == [0.5, 1.0]
+        assert not (batch.times.flags.writeable or batch.values.flags.writeable or batch.offsets.flags.writeable)
+
+    def test_the_package_path_keeps_its_arrays_and_checks_them(self):
+        offsets, times, values = np.array([0, 2], dtype=np.intp), np.array([0.5, 1.0]), np.array([[0.1], [0.2]])
+        batch = SeriesBatch._adopt(["a"], 1, offsets, times, values)
+        assert batch.offsets is offsets and batch.times is times and batch.values is values
+        assert not (times.flags.writeable or values.flags.writeable or offsets.flags.writeable)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SeriesBatch._adopt(["a"], 1, np.array([0, 2]), np.array([0.5, 0.5]), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"step by len\(times\)"):
+            SeriesBatch._adopt(["a", "b"], 1, np.array([0, 2, 5]), np.array([0.5, 1.0]), np.zeros((5, 1)))
 
     def test_checks_the_raw_series_rules(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -1,15 +1,21 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flatclust
+from flatclust import smoothing
 from flatclust.series import RawSeries, SeriesBatch, grid_times
 from flatclust.smoothing import (
     EmptyWindowWarning,
-    _groups,
     estimate_grid_series,
     gamma_schedule,
     kernel_le,
@@ -198,14 +204,14 @@ class TestJumpRecovery:
 
 
 def _per_slot_smoothing(raws, d, gammas):
-    """One nw_weights and one `w @ values` per (series, grid time); empty windows counted."""
+    """One nw_weights and one `w @ values` per (series, grid time), and the warning text of each empty window."""
     out = np.zeros((len(raws), d, raws[0].s))
-    empty_slots = 0
+    empty_slots = []
     for i, (y, gamma) in enumerate(zip(raws, gammas)):
         for j, t in enumerate(grid_times(d)):
             w, empty = nw_weights(t, y.times, gamma)
             if empty:
-                empty_slots += 1
+                empty_slots.append(f"series {y.id!r}: no samples in [{t - gamma:.6g}, {t:.6g}]")
             else:
                 out[i, j] = np.clip(w @ y.values, 0.0, 1.0)
     return out, empty_slots
@@ -222,19 +228,6 @@ def _irregular_series(rng, n, s):
             times = np.concatenate([times[times < 0.2], times[times > 0.55]])
         out.append(RawSeries(id=f"r{i}", s=s, times=times, values=rng.normal(0.5, 0.6, size=(times.size, s))))
     return out
-
-
-def _hashed_groups(batch, gammas):
-    """Every series keyed by (gamma, the bytes of its times), groups in first-appearance order: the reference.
-
-    Each series' times are sliced from the batch arrays here, not read through the batch's own views.
-    """
-    o = batch.offsets.tolist()
-    by_key = {}
-    for i, gamma in enumerate(gammas.tolist()):
-        times = batch.times[o[i] : o[i + 1]] if batch.times.size == o[-1] else batch.times
-        by_key.setdefault((gamma, times.tobytes()), []).append(i)
-    return [(members, times, gamma) for (gamma, times), members in by_key.items()]
 
 
 def _shared_batch(rng, n, s, times):
@@ -255,26 +248,6 @@ def _smoothed_with_warnings(batch, d, gammas):
 
 
 class TestSmoothBatch:
-    @pytest.mark.parametrize("case", ["shared", "a_b_a", "ragged", "gammas_differ"])
-    def test_groups_are_the_hashed_groups(self, case):
-        rng = np.random.default_rng(44)
-        a, b = np.arange(1, 33) / 32, np.sort(rng.uniform(1e-3, 1.0, 32))
-        gammas = np.full(9, 0.1)
-        if case == "shared":
-            schedules = [a] * 9
-        elif case == "a_b_a":  # a repeat that does not follow its first run still joins it
-            schedules = [a, a, b, b, b, a, b, a, a]
-        elif case == "ragged":
-            schedules = [a, a, b[:20], b[:20], a, b[:20], b[:31], a, b[:31]]
-        else:
-            schedules = [a] * 9
-            gammas = np.array([0.1, 0.1, 0.2, 0.2, 0.1, 0.3, 0.1, 0.2, 0.2])
-        raws = [RawSeries(id=f"g{i}", s=1, times=t, values=np.full((t.size, 1), 0.5)) for i, t in enumerate(schedules)]
-        batch = SeriesBatch.from_series(raws)
-        got = [(members.tolist(), times.tobytes(), gamma) for members, times, gamma in _groups(batch, gammas)]
-        assert got == _hashed_groups(batch, gammas)
-        assert len(got) == {"shared": 1, "a_b_a": 2, "ragged": 3, "gammas_differ": 3}[case]
-
     @pytest.mark.parametrize("s", [1, 3])
     @pytest.mark.parametrize("d", [1, 4, 7])
     def test_bit_identical_to_per_slot_loop_on_uniform_times(self, s, d):
@@ -283,7 +256,7 @@ class TestSmoothBatch:
         raws = [RawSeries.from_uniform(f"u{i}", rng.normal(0.5, 0.4, size=(m, s))) for i in range(50)]
         gamma = gamma_schedule(m)
         want, empty = _per_slot_smoothing(raws, d, [gamma] * len(raws))
-        assert empty == 0
+        assert not empty
         got = smooth_batch(SeriesBatch.from_series(raws), d, gamma)
         assert np.array_equal(got, want)
 
@@ -293,11 +266,30 @@ class TestSmoothBatch:
         raws = _irregular_series(rng, 60, s)
         gammas = rng.choice([0.05, 0.1, 0.3], size=len(raws))
         want, empty = _per_slot_smoothing(raws, 6, gammas)
-        assert empty > 0
+        assert empty
         with pytest.warns(EmptyWindowWarning) as caught:
             got = smooth_batch(SeriesBatch.from_series(raws), 6, gammas)
-        assert sum(issubclass(w.category, EmptyWindowWarning) for w in caught) == empty
+        assert sorted(str(w.message) for w in caught if issubclass(w.category, EmptyWindowWarning)) == sorted(empty)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("row_block", [None, 600])
+    def test_bit_identical_on_irregular_times_past_numpys_pairwise_block(self, row_block, monkeypatch):
+        # m = 257 and 301 sum rows past numpy's 128-element pairwise block, at odd 8-byte offsets;
+        # interleaved lengths make each group's rows a gathered copy, and 600 splits them in pairs
+        if row_block is not None:
+            monkeypatch.setattr(smoothing, "_ROW_BLOCK", row_block)
+        rng = np.random.default_rng(43)
+        raws = []
+        for i in range(10):
+            kind = "holed" if i % 4 == 0 else "irregular"
+            times = _schedule(rng, kind, 257 if i % 2 else 301)
+            raws.append(RawSeries(id=f"b{i}", s=2, times=times, values=rng.normal(0.5, 0.6, size=(times.size, 2))))
+        gammas = rng.choice([0.05, 0.1, 0.3], size=len(raws))
+        want, empty = _per_slot_smoothing(raws, 7, gammas)
+        assert empty
+        got, caught = _smoothed_with_warnings(SeriesBatch.from_series(raws), 7, gammas)
+        assert got.tobytes() == want.tobytes()
+        assert sorted(message for _, message in caught) == sorted(empty)
 
     @pytest.mark.parametrize("noisy", [True, False])
     def test_estimate_grid_series_is_the_one_series_batch(self, noisy):
@@ -337,17 +329,43 @@ class TestSmoothBatch:
             smooth_batch(batch, 3, [0.2, 0.3])
         assert np.array_equal(smooth_batch(batch, 3, [0.2]), smooth_batch(batch, 3, [0.2] * 4))
 
-    @pytest.mark.parametrize("case", ["one_gamma", "runs", "all_differ"])
-    def test_groups_of_a_shared_schedule_are_the_hashed_groups(self, case):
-        batch, _ = _shared_batch(np.random.default_rng(45), 5, 1, np.arange(1, 17) / 16)
-        gammas = {
-            "one_gamma": np.full(5, 0.2),
-            "runs": np.array([0.2, 0.2, 0.3, 0.3, 0.2]),
-            "all_differ": np.array([0.5, 0.4, 0.3, 0.2, 0.1]),
-        }[case]
-        got = [(members.tolist(), times.tobytes(), gamma) for members, times, gamma in _groups(batch, gammas)]
-        assert got == _hashed_groups(batch, gammas)
-        assert len(got) == {"one_gamma": 1, "runs": 2, "all_differ": 5}[case]
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+    def test_names_the_first_bad_bandwidth_of_a_per_series_list(self, bad):
+        batch = SeriesBatch.from_series([RawSeries.from_uniform(f"u{i}", np.full(10, 0.5)) for i in range(4)])
+        with pytest.raises(ValueError, match=f"gamma must be a positive finite number, got {bad!r}$"):
+            smooth_batch(batch, 3, [0.2, bad, 0.3, -5.0])
+
+    @pytest.mark.parametrize("case", ["all_agree", "last_times_differ", "last_gamma_differs"])
+    def test_one_weight_row_serves_a_group_only_when_every_row_agrees(self, case, monkeypatch):
+        # blocks of two series, so the odd one out sits in the group's last block
+        monkeypatch.setattr(smoothing, "_ROW_BLOCK", 2 * 12)
+        rng = np.random.default_rng(48)
+        schedules = [np.arange(1, 13) / 12] * 7
+        gammas = np.full(7, 0.2)
+        if case == "last_times_differ":
+            schedules[-1] = np.sort(rng.choice(np.arange(1, 1001) / 1000, size=12, replace=False))
+        elif case == "last_gamma_differs":
+            gammas[-1] = 0.35
+        raws = [
+            RawSeries(id=f"r{i}", s=2, times=t, values=rng.normal(0.5, 0.6, size=(12, 2)))
+            for i, t in enumerate(schedules)
+        ]
+        want, empty = _per_slot_smoothing(raws, 5, gammas)
+        got, got_warnings = _smoothed_with_warnings(SeriesBatch.from_series(raws), 5, gammas)
+        assert got.tobytes() == want.tobytes()
+        assert sorted(message for _, message in got_warnings) == sorted(empty)
+
+    def test_smooth_at_and_smooth_batch_warn_alike_at_the_callers_line(self):
+        # no sample in [0.3, 0.5]; the window at t = 1 holds 0.9 and 1.0
+        y = RawSeries(id="gap", s=1, times=np.array([0.1, 0.9, 1.0]), values=np.full((3, 1), 0.5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            smooth_at(y, 0.5, 0.2)
+            smooth_batch(SeriesBatch.from_series([y]), 2, 0.2)
+        at, batch = caught
+        assert at.category is batch.category is EmptyWindowWarning
+        assert str(at.message) == str(batch.message) == "series 'gap': no samples in [0.3, 0.5]"
+        assert at.filename == batch.filename == __file__
 
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("case", ["one_gamma", "runs", "empty_window"])
@@ -370,6 +388,77 @@ class TestSmoothBatch:
         assert got_warnings == want_warnings
         reference, empty = _per_slot_smoothing(raws, 6, np.broadcast_to(gammas, (5,)))
         assert np.array_equal(got, reference)
-        assert len(got_warnings) == empty
-        assert (empty > 0) == (case == "empty_window")
+        assert sorted(message for _, message in got_warnings) == sorted(empty)
+        assert bool(empty) == (case == "empty_window")
         assert all(category is EmptyWindowWarning for category, _ in got_warnings)
+
+
+# every k/1000 outside (0.2, 0.6]: a hole that empties the windows of the grid times inside it
+_HOLED = np.concatenate([np.arange(1, 201), np.arange(601, 1001)]) / 1000
+
+
+def _schedule(rng, kind, m):
+    if kind == "uniform":
+        return np.arange(1, m + 1) / m
+    pool = np.arange(1, 1001) / 1000 if kind == "irregular" else _HOLED
+    return np.sort(rng.choice(pool, size=m, replace=False))
+
+
+@st.composite
+def _mixed_batches(draw):
+    """(batch, the same series as RawSeries, d, per-series gammas) over every sampling design."""
+    d = draw(st.integers(1, 5))
+    s = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["uniform", "irregular", "holed"])
+    if draw(st.booleans()):
+        gammas = np.array(draw(st.lists(st.sampled_from([0.05, 0.1, 0.3]), min_size=n, max_size=n)))
+    else:
+        gammas = np.full(n, draw(st.sampled_from([0.05, 0.1, 0.3])))
+    ids = [f"x{i}" for i in range(n)]
+    if draw(st.booleans()):  # one schedule stored once for every series
+        times = _schedule(rng, draw(kinds), draw(st.sampled_from([d + 1, 12, 20, 257])))
+        values = rng.normal(0.5, 0.6, size=(n, times.size, s))
+        batch = SeriesBatch(ids=ids, s=s, offsets=np.arange(n + 1) * times.size, times=times, values=values.reshape(-1, s))
+        return batch, [RawSeries(id=i, s=s, times=times, values=v) for i, v in zip(ids, values)], d, gammas
+    raws = []
+    for sid in ids:
+        times = _schedule(rng, draw(kinds), draw(st.sampled_from([d + 1, d + 2, 12, 20, 257])))
+        raws.append(RawSeries(id=sid, s=s, times=times, values=rng.normal(0.5, 0.6, size=(times.size, s))))
+    return SeriesBatch.from_series(raws), raws, d, gammas
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_batches(), st.integers(1, 60))
+def test_smooth_batch_is_the_per_slot_loop_on_every_design(case, row_block):
+    batch, raws, d, gammas = case
+    want, want_warnings = _per_slot_smoothing(raws, d, gammas)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "_ROW_BLOCK", row_block)  # groups cross block boundaries
+        got, got_warnings = _smoothed_with_warnings(batch, d, gammas)
+    assert got.tobytes() == want.tobytes()
+    assert all(category is EmptyWindowWarning for category, _ in got_warnings)
+    assert sorted(message for _, message in got_warnings) == sorted(want_warnings)
+
+
+def test_smoothed_bits_do_not_depend_on_blas_threads_at_the_registry_sizes():
+    # m = 4096 is the registry's longest series; from m = 20000 on, OpenBLAS splits w @ block across threads
+    probe = (
+        "import sys; from flatclust.smoothing import gamma_schedule, smooth_batch; "
+        "from flatclust.synthetic import gap_family, sample_series_batch; "
+        "batch, _, _ = sample_series_batch(gap_family(), 64, 4096, 5); "
+        "sys.stdout.buffer.write(smooth_batch(batch, gap_family().d, gamma_schedule(4096)).tobytes())"
+    )
+    src = str(Path(flatclust.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=120)
+        assert done.stdout
+        digests.add(hashlib.sha256(done.stdout).hexdigest())
+    assert len(digests) == 1
