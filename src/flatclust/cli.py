@@ -109,7 +109,7 @@ def _cmd_synth(args) -> int:
     else:
         m = 4 * synth.spec.d if synth.m is None else synth.m
         raws, labels, grids = sample_raw_series(synth.spec, synth.n, m, synth.seed)
-        ids = [r.id for r in raws]
+        ids = list(raws.ids)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if isinstance(synth.spec, MixtureSpec):

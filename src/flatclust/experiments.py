@@ -35,6 +35,7 @@ from .series import flatten, grid_times
 from .smoothing import gamma_schedule, smooth_batch
 from .spatial import _sum_of_squares
 from .synthetic import (
+    MAX_GRID_D,
     ClusterTemplate,
     FunctionFamilySpec,
     MixtureSpec,
@@ -834,6 +835,7 @@ class GridResolutionConfig(Codec):
     def __post_init__(self):
         d_coarse, d_fine = self.d_pair
         _require(d_fine > d_coarse >= 1, f"need d_fine > d_coarse >= 1, got {self.d_pair}")
+        _require(d_fine <= MAX_GRID_D, f"need d_fine <= {MAX_GRID_D}, got {self.d_pair}")
         mismatch = self.coarse_mismatch
         _require(
             not self.require_coincident or mismatch <= 1e-9,

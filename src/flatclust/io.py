@@ -29,7 +29,7 @@ import numpy as np
 from .clustering import NOISE, ClusterTree, cluster_tree, dbscan_cluster
 from .codec import Codec, decode
 from .density import delta_schedule, k_of_lambda, lambda_of_k
-from .series import GridSeries, RawSeries, SeriesBatch, flatten, grid_series_views
+from .series import GridSeries, SeriesBatch, flatten, grid_series_views
 from .smoothing import gamma_schedule, smooth_batch
 
 # Bound here, though this module does not call it, because the per-layer
@@ -116,10 +116,10 @@ INGEST_CHUNK = 8192
 _EXACT_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
-def ingest_series_csv(path) -> list[RawSeries]:
-    """Parse a series CSV into RawSeries, grouped by id and sorted by time.
+def ingest_series_csv(path) -> SeriesBatch:
+    """Parse a series CSV into one SeriesBatch, grouped by id and sorted by time.
 
-    Series come in order of first appearance, as views into one SeriesBatch.
+    Series come in order of first appearance, one time per observation.
     numpy's C parser reads the numbers when the fast path can be sure that it
     reads what csv.reader and float would; any other file, and every file
     with an error, is read by the exact parser, which names the first
@@ -271,8 +271,8 @@ def _parse_rows(rows: list[list[str]], lines: np.ndarray, s: int):
 
 def _series_of(
     s: int, ids: list[str], lines: np.ndarray, numbers: np.ndarray, error=None
-) -> list[RawSeries]:
-    """The series of parsed rows: the checks no parser makes, then one SeriesBatch.
+) -> SeriesBatch:
+    """The batch of parsed rows: the checks no parser makes, then one SeriesBatch.
 
     Rows come in file order, with their line numbers, numbers holding the
     time and then v1..vs of each; error is the (line, message) of a row that
@@ -306,7 +306,7 @@ def _series_of(
         raise ParseError(error[1], line=error[0])
     offsets = np.zeros(len(code_of) + 1, dtype=np.intp)
     np.cumsum(np.bincount(codes, minlength=len(code_of)), out=offsets[1:])
-    return SeriesBatch._adopt(list(code_of), s, offsets, times[order], values[order]).series()
+    return SeriesBatch._adopt(list(code_of), s, offsets, times[order], values[order])
 
 
 _NEEDS_QUOTES = frozenset(',"\r\n')
@@ -335,8 +335,8 @@ def _write_csv(path, header: str, fmt: str, rows) -> None:
         fh.writelines(fmt % row for row in rows)
 
 
-def emit_series_csv(path, series: list[RawSeries] | list[GridSeries]) -> None:
-    """Write raw or grid series in the ingestible series CSV format."""
+def emit_series_csv(path, series: SeriesBatch | list[GridSeries]) -> None:
+    """Write a batch of raw series, or grid series, in the ingestible series CSV format."""
     if not series:
         raise ValueError("nothing to write")
     s = series[0].s
@@ -389,8 +389,9 @@ def read_json_document(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_gamma(cfg: PipelineConfig, m: int) -> float:
-    return gamma_schedule(m) if cfg.gamma == "auto" else float(cfg.gamma)
+def _resolve_gammas(cfg: PipelineConfig, batch: SeriesBatch) -> list[float]:
+    gamma = {m: gamma_schedule(m) if cfg.gamma == "auto" else float(cfg.gamma) for m in set(batch.m.tolist())}
+    return [gamma[m] for m in batch.m.tolist()]
 
 
 def _resolve_k(cfg: PipelineConfig, n: int, delta: float, sd: int) -> int:
@@ -402,16 +403,13 @@ def _resolve_k(cfg: PipelineConfig, n: int, delta: float, sd: int) -> int:
     return max(1, int(k))
 
 
-def run_smooth(cfg: PipelineConfig, series: list[RawSeries]) -> list[GridSeries]:
-    """Smooth every raw series onto the clustering grid, as one batch."""
-    if not series:
+def run_smooth(cfg: PipelineConfig, batch: SeriesBatch) -> list[GridSeries]:
+    """Smooth the batch, as given, onto the clustering grid: one GridSeries view per series."""
+    if not batch:
         raise ValueError("no series to smooth: the input has no observation rows")
-    for sr in series:
-        if sr.s != cfg.s:
-            raise ValueError(f"series {sr.id!r} has s={sr.s}, config expects {cfg.s}")
-    batch = SeriesBatch.from_series(series, s=cfg.s)
-    gammas = [_resolve_gamma(cfg, m) for m in batch.m.tolist()]
-    return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, gammas))
+    if batch.s != cfg.s:  # every series of a batch has its s
+        raise ValueError(f"series {batch.ids[0]!r} has s={batch.s}, config expects {cfg.s}")
+    return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, _resolve_gammas(cfg, batch)))
 
 
 def _tree_document(tree: ClusterTree, ids: list[str], n: int, sd: int) -> dict:
@@ -438,20 +436,20 @@ def _tree_document(tree: ClusterTree, ids: list[str], n: int, sd: int) -> dict:
     return {"delta": tree.delta, "link_radius": tree.link_radius, "levels": levels}
 
 
-def run_cluster(cfg: PipelineConfig, series: list[RawSeries]) -> dict:
-    """Smooth, flatten, and cluster a batch of raw series.
+def run_cluster(cfg: PipelineConfig, batch: SeriesBatch) -> dict:
+    """Smooth (by run_smooth), flatten, and cluster the series of a batch.
 
     Returns a dict with the assignment table, the run manifest, and (when a
     k-ladder is configured) the cluster-tree document.
     """
-    grids = run_smooth(cfg, series)
+    grids = run_smooth(cfg, batch)
     ids = [g.id for g in grids]
     points = flatten(np.stack([g.values for g in grids]))
     n, sd = points.shape
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
     k = _resolve_k(cfg, n, delta, sd)
     labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=cfg.link_radius)
-    gammas = {sr.id: _resolve_gamma(cfg, sr.m) for sr in series}
+    gammas = dict(zip(batch.ids, _resolve_gammas(cfg, batch)))
     manifest = {
         "config": cfg.to_dict(),
         "n_series": n,

@@ -4,16 +4,16 @@ RawSeries holds the noisy observed sample of one series; GridSeries holds its
 values at the d clustering timepoints t = 1/d, ..., 1. SeriesBatch holds many
 raw series in columnar form, checked once per batch: its times hold either
 one entry per observation or, when every series is sampled at the same m
-times, that one schedule once. The per-series objects it hands out are
-read-only views into its arrays. `flatten` turns an (n, d, s) grid array
-into n points of [0,1]^(s*d), time-major, the one place that order is
-written down.
+times, that one schedule once. A batch is a sequence of RawSeries views
+into its arrays; every array these types hold is a view of a read-only
+owner. `flatten` turns an (n, d, s) grid array into n points of
+[0,1]^(s*d), time-major, the one place that order is written down.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +28,14 @@ __all__ = [
 ]
 
 
+def _readonly_view(owner: np.ndarray) -> np.ndarray:
+    """A view of owner, made read-only: numpy refuses write=True on a view of a read-only array."""
+    owner.setflags(write=False)
+    return owner.view()
+
+
 def _as_readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+    return _readonly_view(np.array(a, dtype=dtype))
 
 
 def _unchecked(cls, **fields):
@@ -96,7 +100,7 @@ class RawSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class SeriesBatch:
+class SeriesBatch(Sequence):
     """n raw series in columnar form: series i owns rows offsets[i]:offsets[i+1] of values.
 
     values has shape (N, s), N = offsets[-1]. times comes in one of two layouts:
@@ -108,9 +112,10 @@ class SeriesBatch:
 
     A batch whose times has N entries is read as the first layout, so a
     one-series batch is the same in both. Every RawSeries rule is checked
-    once for the whole batch, with the same messages. The batch keeps
-    read-only copies of the arrays it is given, so a later write to the
-    caller's arrays cannot undo the check.
+    once for the whole batch, with the same messages, and ids must not
+    repeat. The batch keeps read-only copies of the arrays it is given, so
+    a later write to the caller's arrays cannot undo the check. batch[i]
+    and iteration give RawSeries views into its arrays, unchecked.
     """
 
     ids: tuple
@@ -130,10 +135,10 @@ class SeriesBatch:
     def _adopt(cls, ids, s: int, offsets: np.ndarray, times: np.ndarray, values: np.ndarray) -> "SeriesBatch":
         """A batch on arrays its caller in this package just made and no longer writes, kept without a copy.
 
-        They are made read-only here and checked as the constructor checks.
+        They are made read-only here, kept behind views, and checked as the
+        constructor checks.
         """
-        for a in (offsets, times, values):
-            a.setflags(write=False)
+        offsets, times, values = map(_readonly_view, (offsets, times, values))
         batch = _unchecked(cls, ids=tuple(ids), s=s, offsets=offsets, times=times, values=values)
         batch._check()
         return batch
@@ -147,9 +152,28 @@ class SeriesBatch:
         ):
             raise ValueError("offsets must run from 0 to len(times), or step by len(times), one step per id")
         _check_raw(self.s, times, self.values, offsets, self._shared)
+        if len(set(self.ids)) != len(self.ids):
+            seen = set()
+            repeated = next(sid for sid in self.ids if sid in seen or seen.add(sid))
+            raise ValueError(f"series id {repeated!r} is repeated; every series needs its own id")
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __getitem__(self, i: int) -> RawSeries:
+        i = range(len(self))[i]  # negative indices too; IndexError past the end, TypeError on a slice
+        return next(self._views(i, i + 1))
+
+    def __iter__(self):
+        return self._views(0, len(self))
+
+    def _views(self, start: int, stop: int):
+        o = self.offsets[start : stop + 1].tolist()
+        starts = [0] * len(o) if self._shared else o  # a shared schedule is every series' times
+        return (
+            _unchecked(RawSeries, id=sid, s=self.s, times=self.times[t : t + b - a], values=self.values[a:b], m=b - a)
+            for sid, t, a, b in zip(self.ids[start:stop], starts, o, o[1:])
+        )
 
     @property
     def _shared(self) -> bool:
@@ -162,26 +186,12 @@ class SeriesBatch:
         return np.diff(self.offsets)
 
     @classmethod
-    def from_series(cls, series: Sequence[RawSeries], s: int | None = None) -> "SeriesBatch":
-        """Pack raw series, in order, into one batch; s defaults to the first one's."""
-        if s is None:
-            if not series:
-                raise ValueError("an empty batch needs its component count s")
-            s = series[0].s
-        offsets = np.zeros(len(series) + 1, dtype=np.intp)
-        np.cumsum([y.m for y in series], out=offsets[1:])
-        times = np.concatenate([y.times for y in series]) if series else np.empty(0)
-        values = np.concatenate([y.values for y in series]) if series else np.empty((0, s))
-        return cls._adopt([y.id for y in series], s, offsets, times, values)
-
-    def series(self) -> list[RawSeries]:
-        """Every series as a RawSeries view into the batch arrays."""
-        o = self.offsets.tolist()
-        starts = [0] * len(self) if self._shared else o  # a shared schedule is every series' times
-        return [
-            _unchecked(RawSeries, id=sid, s=self.s, times=self.times[t : t + b - a], values=self.values[a:b], m=b - a)
-            for sid, t, a, b in zip(self.ids, starts, o, o[1:])
-        ]
+    def from_series(cls, series: Sequence[RawSeries]) -> "SeriesBatch":
+        """Pack one or more raw series, in order, into a batch with the first one's s."""
+        offsets = np.cumsum([0, *(y.m for y in series)], dtype=np.intp)
+        times = np.concatenate([y.times for y in series])
+        values = np.concatenate([y.values for y in series])
+        return cls._adopt([y.id for y in series], series[0].s, offsets, times, values)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._ufuncs import row_loops
 from .codec import Codec, prefixed
-from .series import GridSeries, RawSeries, SeriesBatch, grid_series_views, grid_times
+from .series import GridSeries, SeriesBatch, grid_series_views, grid_times
 
 __all__ = [
     "Bump1D",
@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 _BUMP_KINDS = ("triangular", "quadratic")
+
+# Largest clustering grid d a family or an experiment accepts, checked before any grid is built; the
+# pinned configurations use at most 32.
+MAX_GRID_D = 10_000
 
 
 @dataclass(frozen=True)
@@ -462,6 +466,8 @@ class FunctionFamilySpec(Codec):
         _check_weights(self.weights, len(self.clusters), "cluster")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.d > MAX_GRID_D:
+            raise ValueError(f"d must be <= {MAX_GRID_D}, got {self.d}")
         if self.eps_bar < 0.0:
             raise ValueError("eps_bar must be nonnegative")
         s = self.clusters[0].s
@@ -596,10 +602,10 @@ def sample_raw_series(
     n: int,
     m: int,
     seed,
-) -> tuple[list[RawSeries], np.ndarray, list[GridSeries]]:
-    """sample_series_batch with per-series RawSeries and GridSeries views."""
+) -> tuple[SeriesBatch, np.ndarray, list[GridSeries]]:
+    """sample_series_batch with its grid values as GridSeries views; the batch is a sequence of RawSeries."""
     batch, labels, grid = sample_series_batch(fspec, n, m, seed)
-    return batch.series(), labels, grid_series_views(batch.ids, grid)
+    return batch, labels, grid_series_views(batch.ids, grid)
 
 
 # ---------------------------------------------------------------------------

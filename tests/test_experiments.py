@@ -361,6 +361,11 @@ class TestGridResolution:
         with pytest.raises(ValueError, match="d_fine"):
             grid_resolution_experiment(GridResolutionConfig(d_pair=(20, 5)))
 
+    @pytest.mark.parametrize("d_pair", [(5, 10**4 + 1), (5, 10**12), (10**12, 10**12 + 1)])
+    def test_bounds_d_pair_before_any_grid_is_built(self, d_pair):
+        with pytest.raises(ValueError, match=r"^need d_fine <= 10000, got \(.*\)$"):
+            GridResolutionConfig.from_dict({"d_pair": list(d_pair)})
+
 
 class TestCompensating:
     def test_rate_fn_values_and_validation(self):

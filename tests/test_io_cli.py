@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from flatclust.io import (
     run_smooth,
     write_json_document,
 )
-from flatclust.series import RawSeries, grid_series_views
+from flatclust.series import RawSeries, SeriesBatch, grid_series_views
 from flatclust.synthetic import (
     ClusterTemplate,
     FunctionFamilySpec,
@@ -260,26 +261,26 @@ class TestRunCluster:
         truncated = RawSeries(id="stub", s=1, times=short.times[:4], values=short.values[:4])
         cfg = PipelineConfig(s=1, d=4, delta=0.1, k=2)
         with pytest.raises(ValueError, match="stub"):
-            run_cluster(cfg, raws + [truncated])
+            run_cluster(cfg, SeriesBatch.from_series([*raws, truncated]))
 
     @pytest.mark.parametrize(
-        "odd, message",
+        "series, message",
         [
-            (
-                lambda sr: RawSeries("odd", 2, sr.times, np.hstack([sr.values, sr.values])),
-                "series 'odd' has s=2, config expects 1",
+            (  # every series of a batch has its s, so the message names the first
+                lambda raws: [RawSeries(f"odd{i}", 2, y.times, np.hstack([y.values] * 2)) for i, y in enumerate(raws)],
+                "series 'odd0' has s=2, config expects 1",
             ),
             (
-                lambda sr: RawSeries("odd", 1, sr.times[:4], sr.values[:4]),
+                lambda raws: [*raws, RawSeries("odd", 1, raws[1].times[:4], raws[1].values[:4])],
                 "series 'odd' has m=4 <= d=4; need m > d",
             ),
         ],
         ids=["s-mismatch", "m-not-above-d"],
     )
-    def test_refused_series_messages(self, odd, message):
+    def test_refused_series_messages(self, series, message):
         raws, _, _ = self._series(n=3, m=24)
         with pytest.raises(ValueError) as info:
-            run_cluster(PipelineConfig(s=1, d=4, delta=0.1, k=2), raws + [odd(raws[1])])
+            run_cluster(PipelineConfig(s=1, d=4, delta=0.1, k=2), SeriesBatch.from_series(series(raws)))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("link_radius, want", [(None, 0.2), (0.15, 0.15)], ids=["default", "configured"])
@@ -315,6 +316,21 @@ class TestRunCluster:
         back = ingest_series_csv(path)
         assert len(back) == len(grids)
         assert all(s.m == 4 for s in back)
+
+
+def test_run_smooth_smooths_the_ingested_batch_without_a_copy(tmp_path):
+    # a copy of the batch's times and values alone would reach this peak
+    raws, _, _ = sample_raw_series(lipschitz_family(d=4, eps_bar=0.05), 2000, 64, seed=15)
+    emit_series_csv(tmp_path / "s.csv", raws)
+    batch = ingest_series_csv(tmp_path / "s.csv")
+    copy_bytes = batch.times.nbytes + batch.values.nbytes
+    tracemalloc.start()
+    try:
+        grids = run_smooth(PipelineConfig(s=1, d=4, k=3), batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grids) == 2000 and peak < copy_bytes
 
 
 def _write_cluster_inputs(tmp_path, k_ladder=None):
@@ -675,14 +691,7 @@ def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, messag
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize(
-    "document",
-    [
-        {"spec": _MIXTURE, "n": 10**15},
-        {"spec": {**lipschitz_family().to_dict(), "d": 10**14}},
-    ],
-    ids=["mixture-n", "family-d"],
-)
+@pytest.mark.parametrize("document", [{"spec": _MIXTURE, "n": 10**15}], ids=["mixture-n"])
 def test_synth_beyond_the_address_space_is_one_json_error(tmp_path, capsys, document):
     # numpy refuses an array larger than the address space at once, so nothing is allocated
     path = tmp_path / "doc.json"
@@ -694,6 +703,19 @@ def test_synth_beyond_the_address_space_is_one_json_error(tmp_path, capsys, docu
     payload = json.loads(err)
     assert payload["error"] == "out-of-memory"
     assert payload["message"].startswith("Unable to allocate")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("d", [10**4 + 1, 10**12, 10**14])
+def test_synth_with_a_family_d_past_the_bound_is_one_json_error(tmp_path, capsys, d):
+    # refused before the family builds its grid, so no d-sized array is allocated
+    path = tmp_path / "doc.json"
+    write_json_document(path, {"spec": {**lipschitz_family().to_dict(), "d": d}})
+    rc = main(["synth", "--spec", str(path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "invalid-argument", "message": f"spec: d must be <= 10000, got {d}"}
     assert not (tmp_path / "o").exists()
 
 
@@ -743,6 +765,95 @@ def test_sampled_series_csv_bytes_are_pinned(tmp_path, family, n, m, seed, sha25
     raws, _, _ = sample_raw_series(family, n, m, seed)
     emit_series_csv(tmp_path / "s.csv", raws)
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == sha256
+
+
+# Ragged lengths, irregular times, rows out of order and quoted ids: read by the exact parser.
+_RAGGED_CSV = (
+    "series_id,time,v1\n"
+    '"north, 1",0.13,0.21\n'
+    '"north, 1",0.41,0.19\n'
+    "south,0.07,0.83\n"
+    '"north, 1",0.77,0.24\n'
+    '"north, 1",0.95,0.18\n'
+    "south,0.33,0.79\n"
+    "south,0.58,0.81\n"
+    "south,0.61,0.84\n"
+    "south,1,0.77\n"
+    '"say ""hi""",0.2,0.22\n'
+    '"say ""hi""",0.45,0.26\n'
+    '"say ""hi""",0.7,0.2\n'
+    '"say ""hi""",0.9,0.23\n'
+    '"say ""hi""",0.99,0.21\n'
+    '"say ""hi""",0.5,0.24\n'
+    "east,0.9,0.8\n"
+    "east,0.1,0.82\n"
+    "east,0.5,0.86\n"
+    "east,0.75,0.81\n"
+    "west,0.25,0.5\n"
+    "west,0.5,0.52\n"
+    "west,0.75,0.49\n"
+    "west,1.0,0.51\n"
+    "west,0.125,0.48\n"
+)
+
+
+def _cli_inputs(tmp_path, kind):
+    """(series CSV, config) of one pinned CLI input: a sampled j/m CSV or the hand-written ragged one."""
+    series_path = tmp_path / "series.csv"
+    if kind == "sampled":
+        raws, _, _ = sample_raw_series(_spread_family(), 60, 24, 5)
+        emit_series_csv(series_path, raws)
+        return series_path, {"s": 2, "d": 4, "delta": 0.08, "k": 4, "k_ladder": [12, 4, 2]}
+    series_path.write_text(_RAGGED_CSV)
+    return series_path, {"s": 1, "d": 2, "delta": 0.15, "k": 2, "k_ladder": [3, 2, 1]}
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [
+        (
+            "sampled",
+            {
+                "assignments.csv": "a225f6f261f4eeb2d25f7db8b17132334449755910e05988442bf9def3033ec5",
+                "manifest.json": "d0607964e54c271cf437b3f1eee8c292c86c2337e40d303e43b244de7c425202",
+                "tree.json": "06f348e063d510ca267751b92020fb7193bff10db85edb10cdbdcbfe196b7320",
+                "grid.csv": "4f4eb579416415561b32b3789d626bbb4dc69e9e6e76223845c5a384052b2d9d",
+            },
+        ),
+        (
+            "ragged",
+            {
+                "assignments.csv": "fd2e38b9e97d74ec4c2e03d77562adbc4703c53d157d49e7a24130d302544580",
+                "manifest.json": "e73cdf80a176ca7268787abac1ddadca89182ee7c2c370162fbaafd3b264ba2e",
+                "tree.json": "696ba39077861d815cbc26e2cf6374f65928b2f2f917da5146ae10d4f9dd30d2",
+                "grid.csv": "9602ac39e3ed842f48268a0bb6884a53475fbebbf6870dd0004df37f0c58cc35",
+            },
+        ),
+    ],
+)
+def test_cli_output_bytes_are_pinned(tmp_path, kind, want):
+    # digests of `flatclust tree` and `flatclust smooth`, so a refactor of the pipeline keeps every byte
+    series_path, config = _cli_inputs(tmp_path, kind)
+    config_path = tmp_path / "config.json"
+    write_json_document(config_path, config)
+    out = tmp_path / "t"
+    assert main(["tree", "--config", str(config_path), "--input", str(series_path), "--outdir", str(out)]) == 0
+    grid = out / "grid.csv"
+    assert main(["smooth", "--config", str(config_path), "--input", str(series_path), "--output", str(grid)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
+
+
+def test_config_s_unlike_the_csv_s_is_pinned(tmp_path, capsys):
+    series_path, config = _cli_inputs(tmp_path, "ragged")
+    config_path = tmp_path / "config.json"
+    write_json_document(config_path, {**config, "s": 2})
+    rc = main(["cluster", "--config", str(config_path), "--input", str(series_path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        '{"error": "invalid-argument", "message": "series \'north, 1\' has s=1, config expects 2"}\n'
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def _per_level_tree_document(tree, ids, n, sd):

@@ -56,7 +56,7 @@ class TestSeriesBatch:
         times_base[:] = 0.0  # would break the checked (0, 1] rule
         assert np.all(batch.values == 0.5)
         assert batch.times.tolist() == [0.5, 1.0, 0.25, 0.5, 0.75, 1.0]
-        assert all(np.all(y.values == 0.5) and y.times.min() > 0.0 for y in batch.series())
+        assert all(np.all(y.values == 0.5) and y.times.min() > 0.0 for y in batch)
 
     def test_every_array_a_caller_gives_is_copied(self):
         # numpy lets the owner of a read-only array make it writable again
@@ -68,18 +68,64 @@ class TestSeriesBatch:
         times[0] = 7.0  # would break the checked (0, 1] rule
         values[0] = -1.0
         assert batch.times.tolist() == [0.5, 1.0] and batch.values.tolist() == [[0.1], [0.2]]
-        assert batch.series()[0].times.tolist() == [0.5, 1.0]
+        assert batch[0].times.tolist() == [0.5, 1.0]
         assert not (batch.times.flags.writeable or batch.values.flags.writeable or batch.offsets.flags.writeable)
 
     def test_the_package_path_keeps_its_arrays_and_checks_them(self):
         offsets, times, values = np.array([0, 2], dtype=np.intp), np.array([0.5, 1.0]), np.array([[0.1], [0.2]])
         batch = SeriesBatch._adopt(["a"], 1, offsets, times, values)
-        assert batch.offsets is offsets and batch.times is times and batch.values is values
+        for mine, theirs in ((batch.offsets, offsets), (batch.times, times), (batch.values, values)):
+            assert np.shares_memory(mine, theirs)
         assert not (times.flags.writeable or values.flags.writeable or offsets.flags.writeable)
         with pytest.raises(ValueError, match="strictly increasing"):
             SeriesBatch._adopt(["a"], 1, np.array([0, 2]), np.array([0.5, 0.5]), np.zeros((2, 1)))
         with pytest.raises(ValueError, match=r"step by len\(times\)"):
             SeriesBatch._adopt(["a", "b"], 1, np.array([0, 2, 5]), np.array([0.5, 1.0]), np.zeros((5, 1)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SeriesBatch.from_series([RawSeries.from_uniform("a", [0.1, 0.2])]),
+            lambda: SeriesBatch(ids=["a"], s=1, offsets=[0, 2], times=[0.5, 1.0], values=[[0.1], [0.2]]),
+        ],
+        ids=["packed", "constructed"],
+    )
+    def test_no_array_of_a_batch_can_be_made_writable(self, make):
+        b = make()
+        arrays = [b.offsets, b.times, b.values, b[0].times, b[0].values]
+        for a in arrays:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
+        assert b[0].times.tolist() == [0.5, 1.0]
+
+    def test_no_array_of_a_series_can_be_made_writable(self):
+        y = RawSeries.from_uniform("a", [0.1, 0.2])
+        g = GridSeries(id="g", s=1, d=2, values=[[0.1], [0.2]])
+        for a in (y.times, y.values, g.values):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
+
+    def test_refuses_a_repeated_id_naming_the_first(self):
+        x12, x16, y = (RawSeries.from_uniform(sid, np.full(m, 0.5)) for sid, m in (("x", 12), ("x", 16), ("y", 8)))
+        with pytest.raises(ValueError, match="^series id 'x' is repeated; every series needs its own id$"):
+            SeriesBatch.from_series([y, x12, x16])
+        with pytest.raises(ValueError, match="series id 'b' is repeated"):
+            SeriesBatch(ids=list("abcba"), s=1, offsets=range(6), times=[0.5], values=np.zeros((5, 1)))
+
+    def test_is_a_sequence_of_views(self):
+        times = [0.5, 1.0, 0.2, 0.4, 0.6]
+        batch = SeriesBatch(ids=["a", "b"], s=1, offsets=[0, 2, 5], times=times, values=np.zeros((5, 1)))
+        views = list(batch)
+        assert [y.id for y in views] == ["a", "b"] and [y.m for y in views] == [2, 3]
+        for i, y in enumerate(views):
+            for mine, theirs in ((batch[i], y), (batch[i - 2], y)):
+                assert (mine.id, mine.s, mine.m) == (y.id, y.s, y.m)
+                assert mine.times.tobytes() == y.times.tobytes() and mine.values.tobytes() == y.values.tobytes()
+            assert np.shares_memory(y.values, batch.values) and np.shares_memory(y.times, batch.times)
+        with pytest.raises(IndexError):
+            batch[2]
+        with pytest.raises(TypeError):  # a batch is indexed by position only
+            batch[0:1]
 
     def test_checks_the_raw_series_rules(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -100,18 +146,18 @@ class TestSharedSchedule:
         batch = self._batch(times)
         assert batch._shared and batch.times.shape == (3,)
         assert batch.m.tolist() == [3, 3]
-        for y in batch.series():
+        for y in batch:
             assert y.times.tobytes() == times.tobytes() and y.m == 3
             assert np.shares_memory(y.times, batch.times) and not y.times.flags.writeable
 
     def test_one_series_reads_as_per_observation(self):
         batch = self._batch([0.5, 1.0], offsets=(0, 2))
         assert not batch._shared
-        assert batch.series()[0].times.tolist() == [0.5, 1.0]
+        assert batch[0].times.tolist() == [0.5, 1.0]
 
     def test_an_empty_batch_may_keep_its_schedule(self):
         batch = self._batch([0.5, 1.0], offsets=(0,))
-        assert len(batch) == 0 and batch.series() == []
+        assert len(batch) == 0 and list(batch) == []
 
     @pytest.mark.parametrize(
         "times, offsets, message",

@@ -377,7 +377,7 @@ class TestSmoothBatch:
         batch, raws = _shared_batch(rng, 5, s, times)
         gammas = np.array([0.1, 0.1, 0.25, 0.25, 0.1]) if case == "runs" else 0.1
         per_observation = SeriesBatch.from_series(raws)
-        views = batch.series()
+        views = list(batch)
         assert [(y.times.tobytes(), y.values.tobytes()) for y in views] == [
             (y.times.tobytes(), y.values.tobytes()) for y in raws
         ]

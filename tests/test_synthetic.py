@@ -8,6 +8,7 @@ import pytest
 
 from flatclust.series import grid_times
 from flatclust.synthetic import (
+    MAX_GRID_D,
     Bump1D,
     ClusterTemplate,
     FunctionFamilySpec,
@@ -458,7 +459,7 @@ class TestBatchSampler:
         # the j/m schedule is stored once, and every series' times are views of it
         schedule = (np.arange(1, m + 1) / m).tobytes()
         assert batch.times.tobytes() == schedule
-        assert all(y.times.tobytes() == schedule for y in batch.series())
+        assert all(y.times.tobytes() == schedule for y in batch)
         assert batch.ids == tuple(f"series{i:05d}" for i in range(n))
 
         # the generator is left where the loop leaves it
@@ -496,7 +497,7 @@ def test_samplers_take_numpy_counts_and_an_empty_n():
     assert len(batch) == 3 and batch.values.shape == (24, 1)
     batch, labels, grid = sample_series_batch(gap_family(), 0, 8, 1)
     assert len(batch) == 0 and labels.shape == (0,) and grid.shape == (0, 2, 1)
-    assert sample_raw_series(gap_family(), 0, 8, 1)[0] == []
+    assert list(sample_raw_series(gap_family(), 0, 8, 1)[0]) == []
 
 
 def test_batch_sampler_with_a_template_missing_from_a_chunk():
@@ -526,3 +527,13 @@ def test_template_eval_is_the_written_out_formula(family):
             assert np.array_equal(template.eval(t, scales[k], shifts[k]), want)
         plain = np.column_stack([_reference_component(c, t, 1.0, 0.0) for c in template.components])
         assert np.array_equal(template.eval(t), plain)
+
+
+def test_family_d_is_bounded_before_any_grid_is_built():
+    document = lipschitz_family().to_dict()
+    assert FunctionFamilySpec.from_dict({**document, "d": MAX_GRID_D}).d == MAX_GRID_D
+    for d in (MAX_GRID_D + 1, 10**12):  # 10**12 raised MemoryError, building its grid
+        with pytest.raises(ValueError, match=f"^d must be <= {MAX_GRID_D}, got {d}$"):
+            FunctionFamilySpec.from_dict({**document, "d": d})
+        with pytest.raises(ValueError, match=f"^d must be <= {MAX_GRID_D}, got {d}$"):
+            dataclasses.replace(lipschitz_family(), d=d)
