@@ -2,7 +2,9 @@
 """Run every registered verification experiment with its pinned defaults.
 
 Writes one report JSON and one curves CSV per experiment into the output
-directory and prints a pass/fail summary table. Expect the compensating
+directory and prints a pass/fail summary table, with each experiment's
+wall time and the process's peak resident memory (ru_maxrss) after it, a
+high-water mark over every experiment run so far. Expect the compensating
 experiment to report a failing closed-form ratio check: the published
 approximation it tabulates does not satisfy its own defining equation at
 these sample sizes, and the report records that instead of hiding it.
@@ -15,6 +17,7 @@ Usage:
 """
 
 import argparse
+import resource
 import sys
 from pathlib import Path
 
@@ -23,6 +26,11 @@ from flatclust.io import emit_curves_csv, write_json_document
 
 # Checks that fail by design; every other failed check fails the run.
 EXPECTED_FAILURES = {("compensating", "closed_form_ratio_in_band")}
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB (Linux counts ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
@@ -44,7 +52,7 @@ def main(argv=None) -> int:
         status = "pass" if report.passed else "FAIL"
         failures += not report.passed
         slope = f" slope={report.slope:.4f}" if report.slope is not None else ""
-        print(f"{name:20s} {status}{slope}  ({report.wall_clock_s:.1f}s)")
+        print(f"{name:20s} {status}{slope}  ({report.wall_clock_s:.1f}s, peak RSS {peak_rss_mb():.1f} MB)")
         for check, ok in report.checks.items():
             expected = (name, check) in EXPECTED_FAILURES
             note = "  (expected)" if expected and not ok else ""

@@ -32,17 +32,17 @@ from .density import (
 )
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume
 from .series import flatten, grid_times
-from .smoothing import gamma_schedule, smooth_batch
+from .smoothing import gamma_schedule
 from .spatial import _sum_of_squares
 from .synthetic import (
     MAX_GRID_D,
     ClusterTemplate,
     FunctionFamilySpec,
     MixtureSpec,
+    _sample_smoothed,
     gap_family,
     grid_resolution_templates,
     lipschitz_family,
-    sample_series_batch,
     single_bump_mixture_1d,
     two_bump_mixture_1d,
 )
@@ -526,7 +526,6 @@ def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> dict:
     rung; noisy families are judged by the fitted rate exponent.
     """
     fam = cfg.family
-    d = fam.d
     l_f = fam.lipschitz
     rows = []
     medians = []
@@ -536,10 +535,8 @@ def smoothing_rate_experiment(cfg: SmoothingRateConfig) -> dict:
         gamma = gamma_schedule(m)
         sups = []
         for t in range(cfg.trials):
-            batch, _, truth = sample_series_batch(
-                fam, cfg.series_per_trial, m, _trial_rng(cfg.seed, r, t)
-            )
-            worst = float(np.max(np.abs(smooth_batch(batch, d, gamma) - truth), initial=0.0))
+            est, _, truth = _sample_smoothed(fam, cfg.series_per_trial, m, _trial_rng(cfg.seed, r, t), gamma)
+            worst = float(np.max(np.abs(est - truth), initial=0.0))
             sups.append(worst)
             if noiseless and worst > l_f * gamma:
                 bias_bound_ok = False
@@ -593,8 +590,7 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> dict:
     (membership-flip count over the normalizer) on every query.
     """
     fam = cfg.family
-    d = fam.d
-    sd = fam.s * d
+    sd = fam.s * fam.d
     delta = delta_schedule(cfg.n, sd, cfg.delta_scale)
     queries = evaluation_lattice(sd, resolution=23, mc_points=cfg.queries, seed=[cfg.seed, _QUERY_SALT])
     if queries.shape[0] > cfg.queries:
@@ -608,10 +604,8 @@ def noisy_kde_gap_experiment(cfg: NoisyKdeGapConfig) -> dict:
         eps_list = []
         pmax_list = []
         for t in range(cfg.trials):
-            batch, _, truth = sample_series_batch(fam, cfg.n, m, _trial_rng(cfg.seed, r, t))
-            clean = flatten(truth)
-            est = flatten(smooth_batch(batch, d, gamma))
-            del batch  # so the next trial's draw does not sit beside this one
+            est, _, truth = _sample_smoothed(fam, cfg.n, m, _trial_rng(cfg.seed, r, t), gamma)
+            clean, est = flatten(truth), flatten(est)
             eps_inf = float(np.max(np.abs(clean - est)))
             eps_list.append(math.sqrt(sd) * eps_inf)
             model_clean = KdeModel(clean, delta)

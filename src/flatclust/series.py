@@ -187,7 +187,14 @@ class SeriesBatch(Sequence):
 
     @classmethod
     def from_series(cls, series: Sequence[RawSeries]) -> "SeriesBatch":
-        """Pack one or more raw series, in order, into a batch with the first one's s."""
+        """Pack one or more raw series, in order, into a batch with the first one's s.
+
+        Every series must have that s; the first that does not is named.
+        """
+        first = series[0]
+        odd = next((y for y in series if y.s != first.s), None)
+        if odd is not None:
+            raise ValueError(f"series {odd.id!r} has s={odd.s}, but series {first.id!r} has s={first.s}")
         offsets = np.cumsum([0, *(y.m for y in series)], dtype=np.intp)
         times = np.concatenate([y.times for y in series])
         values = np.concatenate([y.values for y in series])

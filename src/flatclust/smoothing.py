@@ -138,22 +138,56 @@ def _times_rows(batch: SeriesBatch, idx: np.ndarray, m: int) -> np.ndarray:
 _ROW_BLOCK = 1 << 14
 
 
+def _weight_rows(times: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray):
+    """Yield (t, W, empty) at each grid time t: one row of nw_weights per row of times and bandwidths.
+
+    times is (rows, m) and bandwidths (rows, 1); a one-row pair serves
+    every series that shares it. empty marks the rows with no sample in
+    [t - gamma, t], whose weights are all zero.
+    """
+    for t in grid:
+        raw = kernel_le((times - t) / bandwidths)
+        total = raw.sum(axis=1, keepdims=True)
+        empty = total[:, 0] <= 0.0
+        total[empty] = 1.0  # an empty window's zero weights stay zero
+        yield t, raw / total, empty
+
+
+def _smooth_rows(out, rows, block, weights, id_of, gammas, stacklevel: int) -> None:
+    """Smooth the series rows, whose (k, m, s) values are block, into out[rows, j] for the j-th weights.
+
+    weights yields (t, W, empty) per grid time, as _weight_rows does, with
+    one row of W per series or one for all. `np.matmul(W[:, None, :],
+    block)` is bit-identical to smooth_at's `w @ values` per series. An
+    empty window gives a zero slot and one EmptyWindowWarning for series
+    id_of(i) under gammas[i]; stacklevel counts from the caller, as in
+    _warn_empty.
+    """
+    for j, (t, w, empty) in enumerate(weights):
+        slots = np.matmul(w[:, None, :], block)[:, 0]
+        if empty.any():
+            empty = np.broadcast_to(empty, rows.shape)
+            slots[empty] = 0.0  # not 0 @ values, which is -0.0 where values are negative
+            for i in rows[empty].tolist():
+                _warn_empty(id_of(i), t, gammas[i], stacklevel + 1)
+        out[rows, j] = slots
+
+
 def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
     """Smooth every series of a batch at 1/d, ..., 1 into an (n, d, s) array.
 
     gammas is one bandwidth for all, or one per series. Series are grouped
-    by length m alone, groups in the order of their first series. At each
-    grid time a group's rows of sample times and bandwidths give one row of
-    nw_weights each, W, and its (n_g, m, s) block of values is reduced by
-    `np.matmul(W[:, None, :], block)`, which is bit-identical to smooth_at's
-    `w @ values` per series. When every series of a group has the same
-    times and bandwidth, one weight row serves them all; otherwise rows are
-    weighted in blocks of about _ROW_BLOCK observations, which bounds the
-    temporaries. (A windowed np.add.reduceat, or one (d, m) weight matrix
-    for all grid times, sums in another order and is off by a few ulp.)
-    Requires m > d for every series. Empty windows give zero slots and one
-    EmptyWindowWarning per series and slot; every coordinate is clipped
-    into [0, 1].
+    by length m alone, groups in the order of their first series, and each
+    group is smoothed by _smooth_rows, the one kernel. When every series of
+    a group has the same times and bandwidth, one weight row serves them
+    all. Otherwise rows go in blocks of about _ROW_BLOCK observations,
+    which bounds the temporaries, and a block whose series share one
+    schedule and bandwidth again gets one weight row, so series that come
+    in runs of a few schedules are weighted once per block. (A windowed
+    np.add.reduceat, or one (d, m) weight matrix for all grid times, sums
+    in another order and is off by a few ulp.) Requires m > d for every
+    series. Empty windows give zero slots and one EmptyWindowWarning per
+    series and slot; every coordinate is clipped into [0, 1].
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -181,23 +215,13 @@ def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
         one_row = np.all(gammas[idx] == gammas[idx[0]]) and (
             batch._shared or all(np.all(_times_rows(batch, rows, m) == first) for rows in blocks)
         )
-        blocks = [idx] if one_row else blocks
-        for rows in blocks:
-            times = first if one_row else _times_rows(batch, rows, m)
-            bandwidths = gammas[rows[:1] if one_row else rows, None]
+        for rows in [idx] if one_row else blocks:
+            weighted = rows[:1] if one_row else rows
+            times, bandwidths = _times_rows(batch, weighted, m), gammas[weighted, None]
+            if np.all(times == times[0]) and np.all(bandwidths == bandwidths[0]):
+                times, bandwidths = times[:1], bandwidths[:1]  # one weight row serves the block
             block = _rows(batch.values, batch.offsets, rows, m)
-            for j, t in enumerate(grid):
-                raw = kernel_le((times - t) / bandwidths)
-                total = raw.sum(axis=1, keepdims=True)
-                empty = total[:, 0] <= 0.0
-                total[empty] = 1.0  # an empty window's zero weights stay zero
-                slots = np.matmul((raw / total)[:, None, :], block)[:, 0]
-                if empty.any():
-                    empty = np.broadcast_to(empty, rows.shape)
-                    slots[empty] = 0.0  # not 0 @ values, which is -0.0 where values are negative
-                    for i in rows[empty].tolist():
-                        _warn_empty(batch.ids[i], t, gammas[i], stacklevel=2)
-                out[rows, j] = slots
+            _smooth_rows(out, rows, block, _weight_rows(times, bandwidths, grid), batch.ids.__getitem__, gammas, 2)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

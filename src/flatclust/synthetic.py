@@ -10,6 +10,7 @@ templates with bounded uniform noise and known cluster labels.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ import numpy as np
 from ._ufuncs import row_loops
 from .codec import Codec, prefixed
 from .series import GridSeries, SeriesBatch, grid_series_views, grid_times
+from .smoothing import _check_bandwidths, _smooth_rows, _weight_rows
 
 __all__ = [
     "Bump1D",
@@ -518,8 +520,65 @@ class FunctionFamilySpec(Codec):
         return best
 
 
-# Series drawn per bulk draw: memory holds one chunk's uniforms, not the batch's.
-SAMPLE_CHUNK = 64
+# Series drawn per bulk draw: memory holds one chunk's uniforms and values, not the batch's.
+SAMPLE_CHUNK = 32
+
+_series_id = "series{:05d}".format
+
+
+def _drawn_chunks(
+    templates: tuple[ClusterTemplate, ...],
+    labels: np.ndarray,
+    times: np.ndarray,
+    eps_bar: float,
+    rng: np.random.Generator,
+    grid: np.ndarray,
+    blocks: np.ndarray | None = None,
+):
+    """Draw noisy series of templates[labels[i]] at times, SAMPLE_CHUNK at a time: yield (start, stop, values).
+
+    values holds the chunk's (k, m, s) observations: a view of blocks, the
+    (n, m, s) array they are written into, when it is given; otherwise one
+    buffer made once per call and refilled for every chunk, so a chunk must
+    be used before the next is drawn. The chunk's exact values at 1/d..1
+    go into grid[start:stop], grid being (n, d, s).
+
+    The random stream is the one of a per-series loop of `draw_jitter` and
+    `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
+    [amp scales s | offset shifts s | noise m*s] from one bulk `random`
+    draw per chunk, mapped by `low + (high - low) * u` as `uniform` maps
+    it, so the values are bit-identical to that loop's. Each chunk's draw
+    lands in one buffer made once per call and is mapped in place, and its
+    paths are filled straight into values and grid.
+    """
+    n, m, s = labels.size, times.size, templates[0].s
+    noisy = eps_bar > 0
+    width = 2 * s + (m * s if noisy else 0)
+    # draw_jitter's (amp scale, offset shift) bounds per template, shaped (C, 2, 1) for (k, 2, s) draws
+    jitter_lo = np.array([[1.0 - t.amp_jitter, -t.offset_jitter] for t in templates])[:, :, None]
+    jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
+    paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(grid.shape[1]))
+    draws = np.empty(min(SAMPLE_CHUNK, n) * width)
+    buffer = np.empty((min(SAMPLE_CHUNK, n), m, s)) if blocks is None else None
+    for start in range(0, n, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, n)
+        values = buffer[: stop - start] if blocks is None else blocks[start:stop]
+        chunk_labels = labels[start:stop]
+        with row_loops(m):
+            draw = rng.random(out=draws[: (stop - start) * width])
+            u = draw.reshape(stop - start, width)
+            jitter = u[:, : 2 * s].reshape(-1, 2, s)
+            jitter *= jitter_width[chunk_labels]
+            jitter += jitter_lo[chunk_labels]
+            paths.fill(values, chunk_labels, jitter[:, 0], jitter[:, 1])
+            grid_paths.fill(grid[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
+            if noisy:
+                # mapped as one flat run: the jitter columns it also maps are spent
+                lo, hi = -eps_bar, eps_bar
+                draw *= hi - lo
+                draw += lo
+                values += u[:, 2 * s :].reshape(-1, m, s)
+        yield start, stop, values  # outside row_loops: its one-row buffer slows the consumer's ops
 
 
 def _sample_batch(
@@ -532,45 +591,29 @@ def _sample_batch(
 ) -> tuple[SeriesBatch, np.ndarray]:
     """Noisy series of length m for templates[labels[i]], plus their grid values at 1/d..1.
 
-    The random stream is the one of a per-series loop of `draw_jitter` and
-    `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
-    [amp scales s | offset shifts s | noise m*s] from one bulk `random`
-    draw, mapped by `low + (high - low) * u` as `uniform` maps it, so the
-    values are bit-identical to that loop's. Each chunk's draw is mapped in
-    place, and its paths are filled straight into the batch's arrays.
+    _drawn_chunks fills the batch's own arrays, so nothing is copied.
     """
-    n = labels.size
-    s = templates[0].s
+    n, s = labels.size, templates[0].s
     times = np.arange(1, m + 1) / m
-    noisy = eps_bar > 0
-    width = 2 * s + (m * s if noisy else 0)
-    # draw_jitter's (amp scale, offset shift) bounds per template, shaped (C, 2, 1) for (k, 2, s) draws
-    jitter_lo = np.array([[1.0 - t.amp_jitter, -t.offset_jitter] for t in templates])[:, :, None]
-    jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
-    paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(d))
     values = np.empty((n * m, s))
-    blocks = values.reshape(n, m, s)
     grid = np.empty((n, d, s))
-    with row_loops(m):
-        for start in range(0, n, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, n)
-            chunk_labels = labels[start:stop]
-            draw = rng.random((stop - start) * width)
-            u = draw.reshape(stop - start, width)
-            jitter = u[:, : 2 * s].reshape(-1, 2, s)
-            jitter *= jitter_width[chunk_labels]
-            jitter += jitter_lo[chunk_labels]
-            paths.fill(blocks[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
-            grid_paths.fill(grid[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
-            if noisy:
-                # mapped as one flat run: the jitter columns it also maps are spent
-                lo, hi = -eps_bar, eps_bar
-                draw *= hi - lo
-                draw += lo
-                blocks[start:stop] += u[:, 2 * s :].reshape(-1, m, s)
+    for _ in _drawn_chunks(templates, labels, times, eps_bar, rng, grid, values.reshape(n, m, s)):
+        pass
     # every series shares the times j/m, stored once
-    batch = SeriesBatch._adopt([f"series{i:05d}" for i in range(n)], s, np.arange(n + 1) * m, times, values)
+    batch = SeriesBatch._adopt([_series_id(i) for i in range(n)], s, np.arange(n + 1) * m, times, values)
     return batch, grid
+
+
+def _drawn_labels(fspec: FunctionFamilySpec, n: int, m: int, seed) -> tuple[np.ndarray, np.random.Generator]:
+    """Check n and m, then draw the n cluster labels that start every sampler's random stream."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    if m <= fspec.d:
+        raise ValueError(f"need m > d, got m={m}, d={fspec.d}")
+    rng = np.random.default_rng(seed)
+    return rng.choice(fspec.C, size=n, p=np.asarray(fspec.weights, dtype=float)), rng
 
 
 def sample_series_batch(
@@ -585,16 +628,35 @@ def sample_series_batch(
     noise is i.i.d. uniform on [-eps_bar, eps_bar] across series,
     components, and times.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m <= fspec.d:
-        raise ValueError(f"need m > d, got m={m}, d={fspec.d}")
-    rng = np.random.default_rng(seed)
-    labels = rng.choice(fspec.C, size=n, p=np.asarray(fspec.weights, dtype=float))
+    labels, rng = _drawn_labels(fspec, n, m, seed)
     batch, grid = _sample_batch(fspec.clusters, labels, m, fspec.d, fspec.eps_bar, rng)
     return batch, labels, grid
+
+
+def _sample_smoothed(fspec: FunctionFamilySpec, n: int, m: int, seed, gamma: float):
+    """(est, labels, truth): sample_series_batch's series smoothed at bandwidth gamma, without the batch.
+
+    est is `smooth_batch(batch, fspec.d, gamma)` and labels and truth are
+    sample_series_batch's, bit for bit, but each chunk of series is
+    smoothed as it is drawn, so memory holds one chunk's draw and values
+    and the two (n, d, s) grids, never the n*m observations. The j/m
+    schedule and one bandwidth give one weight row per grid time, made
+    once per call and kept for every chunk unless those d rows outweigh a
+    chunk's values. An empty window warns as in smooth_batch, chunk by
+    chunk.
+    """
+    labels, rng = _drawn_labels(fspec, n, m, seed)
+    _check_bandwidths(gamma)
+    d, s = fspec.d, fspec.s
+    times = np.arange(1, m + 1) / m
+    truth, est = np.empty((n, d, s)), np.zeros((n, d, s))
+    weights = functools.partial(_weight_rows, times[None], np.array([[gamma]], dtype=float), grid_times(d))
+    kept = list(weights()) if d <= SAMPLE_CHUNK * s else None
+    gammas = np.broadcast_to(np.float64(gamma), (n,))
+    for start, stop, values in _drawn_chunks(fspec.clusters, labels, times, fspec.eps_bar, rng, truth):
+        rows = np.arange(start, stop)
+        _smooth_rows(est, rows, values, weights() if kept is None else kept, _series_id, gammas, 2)
+    return np.clip(est, 0.0, 1.0, out=est), labels, truth
 
 
 def sample_raw_series(

@@ -1,6 +1,8 @@
-"""Exit code of scripts/run_all_experiments.py, with the experiments faked."""
+"""Exit code and summary lines of scripts/run_all_experiments.py, with the experiments faked."""
 
 import importlib.util
+import re
+import resource
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,17 @@ def test_unknown_only_is_a_usage_error(script, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_each_experiment_line_shows_its_wall_time_and_the_peak_rss(script, monkeypatch, tmp_path, capsys):
+    checks = {"kde_rate": {"slope_in_band": True}, "hartigan": {"nesting": False}}
+    assert _run(script, monkeypatch, tmp_path, checks) == 1
+    lines = capsys.readouterr().out.splitlines()
+    peaks = []
+    for name, status in (("kde_rate", "pass"), ("hartigan", "FAIL")):
+        line = next(line for line in lines if line.startswith(name))
+        found = re.fullmatch(rf"{name} +{status}  \(\d+\.\ds, peak RSS (\d+\.\d) MB\)", line)
+        assert found, line
+        peaks.append(float(found.group(1)))
+    # a high-water mark: never falls, and is this process's own (KiB on Linux)
+    assert 0 < peaks[0] <= peaks[1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.05

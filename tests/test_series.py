@@ -112,6 +112,14 @@ class TestSeriesBatch:
         with pytest.raises(ValueError, match="series id 'b' is repeated"):
             SeriesBatch(ids=list("abcba"), s=1, offsets=range(6), times=[0.5], values=np.zeros((5, 1)))
 
+    def test_from_series_names_the_first_series_of_another_s(self):
+        a, c = (RawSeries.from_uniform(sid, np.full(4, 0.5)) for sid in "ac")
+        b, d = (RawSeries.from_uniform(sid, np.full((4, 2), 0.5)) for sid in "bd")
+        with pytest.raises(ValueError, match="^series 'b' has s=2, but series 'a' has s=1$"):
+            SeriesBatch.from_series([a, b, c, d])
+        with pytest.raises(ValueError, match="^series 'a' has s=1, but series 'b' has s=2$"):
+            SeriesBatch.from_series([b, a])
+
     def test_is_a_sequence_of_views(self):
         times = [0.5, 1.0, 0.2, 0.4, 0.6]
         batch = SeriesBatch(ids=["a", "b"], s=1, offsets=[0, 2, 5], times=times, values=np.zeros((5, 1)))

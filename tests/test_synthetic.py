@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flatclust import synthetic
 from flatclust.series import grid_times
+from flatclust.smoothing import EmptyWindowWarning, gamma_schedule, smooth_batch
 from flatclust.synthetic import (
     MAX_GRID_D,
     Bump1D,
@@ -21,6 +25,7 @@ from flatclust.synthetic import (
     lipschitz_family,
     sample_raw_series,
     _sample_batch,
+    _sample_smoothed,
     sample_series_batch,
     single_bump_mixture_1d,
     two_bump_mixture_1d,
@@ -537,3 +542,77 @@ def test_family_d_is_bounded_before_any_grid_is_built():
             FunctionFamilySpec.from_dict({**document, "d": d})
         with pytest.raises(ValueError, match=f"^d must be <= {MAX_GRID_D}, got {d}$"):
             dataclasses.replace(lipschitz_family(), d=d)
+
+
+def _smoothed_and_warned(sample, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = sample(*args)
+    return got, sorted(str(w.message) for w in caught if issubclass(w.category, EmptyWindowWarning))
+
+
+def _batch_then_smoothed(family, n, m, seed, gamma):
+    batch, labels, truth = sample_series_batch(family, n, m, seed)
+    return smooth_batch(batch, family.d, gamma), labels, truth
+
+
+class TestSampleSmoothed:
+    """_sample_smoothed is smooth_batch on sample_series_batch's batch, bit for bit, drawn and smoothed a chunk at a time."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [gap_family(), lipschitz_family(d=3, eps_bar=0.0), _two_sine_family(), _mixed_family()],
+        ids=["gap", "eps_bar_0", "two_sine_s2", "mixed_s2"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 20, 32, 33, 101])
+    def test_is_smooth_batch_of_the_sampled_batch(self, family, n):
+        m = 40
+        gamma = gamma_schedule(m)
+        want = _batch_then_smoothed(family, n, m, 100 + n, gamma)
+        got = _sample_smoothed(family, n, m, 100 + n, gamma)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[0].shape == got[2].shape == (n, family.d, family.s)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_does_not_depend_on_the_chunk_size(self, chunk, monkeypatch):
+        family = _two_sine_family()
+        want = _sample_smoothed(family, 70, 24, 7, 0.2)
+        monkeypatch.setattr(synthetic, "SAMPLE_CHUNK", chunk)
+        got = _sample_smoothed(family, 70, 24, 7, 0.2)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in _batch_then_smoothed(family, 70, 24, 7, 0.2)]
+
+    @pytest.mark.parametrize("chunk", [3, 64])
+    def test_empty_windows_give_the_batchs_zero_slots_and_warnings(self, chunk, monkeypatch):
+        # at m = 10, no sample j/10 lies in [0.21, 0.25] or [0.71, 0.75]: gamma 0.04 empties those windows
+        monkeypatch.setattr(synthetic, "SAMPLE_CHUNK", chunk)
+        family = jump_family(d=4)
+        want, want_warnings = _smoothed_and_warned(_batch_then_smoothed, family, 7, 10, 3, 0.04)
+        got, got_warnings = _smoothed_and_warned(_sample_smoothed, family, 7, 10, 3, 0.04)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got_warnings == want_warnings and len(got_warnings) == 2 * 7
+
+    def test_more_grid_times_than_a_chunk_weighs_them_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "SAMPLE_CHUNK", 2)  # d = 3 weight rows outweigh a chunk of 2 series at s = 1
+        family = lipschitz_family(d=3, eps_bar=0.05)
+        got = _sample_smoothed(family, 5, 30, 9, 0.15)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in _batch_then_smoothed(family, 5, 30, 9, 0.15)]
+
+    def test_refuses_what_the_sampler_and_smoother_refuse(self):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer, got -1"):
+            _sample_smoothed(gap_family(), -1, 8, 1, 0.1)
+        with pytest.raises(ValueError, match="need m > d, got m=2, d=2"):
+            _sample_smoothed(gap_family(), 3, 2, 1, 0.1)
+        with pytest.raises(ValueError, match="gamma must be a positive finite number, got inf"):
+            _sample_smoothed(gap_family(), 3, 8, 1, math.inf)
+
+    def test_memory_stays_under_a_quarter_of_the_batch(self):
+        n, m = 512, 4096
+        _sample_smoothed(gap_family(), 2, 8, 1, 0.3)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            _sample_smoothed(gap_family(), n, m, 1, gamma_schedule(m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 4
