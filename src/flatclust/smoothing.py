@@ -180,10 +180,8 @@ def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
     by length m alone, groups in the order of their first series, and each
     group is smoothed by _smooth_rows, the one kernel. When every series of
     a group has the same times and bandwidth, one weight row serves them
-    all. Otherwise rows go in blocks of about _ROW_BLOCK observations,
-    which bounds the temporaries, and a block whose series share one
-    schedule and bandwidth again gets one weight row, so series that come
-    in runs of a few schedules are weighted once per block. (A windowed
+    all; otherwise rows are weighted in blocks of about _ROW_BLOCK
+    observations, which bounds the temporaries. (A windowed
     np.add.reduceat, or one (d, m) weight matrix for all grid times, sums
     in another order and is off by a few ulp.) Requires m > d for every
     series. Empty windows give zero slots and one EmptyWindowWarning per
@@ -216,12 +214,30 @@ def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
             batch._shared or all(np.all(_times_rows(batch, rows, m) == first) for rows in blocks)
         )
         for rows in [idx] if one_row else blocks:
-            weighted = rows[:1] if one_row else rows
-            times, bandwidths = _times_rows(batch, weighted, m), gammas[weighted, None]
-            if np.all(times == times[0]) and np.all(bandwidths == bandwidths[0]):
-                times, bandwidths = times[:1], bandwidths[:1]  # one weight row serves the block
+            times = first if one_row else _times_rows(batch, rows, m)
+            bandwidths = gammas[rows[:1] if one_row else rows, None]
             block = _rows(batch.values, batch.offsets, rows, m)
             _smooth_rows(out, rows, block, _weight_rows(times, bandwidths, grid), batch.ids.__getitem__, gammas, 2)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _smooth_chunks(out: np.ndarray, chunks, times: np.ndarray, gamma: float, id_of) -> np.ndarray:
+    """Smooth chunks of series that share the sample times and bandwidth gamma into out, clipped.
+
+    out is (n, d, s); chunks yields (start, stop, values), the (k, m, s)
+    observations of series start..stop-1, and may reuse one buffer for
+    them all. Each chunk is smoothed by _smooth_rows with one weight row
+    per grid time, so out is smooth_batch of the whole batch, bit for bit,
+    without the batch ever being held. gamma is checked before the first
+    chunk is drawn. Empty windows warn as in smooth_batch, naming series
+    id_of(i), at the line that called this function's caller.
+    """
+    _check_bandwidths(gamma)
+    grid = grid_times(out.shape[1])
+    times, bandwidths = times[None], np.array([[gamma]], dtype=float)
+    gammas = np.broadcast_to(bandwidths[0, 0], out.shape[:1])
+    for start, stop, values in chunks:
+        _smooth_rows(out, np.arange(start, stop), values, _weight_rows(times, bandwidths, grid), id_of, gammas, 3)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

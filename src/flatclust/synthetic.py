@@ -10,7 +10,6 @@ templates with bounded uniform noise and known cluster labels.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from ._ufuncs import row_loops
 from .codec import Codec, prefixed
 from .series import GridSeries, SeriesBatch, grid_series_views, grid_times
-from .smoothing import _check_bandwidths, _smooth_rows, _weight_rows
+from .smoothing import _smooth_chunks
 
 __all__ = [
     "Bump1D",
@@ -521,7 +520,7 @@ class FunctionFamilySpec(Codec):
 
 
 # Series drawn per bulk draw: memory holds one chunk's uniforms and values, not the batch's.
-SAMPLE_CHUNK = 32
+SAMPLE_CHUNK = 64
 
 _series_id = "series{:05d}".format
 
@@ -638,25 +637,15 @@ def _sample_smoothed(fspec: FunctionFamilySpec, n: int, m: int, seed, gamma: flo
 
     est is `smooth_batch(batch, fspec.d, gamma)` and labels and truth are
     sample_series_batch's, bit for bit, but each chunk of series is
-    smoothed as it is drawn, so memory holds one chunk's draw and values
-    and the two (n, d, s) grids, never the n*m observations. The j/m
-    schedule and one bandwidth give one weight row per grid time, made
-    once per call and kept for every chunk unless those d rows outweigh a
-    chunk's values. An empty window warns as in smooth_batch, chunk by
-    chunk.
+    smoothed as it is drawn (smoothing._smooth_chunks), so memory holds
+    one chunk's draw and values and the two (n, d, s) grids, never the n*m
+    observations. An empty window warns as in smooth_batch, chunk by chunk.
     """
     labels, rng = _drawn_labels(fspec, n, m, seed)
-    _check_bandwidths(gamma)
-    d, s = fspec.d, fspec.s
     times = np.arange(1, m + 1) / m
-    truth, est = np.empty((n, d, s)), np.zeros((n, d, s))
-    weights = functools.partial(_weight_rows, times[None], np.array([[gamma]], dtype=float), grid_times(d))
-    kept = list(weights()) if d <= SAMPLE_CHUNK * s else None
-    gammas = np.broadcast_to(np.float64(gamma), (n,))
-    for start, stop, values in _drawn_chunks(fspec.clusters, labels, times, fspec.eps_bar, rng, truth):
-        rows = np.arange(start, stop)
-        _smooth_rows(est, rows, values, weights() if kept is None else kept, _series_id, gammas, 2)
-    return np.clip(est, 0.0, 1.0, out=est), labels, truth
+    truth, est = np.empty((n, fspec.d, fspec.s)), np.zeros((n, fspec.d, fspec.s))
+    chunks = _drawn_chunks(fspec.clusters, labels, times, fspec.eps_bar, rng, truth)
+    return _smooth_chunks(est, chunks, times, gamma, _series_id), labels, truth
 
 
 def sample_raw_series(

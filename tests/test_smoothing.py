@@ -355,33 +355,6 @@ class TestSmoothBatch:
         assert got.tobytes() == want.tobytes()
         assert sorted(message for _, message in got_warnings) == sorted(empty)
 
-    @pytest.mark.parametrize("gammas", ["one", "runs"])
-    def test_one_weight_row_serves_each_block_whose_rows_agree(self, gammas, monkeypatch):
-        # blocks of four series; schedules A, B in runs AAAA AAAA BBBB AABB, bandwidths alike or in the same runs
-        monkeypatch.setattr(smoothing, "_ROW_BLOCK", 4 * 12)
-        weighted = []
-
-        def weight_rows(times, bandwidths, grid):
-            weighted.append(times.shape[0])
-            return _weight_rows(times, bandwidths, grid)
-
-        _weight_rows = smoothing._weight_rows
-        monkeypatch.setattr(smoothing, "_weight_rows", weight_rows)
-        rng = np.random.default_rng(49)
-        a = np.arange(1, 13) / 12
-        b = np.concatenate([a[:3], 0.62 + 0.04 * np.arange(9)])  # nothing in (0.25, 0.62): the window at 0.6 is empty
-        turns = [0] * 8 + [1] * 4 + [0, 0, 1, 1]
-        raws = [
-            RawSeries(id=f"r{i}", s=2, times=(a, b)[k], values=rng.normal(0.5, 0.6, size=(12, 2)))
-            for i, k in enumerate(turns)
-        ]
-        bandwidths = np.full(len(raws), 0.2) if gammas == "one" else np.array([0.2, 0.15])[turns]
-        want, empty = _per_slot_smoothing(raws, 5, bandwidths)
-        got, got_warnings = _smoothed_with_warnings(SeriesBatch.from_series(raws), 5, bandwidths)
-        assert weighted == [1, 1, 1, 4]
-        assert got.tobytes() == want.tobytes()
-        assert empty and sorted(message for _, message in got_warnings) == sorted(empty)
-
     def test_smooth_at_and_smooth_batch_warn_alike_at_the_callers_line(self):
         # no sample in [0.3, 0.5]; the window at t = 1 holds 0.9 and 1.0
         y = RawSeries(id="gap", s=1, times=np.array([0.1, 0.9, 1.0]), values=np.full((3, 1), 0.5))
