@@ -29,7 +29,7 @@ import numpy as np
 from .clustering import NOISE, ClusterTree, cluster_tree, dbscan_cluster
 from .codec import Codec, decode
 from .density import delta_schedule, k_of_lambda, lambda_of_k
-from .series import GridSeries, SeriesBatch, flatten, grid_series_views
+from .series import GridSeries, SeriesBatch, _adopt_grid, flatten
 from .smoothing import gamma_schedule, smooth_batch
 
 # Bound here, though this module does not call it, because the per-layer
@@ -150,7 +150,12 @@ def _read_text(path) -> str:
 
 
 def _value_columns(header: list[str]) -> int:
-    """The value column count s of a series CSV header, which must be series_id,time,v1,...,vs."""
+    """The value column count s of a series CSV header, which must be series_id,time,v1,...,vs.
+
+    A byte-order mark before it is refused by name, not read as part of the first field.
+    """
+    if header and header[0].startswith("\ufeff"):
+        raise ParseError("file starts with a UTF-8 byte-order mark (BOM); save it without one", line=1)
     if len(header) < 3 or header[0] != "series_id" or header[1] != "time":
         raise ParseError(f"header must be series_id,time,v1,...,vs; got {','.join(header)}", line=1)
     expected = [f"v{i}" for i in range(1, len(header) - 1)]
@@ -404,12 +409,12 @@ def _resolve_k(cfg: PipelineConfig, n: int, delta: float, sd: int) -> int:
 
 
 def run_smooth(cfg: PipelineConfig, batch: SeriesBatch) -> list[GridSeries]:
-    """Smooth the batch, as given, onto the clustering grid: one GridSeries view per series."""
+    """Smooth the batch, as given, onto the clustering grid: one GridSeries view per series, of one grid array."""
     if not batch:
         raise ValueError("no series to smooth: the input has no observation rows")
     if batch.s != cfg.s:  # every series of a batch has its s
         raise ValueError(f"series {batch.ids[0]!r} has s={batch.s}, config expects {cfg.s}")
-    return grid_series_views(batch.ids, smooth_batch(batch, cfg.d, _resolve_gammas(cfg, batch)))
+    return _adopt_grid(batch.ids, smooth_batch(batch, cfg.d, _resolve_gammas(cfg, batch)))
 
 
 def _tree_document(tree: ClusterTree, ids: list[str], n: int, sd: int) -> dict:

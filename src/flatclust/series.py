@@ -2,12 +2,11 @@
 
 RawSeries holds the noisy observed sample of one series; GridSeries holds its
 values at the d clustering timepoints t = 1/d, ..., 1. SeriesBatch holds many
-raw series in columnar form, checked once per batch: its times hold either
-one entry per observation or, when every series is sampled at the same m
-times, that one schedule once. A batch is a sequence of RawSeries views
-into its arrays; every array these types hold is a view of a read-only
-owner. `flatten` turns an (n, d, s) grid array into n points of
-[0,1]^(s*d), time-major, the one place that order is written down.
+raw series in columnar form, one time per observation, checked once per
+batch. A batch is a sequence of RawSeries views into its arrays; every
+array these types hold is a view of a read-only owner. `flatten` turns an
+(n, d, s) grid array into n points of [0,1]^(s*d), time-major, the one
+place that order is written down.
 """
 
 from __future__ import annotations
@@ -46,33 +45,42 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _check_raw(s: int, times: np.ndarray, values: np.ndarray, offsets: np.ndarray, shared: bool = False) -> None:
+def _check_raw(s: int, times: np.ndarray, values: np.ndarray, offsets: np.ndarray) -> None:
     """The RawSeries rules, for one series or every series of a batch at once.
 
-    Series i owns rows offsets[i]:offsets[i+1] of values, and the same rows
-    of times unless shared: then times is one schedule every series has.
+    Series i owns rows offsets[i]:offsets[i+1] of times and of values.
     """
     if s < 1:
         raise ValueError(f"component count s must be >= 1, got {s}")
-    bounds = np.array([0, times.size]) if shared else offsets
-    if times.ndim != 1 or np.any(bounds[1:] <= bounds[:-1]):
+    if times.ndim != 1 or np.any(offsets[1:] <= offsets[:-1]):
         raise ValueError("times must be a nonempty 1-d array")
     if times.size and not (times.min() > 0.0 and times.max() <= 1.0):  # NaN fails too
         raise ValueError("times must lie in (0, 1]")
     rising = times[1:] > times[:-1]
-    rising[bounds[1:-1] - 1] = True  # pairs that straddle two series
+    rising[offsets[1:-1] - 1] = True  # pairs that straddle two series
     if not np.all(rising):
         raise ValueError("times must be strictly increasing")
     if values.shape != (offsets[-1], s):
         raise ValueError(f"values must have shape (m, s) = ({offsets[-1]}, {s}), got {values.shape}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"non-finite value {float(values[row, col])} in column v{col + 1}")
+
+
+def _check_unit(values: np.ndarray) -> None:
+    """Refuse grid values outside [0, 1]; NaN fails too."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError("grid values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class RawSeries:
     """One noisy multivariate time sample: m observations of an s-dim path.
 
-    Times must be strictly increasing and lie in (0, 1]. Values may leave
-    [0, 1]; observation noise is allowed to push them out.
+    Times must be strictly increasing and lie in (0, 1]. Values must be
+    finite but may leave [0, 1]; observation noise is allowed to push them
+    out.
     """
 
     id: str
@@ -103,19 +111,13 @@ class RawSeries:
 class SeriesBatch(Sequence):
     """n raw series in columnar form: series i owns rows offsets[i]:offsets[i+1] of values.
 
-    values has shape (N, s), N = offsets[-1]. times comes in one of two layouts:
-
-    - one entry per observation, shape (N,): series i owns the same rows of
-      times as of values. Ingest and from_series build this layout.
-    - one schedule every series shares, shape (m,), stored once: every step
-      of offsets must then be m. The batch sampler builds this layout.
-
-    A batch whose times has N entries is read as the first layout, so a
-    one-series batch is the same in both. Every RawSeries rule is checked
-    once for the whole batch, with the same messages, and ids must not
-    repeat. The batch keeps read-only copies of the arrays it is given, so
-    a later write to the caller's arrays cannot undo the check. batch[i]
-    and iteration give RawSeries views into its arrays, unchecked.
+    values has shape (N, s), N = offsets[-1], and times holds one entry per
+    observation, shape (N,): series i owns the same rows of times as of
+    values. Every RawSeries rule is checked once for the whole batch, with
+    the same messages, and ids must not repeat. The batch keeps read-only
+    copies of the arrays it is given, so a later write to the caller's
+    arrays cannot undo the check. batch[i] and iteration give RawSeries
+    views into its arrays, unchecked.
     """
 
     ids: tuple
@@ -145,13 +147,11 @@ class SeriesBatch(Sequence):
 
     def _check(self) -> None:
         offsets, times = self.offsets, self.times
-        if (
-            offsets.shape != (len(self.ids) + 1,)
-            or offsets[0] != 0
-            or (self._shared and np.any(offsets[1:] - offsets[:-1] != times.size))
-        ):
-            raise ValueError("offsets must run from 0 to len(times), or step by len(times), one step per id")
-        _check_raw(self.s, times, self.values, offsets, self._shared)
+        if offsets.shape != (len(self.ids) + 1,) or offsets[0] != 0:
+            raise ValueError("offsets must run from 0, one step per id")
+        if times.size != offsets[-1]:
+            raise ValueError(f"times must have one entry per observation: {times.size} for offsets[-1] = {offsets[-1]}")
+        _check_raw(self.s, times, self.values, offsets)
         if len(set(self.ids)) != len(self.ids):
             seen = set()
             repeated = next(sid for sid in self.ids if sid in seen or seen.add(sid))
@@ -169,16 +169,10 @@ class SeriesBatch(Sequence):
 
     def _views(self, start: int, stop: int):
         o = self.offsets[start : stop + 1].tolist()
-        starts = [0] * len(o) if self._shared else o  # a shared schedule is every series' times
         return (
-            _unchecked(RawSeries, id=sid, s=self.s, times=self.times[t : t + b - a], values=self.values[a:b], m=b - a)
-            for sid, t, a, b in zip(self.ids[start:stop], starts, o, o[1:])
+            _unchecked(RawSeries, id=sid, s=self.s, times=self.times[a:b], values=self.values[a:b], m=b - a)
+            for sid, a, b in zip(self.ids[start:stop], o, o[1:])
         )
-
-    @property
-    def _shared(self) -> bool:
-        """Whether times is one schedule that every series shares; the one flag, read here and by smoothing."""
-        return self.times.size != self.offsets[-1]
 
     @property
     def m(self) -> np.ndarray:
@@ -222,8 +216,7 @@ class GridSeries:
             raise ValueError(
                 f"values must have shape (d, s) = ({self.d}, {self.s}), got {values.shape}"
             )
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("grid values must lie in [0, 1]")
+        _check_unit(values)
         object.__setattr__(self, "values", values)
 
     @property
@@ -239,13 +232,21 @@ def grid_times(d: int) -> np.ndarray:
 
 
 def grid_series_views(ids: Sequence[str], grid: np.ndarray) -> list[GridSeries]:
-    """GridSeries views of the rows of an (n, d, s) array, checked once as a whole."""
-    grid = _as_readonly(grid)
+    """GridSeries views of the rows of a read-only copy of an (n, d, s) array, checked once as a whole."""
+    return _adopt_grid(ids, np.array(grid, dtype=float))
+
+
+def _adopt_grid(ids: Sequence[str], grid: np.ndarray) -> list[GridSeries]:
+    """grid_series_views on an (n, d, s) float array its caller in this package just made and no longer writes.
+
+    As in SeriesBatch._adopt, the array is kept without a copy, made
+    read-only here, and checked once.
+    """
+    grid = _readonly_view(grid)
     n, d, s = grid.shape
     if len(ids) != n:
         raise ValueError(f"need one id per grid row, got {len(ids)} ids for {n} rows")
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise ValueError("grid values must lie in [0, 1]")
+    _check_unit(grid)
     return [_unchecked(GridSeries, id=sid, s=s, d=d, values=row) for sid, row in zip(ids, grid)]
 
 

@@ -129,11 +129,6 @@ def _rows(a: np.ndarray, offsets: np.ndarray, idx: np.ndarray, m: int) -> np.nda
     return a[offsets[idx, None] + np.arange(m)]
 
 
-def _times_rows(batch: SeriesBatch, idx: np.ndarray, m: int) -> np.ndarray:
-    """Sample times of the series idx, all of length m, one row each; a shared schedule is its one row."""
-    return batch.times[None] if batch._shared else _rows(batch.times, batch.offsets, idx, m)
-
-
 # Observations per block of series weighted row by row: bounds smooth_batch's (rows, m) temporaries.
 _ROW_BLOCK = 1 << 14
 
@@ -208,13 +203,12 @@ def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
         m = int(lengths[idx[0]])
         step = max(1, _ROW_BLOCK // m)
         blocks = [idx[a : a + step] for a in range(0, idx.size, step)]
-        first = _times_rows(batch, idx[:1], m)
-        # a shared schedule is every block's row; comparing it per block took half the smoothing at m = 4096
-        one_row = np.all(gammas[idx] == gammas[idx[0]]) and (
-            batch._shared or all(np.all(_times_rows(batch, rows, m) == first) for rows in blocks)
+        first = _rows(batch.times, batch.offsets, idx[:1], m)
+        one_row = np.all(gammas[idx] == gammas[idx[0]]) and all(
+            np.all(_rows(batch.times, batch.offsets, rows, m) == first) for rows in blocks
         )
         for rows in [idx] if one_row else blocks:
-            times = first if one_row else _times_rows(batch, rows, m)
+            times = first if one_row else _rows(batch.times, batch.offsets, rows, m)
             bandwidths = gammas[rows[:1] if one_row else rows, None]
             block = _rows(batch.values, batch.offsets, rows, m)
             _smooth_rows(out, rows, block, _weight_rows(times, bandwidths, grid), batch.ids.__getitem__, gammas, 2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._ufuncs import row_loops
 from .codec import Codec, prefixed
-from .series import GridSeries, SeriesBatch, grid_series_views, grid_times
+from .series import GridSeries, SeriesBatch, _adopt_grid, grid_times
 from .smoothing import _smooth_chunks
 
 __all__ = [
@@ -532,15 +532,13 @@ def _drawn_chunks(
     eps_bar: float,
     rng: np.random.Generator,
     grid: np.ndarray,
-    blocks: np.ndarray | None = None,
 ):
     """Draw noisy series of templates[labels[i]] at times, SAMPLE_CHUNK at a time: yield (start, stop, values).
 
-    values holds the chunk's (k, m, s) observations: a view of blocks, the
-    (n, m, s) array they are written into, when it is given; otherwise one
-    buffer made once per call and refilled for every chunk, so a chunk must
-    be used before the next is drawn. The chunk's exact values at 1/d..1
-    go into grid[start:stop], grid being (n, d, s).
+    values holds the chunk's (k, m, s) observations in one buffer made once
+    per call and refilled for every chunk, so a chunk must be used before
+    the next is drawn. The chunk's exact values at 1/d..1 go into
+    grid[start:stop], grid being (n, d, s).
 
     The random stream is the one of a per-series loop of `draw_jitter` and
     `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
@@ -558,10 +556,10 @@ def _drawn_chunks(
     jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
     paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(grid.shape[1]))
     draws = np.empty(min(SAMPLE_CHUNK, n) * width)
-    buffer = np.empty((min(SAMPLE_CHUNK, n), m, s)) if blocks is None else None
+    buffer = np.empty((min(SAMPLE_CHUNK, n), m, s))
     for start in range(0, n, SAMPLE_CHUNK):
         stop = min(start + SAMPLE_CHUNK, n)
-        values = buffer[: stop - start] if blocks is None else blocks[start:stop]
+        values = buffer[: stop - start]
         chunk_labels = labels[start:stop]
         with row_loops(m):
             draw = rng.random(out=draws[: (stop - start) * width])
@@ -590,16 +588,17 @@ def _sample_batch(
 ) -> tuple[SeriesBatch, np.ndarray]:
     """Noisy series of length m for templates[labels[i]], plus their grid values at 1/d..1.
 
-    _drawn_chunks fills the batch's own arrays, so nothing is copied.
+    Each chunk _drawn_chunks draws is copied into the batch's values, and
+    every series' times are the j/m schedule, one per observation.
     """
     n, s = labels.size, templates[0].s
     times = np.arange(1, m + 1) / m
     values = np.empty((n * m, s))
+    blocks = values.reshape(n, m, s)
     grid = np.empty((n, d, s))
-    for _ in _drawn_chunks(templates, labels, times, eps_bar, rng, grid, values.reshape(n, m, s)):
-        pass
-    # every series shares the times j/m, stored once
-    batch = SeriesBatch._adopt([_series_id(i) for i in range(n)], s, np.arange(n + 1) * m, times, values)
+    for start, stop, chunk in _drawn_chunks(templates, labels, times, eps_bar, rng, grid):
+        blocks[start:stop] = chunk
+    batch = SeriesBatch._adopt([_series_id(i) for i in range(n)], s, np.arange(n + 1) * m, np.tile(times, n), values)
     return batch, grid
 
 
@@ -623,9 +622,8 @@ def sample_series_batch(
 ) -> tuple[SeriesBatch, np.ndarray, np.ndarray]:
     """Draw n noisy series of length m, their labels, and their exact (n, d, s) grid values.
 
-    Observation times are j/m, stored once in the batch for all its series;
-    noise is i.i.d. uniform on [-eps_bar, eps_bar] across series,
-    components, and times.
+    Observation times are j/m for every series; noise is i.i.d. uniform on
+    [-eps_bar, eps_bar] across series, components, and times.
     """
     labels, rng = _drawn_labels(fspec, n, m, seed)
     batch, grid = _sample_batch(fspec.clusters, labels, m, fspec.d, fspec.eps_bar, rng)
@@ -656,7 +654,7 @@ def sample_raw_series(
 ) -> tuple[SeriesBatch, np.ndarray, list[GridSeries]]:
     """sample_series_batch with its grid values as GridSeries views; the batch is a sequence of RawSeries."""
     batch, labels, grid = sample_series_batch(fspec, n, m, seed)
-    return batch, labels, grid_series_views(batch.ids, grid)
+    return batch, labels, _adopt_grid(batch.ids, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,19 @@ class TestSeriesCsv:
             ingest_series_csv(path)
         assert caught.value.line == 4
 
+    def test_a_byte_order_mark_is_refused_on_line_1_by_both_parsers(self, tmp_path):
+        message = r"^line 1: file starts with a UTF-8 byte-order mark \(BOM\); save it without one$"
+        text = "\ufeffseries_id,time,v1\na,0.5,0.1\n"
+        for parse in (fio._fast_rows, fio._exact_rows):
+            with pytest.raises(ParseError, match=message):
+                parse(text)
+        for body in (text, '\ufeff"series_id",time,v1\n"a",0.5,0.1\n'):  # a quote leaves the file to the exact parser
+            path = tmp_path / "s.csv"
+            path.write_bytes(body.encode("utf-8"))
+            with pytest.raises(ParseError, match=message) as caught:
+                ingest_series_csv(path)
+            assert caught.value.line == 1
+
 
 class TestRunCluster:
     def _series(self, n=40, m=24, fam=None):
@@ -331,6 +344,17 @@ def test_run_smooth_smooths_the_ingested_batch_without_a_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(grids) == 2000 and peak < copy_bytes
+
+
+def test_run_smooth_views_are_rows_of_one_read_only_grid():
+    raws, _, _ = sample_raw_series(lipschitz_family(d=4, eps_bar=0.05), 30, 32, seed=15)
+    grids = run_smooth(PipelineConfig(s=1, d=4, k=3), raws)
+    owner = grids[0].values.base
+    assert owner.shape == (30, 4, 1) and not owner.flags.writeable
+    assert all(g.values.base is owner for g in grids)
+    assert np.array_equal(np.stack([g.values for g in grids]), owner)
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        grids[0].values.setflags(write=True)
 
 
 def _write_cluster_inputs(tmp_path, k_ladder=None):

@@ -9,8 +9,11 @@ from flatclust.series import (
     SeriesBatch,
     flat_array,
     flatten,
+    grid_series_views,
     grid_times,
 )
+
+_MIS_SIZED = "times must have one entry per observation"
 
 
 class TestRawSeries:
@@ -79,7 +82,7 @@ class TestSeriesBatch:
         assert not (times.flags.writeable or values.flags.writeable or offsets.flags.writeable)
         with pytest.raises(ValueError, match="strictly increasing"):
             SeriesBatch._adopt(["a"], 1, np.array([0, 2]), np.array([0.5, 0.5]), np.zeros((2, 1)))
-        with pytest.raises(ValueError, match=r"step by len\(times\)"):
+        with pytest.raises(ValueError, match=_MIS_SIZED):
             SeriesBatch._adopt(["a", "b"], 1, np.array([0, 2, 5]), np.array([0.5, 1.0]), np.zeros((5, 1)))
 
     @pytest.mark.parametrize(
@@ -110,7 +113,7 @@ class TestSeriesBatch:
         with pytest.raises(ValueError, match="^series id 'x' is repeated; every series needs its own id$"):
             SeriesBatch.from_series([y, x12, x16])
         with pytest.raises(ValueError, match="series id 'b' is repeated"):
-            SeriesBatch(ids=list("abcba"), s=1, offsets=range(6), times=[0.5], values=np.zeros((5, 1)))
+            SeriesBatch(ids=list("abcba"), s=1, offsets=range(6), times=np.full(5, 0.5), values=np.zeros((5, 1)))
 
     def test_from_series_names_the_first_series_of_another_s(self):
         a, c = (RawSeries.from_uniform(sid, np.full(4, 0.5)) for sid in "ac")
@@ -138,64 +141,86 @@ class TestSeriesBatch:
     def test_checks_the_raw_series_rules(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SeriesBatch(ids=["a"], s=1, offsets=[0, 2], times=[0.5, 0.5], values=[[0.0], [0.0]])
-        with pytest.raises(ValueError, match="one step per id"):
+        with pytest.raises(ValueError, match=r"^times must have one entry per observation: 2 for offsets\[-1\] = 1$"):
             SeriesBatch(ids=["a"], s=1, offsets=[0, 1], times=[0.5, 1.0], values=[[0.0], [0.0]])
+        with pytest.raises(ValueError, match="one step per id"):
+            SeriesBatch(ids=["a"], s=1, offsets=[1, 2], times=[0.5, 1.0], values=[[0.0], [0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_values_with_the_ingest_message(self, bad):
+        values = np.full((5, 2), 0.5)
+        values[3, 1] = bad
+        message = rf"^non-finite value {bad} in column v2$"
+        with pytest.raises(ValueError, match=message):
+            SeriesBatch(ids=["a", "b"], s=2, offsets=[0, 2, 5], times=[0.5, 1.0, 0.2, 0.4, 0.6], values=values)
+        with pytest.raises(ValueError, match=message):
+            SeriesBatch._adopt(["a", "b"], 2, np.array([0, 2, 5]), np.array([0.5, 1.0, 0.2, 0.4, 0.6]), values)
+        with pytest.raises(ValueError, match=message):
+            RawSeries(id="b", s=2, times=[0.2, 0.4, 0.6], values=values[2:])
 
 
 class TestSharedSchedule:
-    def _batch(self, times, offsets=(0, 3, 6), s=1):
+    """Series sampled at one schedule: the batch holds it once per observation, like any other times."""
+
+    def _batch(self, schedule, offsets=(0, 3, 6), s=1, repeat=True):
         n = len(offsets) - 1
+        times = np.tile(schedule, n) if repeat else schedule
         return SeriesBatch(
             ids=[f"s{i}" for i in range(n)], s=s, offsets=offsets, times=times, values=np.full((offsets[-1], s), 0.5)
         )
 
-    def test_series_are_views_of_the_one_schedule(self):
-        times = np.array([0.25, 0.5, 1.0])
-        batch = self._batch(times)
-        assert batch._shared and batch.times.shape == (3,)
-        assert batch.m.tolist() == [3, 3]
-        for y in batch:
-            assert y.times.tobytes() == times.tobytes() and y.m == 3
-            assert np.shares_memory(y.times, batch.times) and not y.times.flags.writeable
-
-    def test_one_series_reads_as_per_observation(self):
-        batch = self._batch([0.5, 1.0], offsets=(0, 2))
-        assert not batch._shared
-        assert batch[0].times.tolist() == [0.5, 1.0]
-
-    def test_an_empty_batch_may_keep_its_schedule(self):
-        batch = self._batch([0.5, 1.0], offsets=(0,))
-        assert len(batch) == 0 and list(batch) == []
-
     @pytest.mark.parametrize(
         "times, offsets, message",
         [
-            ([0.5, 1.0], (0, 2, 5), r"step by len\(times\)"),
-            ([0.5, 1.0], (0, 3, 4), r"step by len\(times\)"),
+            ([0.5, 1.0], (0, 2, 4), r"one entry per observation: 2 for offsets\[-1\] = 4$"),
+            ([0.5, 1.0], (0, 2, 5), r"one entry per observation: 2 for offsets\[-1\] = 5$"),
+            ([0.5, 1.0], (0, 3, 4), r"one entry per observation: 2 for offsets\[-1\] = 4$"),
             ([0.5, 0.4, 1.0], (0, 3, 6), "strictly increasing"),
             ([0.5, 0.5, 1.0], (0, 3, 6), "strictly increasing"),
             ([0.0, 0.5, 1.0], (0, 3, 6), r"lie in \(0, 1\]"),
             ([0.5, 0.75, 1.5], (0, 3, 6), r"lie in \(0, 1\]"),
             ([0.5, np.nan, 1.0], (0, 3, 6), r"lie in \(0, 1\]"),
         ],
-        ids=["unequal_steps", "short_step", "falling", "repeated", "zero", "past_one", "nan"],
+        ids=["mis_sized", "unequal_steps", "short_step", "falling", "repeated", "zero", "past_one", "nan"],
     )
     def test_rejects_bad_schedules_with_the_raw_series_messages(self, times, offsets, message):
+        if message.startswith("one entry per observation"):
+            # the schedule once for every series, not once per observation: a ValueError, not an IndexError
+            with pytest.raises(ValueError, match=message):
+                self._batch(times, offsets, repeat=False)
+            return
         with pytest.raises(ValueError, match=message):
             self._batch(times, offsets)
-        if message != r"step by len\(times\)":
-            with pytest.raises(ValueError, match=message):
-                RawSeries(id="a", s=1, times=times, values=np.full((len(times), 1), 0.5))
+        with pytest.raises(ValueError, match=message):
+            RawSeries(id="a", s=1, times=times, values=np.full((len(times), 1), 0.5))
 
     def test_rejects_values_that_do_not_cover_every_series(self):
         with pytest.raises(ValueError, match="values must have shape"):
-            SeriesBatch(ids=["a", "b"], s=1, offsets=[0, 2, 4], times=[0.5, 1.0], values=np.full((2, 1), 0.5))
+            SeriesBatch(ids=["a", "b"], s=1, offsets=[0, 2, 4], times=[0.5, 1.0] * 2, values=np.full((2, 1), 0.5))
 
 
 class TestGridSeries:
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
             GridSeries(id="g", s=1, d=2, values=[[0.5], [1.2]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_and_out_of_range_values(self, bad):
+        with pytest.raises(ValueError, match=r"^grid values must lie in \[0, 1\]$"):
+            GridSeries(id="g", s=1, d=2, values=[[0.5], [bad]])
+        grid = np.full((3, 2, 1), 0.5)
+        grid[2, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"^grid values must lie in \[0, 1\]$"):
+            grid_series_views(["a", "b", "c"], grid)
+
+    def test_grid_series_views_keeps_a_read_only_copy(self):
+        grid = np.full((2, 3, 1), 0.5)
+        views = grid_series_views(["a", "b"], grid)
+        grid[0] = 7.0  # the caller's array stays its own
+        assert all(v.values.tolist() == [[0.5]] * 3 for v in views)
+        owner = views[0].values.base
+        assert not np.shares_memory(owner, grid) and not owner.flags.writeable
+        assert all(v.values.base is owner for v in views)
 
     def test_times(self):
         g = GridSeries(id="g", s=1, d=4, values=[[0.1], [0.2], [0.3], [0.4]])

@@ -230,16 +230,6 @@ def _irregular_series(rng, n, s):
     return out
 
 
-def _shared_batch(rng, n, s, times):
-    """n series that all share one schedule, stored once, and the same series as RawSeries."""
-    values = rng.normal(0.5, 0.6, size=(n, times.size, s))
-    ids = [f"s{i}" for i in range(n)]
-    batch = SeriesBatch(
-        ids=ids, s=s, offsets=np.arange(n + 1) * times.size, times=times, values=values.reshape(-1, s)
-    )
-    return batch, [RawSeries(id=sid, s=s, times=times, values=v) for sid, v in zip(ids, values)]
-
-
 def _smoothed_with_warnings(batch, d, gammas):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -367,31 +357,6 @@ class TestSmoothBatch:
         assert str(at.message) == str(batch.message) == "series 'gap': no samples in [0.3, 0.5]"
         assert at.filename == batch.filename == __file__
 
-    @pytest.mark.parametrize("s", [1, 2])
-    @pytest.mark.parametrize("case", ["one_gamma", "runs", "empty_window"])
-    def test_shared_schedule_smooths_as_its_per_observation_batch(self, case, s):
-        rng = np.random.default_rng(46 + s)
-        times = np.arange(1, 41) / 40
-        if case == "empty_window":  # a hole before t = 0.55 empties the windows at 1/3 and 1/2
-            times = np.concatenate([times[times < 0.2], times[times > 0.55]])
-        batch, raws = _shared_batch(rng, 5, s, times)
-        gammas = np.array([0.1, 0.1, 0.25, 0.25, 0.1]) if case == "runs" else 0.1
-        per_observation = SeriesBatch.from_series(raws)
-        views = list(batch)
-        assert [(y.times.tobytes(), y.values.tobytes()) for y in views] == [
-            (y.times.tobytes(), y.values.tobytes()) for y in raws
-        ]
-        assert not per_observation._shared and batch._shared
-        got, got_warnings = _smoothed_with_warnings(batch, 6, gammas)
-        want, want_warnings = _smoothed_with_warnings(per_observation, 6, gammas)
-        assert np.array_equal(got, want)
-        assert got_warnings == want_warnings
-        reference, empty = _per_slot_smoothing(raws, 6, np.broadcast_to(gammas, (5,)))
-        assert np.array_equal(got, reference)
-        assert sorted(message for _, message in got_warnings) == sorted(empty)
-        assert bool(empty) == (case == "empty_window")
-        assert all(category is EmptyWindowWarning for category, _ in got_warnings)
-
 
 # every k/1000 outside (0.2, 0.6]: a hole that empties the windows of the grid times inside it
 _HOLED = np.concatenate([np.arange(1, 201), np.arange(601, 1001)]) / 1000
@@ -418,10 +383,12 @@ def _mixed_batches(draw):
         gammas = np.full(n, draw(st.sampled_from([0.05, 0.1, 0.3])))
     ids = [f"x{i}" for i in range(n)]
     design = draw(st.sampled_from(["shared", "own", "runs", "alternating"]))
-    if design == "shared":  # one schedule stored once for every series
+    if design == "shared":  # one schedule for every series, repeated per observation
         times = _schedule(rng, draw(kinds), draw(st.sampled_from([d + 1, 12, 20, 257])))
         values = rng.normal(0.5, 0.6, size=(n, times.size, s))
-        batch = SeriesBatch(ids=ids, s=s, offsets=np.arange(n + 1) * times.size, times=times, values=values.reshape(-1, s))
+        batch = SeriesBatch(
+            ids=ids, s=s, offsets=np.arange(n + 1) * times.size, times=np.tile(times, n), values=values.reshape(-1, s)
+        )
         return batch, [RawSeries(id=i, s=s, times=times, values=v) for i, v in zip(ids, values)], d, gammas
     if design == "own":  # every series its own schedule
         schedules = [_schedule(rng, draw(kinds), draw(st.sampled_from([d + 1, d + 2, 12, 20, 257]))) for _ in ids]

@@ -461,10 +461,10 @@ class TestBatchSampler:
         assert np.array_equal(got_labels, labels)
         assert np.array_equal(batch.values.reshape(n, m, family.s), want_values)
         assert np.array_equal(got_grid, want_grid)
-        # the j/m schedule is stored once, and every series' times are views of it
-        schedule = (np.arange(1, m + 1) / m).tobytes()
-        assert batch.times.tobytes() == schedule
-        assert all(y.times.tobytes() == schedule for y in batch)
+        # every series' times are the j/m schedule, one per observation
+        schedule = np.arange(1, m + 1) / m
+        assert batch.times.tobytes() == np.tile(schedule, n).tobytes()
+        assert all(y.times.tobytes() == schedule.tobytes() for y in batch)
         assert batch.ids == tuple(f"series{i:05d}" for i in range(n))
 
         # the generator is left where the loop leaves it
@@ -477,6 +477,9 @@ class TestBatchSampler:
         assert np.array_equal(raw_labels, labels)
         assert all(np.array_equal(r.values, v) for r, v in zip(raws, want_values))
         assert all(np.array_equal(g.values, v) for g, v in zip(grids, want_grid))
+        # the sampled grid is handed over, not copied: every GridSeries is a row of one read-only array
+        assert all(g.values.base is grids[0].values.base for g in grids)
+        assert not grids[0].values.base.flags.writeable
 
 
 @pytest.mark.parametrize(
