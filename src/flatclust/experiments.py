@@ -889,12 +889,78 @@ def _closed_form(n: float, s: int, d: int) -> float:
     return 0.74 * (n / math.log(n)) ** (2.0 + 2.0 * s / (2.0 + s * d)) - n
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f in [a, b] by Brent's method, step for step scipy's brentq (Zeros/brentq.c).
+
+    Bisection, secant and inverse quadratic steps; it stops when f is zero or
+    the bracket is shorter than 2 * delta, delta = (xtol + rtol |x|) / 2. An
+    end where f is zero is returned. As brentq, it raises ValueError when f
+    has the same sign bit at both ends or a NaN value, and RuntimeError after
+    maxiter iterations. The same operations in the same order give scipy's
+    root bit for bit without loading scipy.optimize.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(v: float) -> bool:
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta  # C's MIN below: limit unless spre is smaller, a NaN limit too
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
     """Extra samples needed to keep the rate when d grows by one.
 
     Returns (closed_form, numeric): the closed form evaluates the published
     approximation 0.74 (n / log n)^(2 + 2s/(2+sd)) - n verbatim; the numeric
-    value solves rate(n + delta, d+1) = rate(n, d) by bracketed root search.
+    value solves rate(n + delta, d+1) = rate(n, d) by bracketed root search:
+    the bracket [n, hi] grows hi by 8x until the sign changes, then Brent's
+    method (`_brentq`, scipy's brentq ported step for step, so the same bits
+    without importing scipy.optimize) finds the root to xtol 2e-12, rtol 1e-13.
 
     The root N = n + delta satisfies N / log N = (n / log n)^(1 + s/(2+sd)),
     so N grows like A log A with A the right-hand side. A form with twice that
@@ -903,8 +969,6 @@ def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
     of the formula cannot be checked against PAPER.md, which holds only the
     abstract, so it is kept verbatim.
     """
-    from scipy.optimize import brentq  # deferred: `import flatclust` need not load scipy
-
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     closed = _closed_form(n, s, d)
@@ -919,7 +983,7 @@ def compensating_differential(n: float, s: int, d: int) -> tuple[float, float]:
         hi *= 8.0
         if hi > cap:
             raise OverflowError(f"no bracket for the compensating differential below {cap}")
-    big_n = brentq(g, n, hi, rtol=1e-13, maxiter=500)
+    big_n = _brentq(g, n, hi, xtol=2e-12, rtol=1e-13, maxiter=500)
     return closed, big_n - n
 
 

@@ -68,6 +68,13 @@ def _check_raw(s: int, times: np.ndarray, values: np.ndarray, offsets: np.ndarra
         raise ValueError(f"non-finite value {float(values[row, col])} in column v{col + 1}")
 
 
+def _check_ids(ids: tuple) -> None:
+    """Refuse an id that is not a str, naming the first such id and its type."""
+    for sid in ids:
+        if not isinstance(sid, str):
+            raise ValueError(f"series id {sid!r} has type {type(sid).__name__}, not str")
+
+
 def _check_unit(values: np.ndarray) -> None:
     """Refuse grid values outside [0, 1]; NaN fails too."""
     if not np.all((values >= 0.0) & (values <= 1.0)):
@@ -78,9 +85,9 @@ def _check_unit(values: np.ndarray) -> None:
 class RawSeries:
     """One noisy multivariate time sample: m observations of an s-dim path.
 
-    Times must be strictly increasing and lie in (0, 1]. Values must be
-    finite but may leave [0, 1]; observation noise is allowed to push them
-    out.
+    The id must be a str. Times must be strictly increasing and lie in
+    (0, 1]. Values must be finite but may leave [0, 1]; observation noise is
+    allowed to push them out.
     """
 
     id: str
@@ -90,6 +97,7 @@ class RawSeries:
     m: int = field(init=False)
 
     def __post_init__(self):
+        _check_ids((self.id,))
         times = _as_readonly(self.times)
         values = _as_readonly(self.values)
         _check_raw(self.s, times, values, np.array([0, times.size]))
@@ -114,10 +122,10 @@ class SeriesBatch(Sequence):
     values has shape (N, s), N = offsets[-1], and times holds one entry per
     observation, shape (N,): series i owns the same rows of times as of
     values. Every RawSeries rule is checked once for the whole batch, with
-    the same messages, and ids must not repeat. The batch keeps read-only
-    copies of the arrays it is given, so a later write to the caller's
-    arrays cannot undo the check. batch[i] and iteration give RawSeries
-    views into its arrays, unchecked.
+    the same messages except that an empty series is named, and ids must
+    not repeat. The batch keeps read-only copies of the arrays it is given,
+    so a later write to the caller's arrays cannot undo the check. batch[i]
+    and iteration give RawSeries views into its arrays, unchecked.
     """
 
     ids: tuple
@@ -151,6 +159,12 @@ class SeriesBatch(Sequence):
             raise ValueError("offsets must run from 0, one step per id")
         if times.size != offsets[-1]:
             raise ValueError(f"times must have one entry per observation: {times.size} for offsets[-1] = {offsets[-1]}")
+        _check_ids(self.ids)
+        steps = np.diff(offsets)
+        if np.any(steps < 0):
+            raise ValueError("offsets must not decrease")
+        if not steps.all():
+            raise ValueError(f"series {self.ids[int(np.argmin(steps))]!r} has no observations")
         _check_raw(self.s, times, self.values, offsets)
         if len(set(self.ids)) != len(self.ids):
             seen = set()

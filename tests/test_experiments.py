@@ -7,8 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import betainc as scipy_betainc
 
+from flatclust import experiments
 from flatclust.experiments import (
     GAP_Z_PRIME,
     REGISTRY,
@@ -23,6 +27,7 @@ from flatclust.experiments import (
     SymDiffConfig,
     _FLIP_TILE,
     _MC_CHUNK,
+    _brentq,
     _membership_flips,
     _sym_diff_mc,
     compensating_differential,
@@ -396,6 +401,87 @@ class TestCompensating:
         assert r.checks["rate_partial_d_positive"]
         assert r.checks["closed_form_ratio_in_band"] is False
         assert all(row["ratio"] > 5.0 for row in r.rows)
+
+
+def _outcome(solve):
+    """A root's exact bits, or the type of the exception raised instead."""
+    try:
+        return solve().hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _both(f, a, b, xtol=2e-12, rtol=1e-13, maxiter=500):
+    ours = _outcome(lambda: _brentq(f, a, b, xtol, rtol, maxiter))
+    return ours, _outcome(lambda: scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
+
+
+_COEF = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+class TestBrentq:
+    """_brentq is scipy's brentq step for step: the same root bits, the same exception types."""
+
+    def test_compensating_grid_keeps_scipys_roots(self, monkeypatch):
+        calls = []
+
+        def checked(f, a, b, xtol, rtol, maxiter):
+            ours, theirs = _both(f, a, b, xtol, rtol, maxiter)
+            calls.append((a, b))
+            assert ours == theirs, (a, b)
+            return _brentq(f, a, b, xtol, rtol, maxiter)
+
+        monkeypatch.setattr(experiments, "_brentq", checked)
+        grid = [(n, s, d) for n in (3, 10, 10**3, 10**4, 10**5, 10**6, 12_345) for s in (1, 2, 3) for d in range(1, 7)]
+        for n, s, d in grid:
+            compensating_differential(n, s, d)
+        assert len(calls) == len(grid)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        coefs=st.lists(_COEF, min_size=1, max_size=6),
+        a=_COEF,
+        width=st.floats(1e-9, 16.0),
+        at=st.floats(0.0, 1.0),
+        bracketed=st.booleans(),
+        xtol=st.sampled_from([5e-324, 2e-12, 1e-6]),
+        rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-13, 1e-5]),
+        maxiter=st.integers(0, 200),
+    )
+    def test_matches_scipy_on_polynomials(self, coefs, a, width, at, bracketed, xtol, rtol, maxiter):
+        """A random polynomial p, or (x - r)(1 + p(x)^2) with its one root r inside [a, b]."""
+        b, r = a + width, a + at * width
+
+        def p(x):
+            out = 0.0
+            for c in coefs:
+                out = out * x + c
+            return out
+
+        f = (lambda x: (x - r) * (1.0 + p(x) ** 2)) if bracketed else p
+        ours, theirs = _both(f, a, b, xtol, rtol, maxiter)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_at_either_end_is_that_end(self, zero):
+        at_a = _both(lambda x: zero if x == 1.0 else x - 1.0, 1.0, 2.0)
+        at_b = _both(lambda x: zero if x == 2.0 else x - 2.0, 1.0, 2.0)
+        assert at_a == ((1.0).hex(),) * 2 and at_b == ((2.0).hex(),) * 2
+
+    @pytest.mark.parametrize(
+        "f, a, b, maxiter, raised",
+        [
+            (lambda x: x * x + 1.0, -1.0, 1.0, 500, ValueError),  # no sign change
+            (lambda x: -1.0 - x * x, -1.0, 1.0, 500, ValueError),
+            (lambda x: math.nan if x == 1.0 else x, -1.0, 1.0, 500, ValueError),  # NaN at an end
+            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 500, ValueError),  # NaN at an iterate
+            (lambda x: x**3 - 2.0, 0.0, 2.0, 3, RuntimeError),  # maxiter runs out
+            (lambda x: x**3 - 2.0, 0.0, 2.0, 0, RuntimeError),
+        ],
+        ids=["same_sign", "same_sign_negative", "nan_end", "nan_iterate", "maxiter", "no_iterations"],
+    )
+    def test_raises_what_scipy_raises(self, f, a, b, maxiter, raised):
+        assert _both(f, a, b, maxiter=maxiter) == (raised, raised)
 
 
 class TestRegistry:

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -30,11 +32,32 @@ def test_every_exported_name_resolves():
     assert reexported and set(reexported) <= exported
 
 
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running code with flatclust importable."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(flatclust.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=300)
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("module", ["flatclust", "flatclust.cli"])
 def test_import_loads_no_scipy(module):
     """scipy is imported where it is called, so importing the package or the command line skips it."""
-    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(flatclust.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    assert _scipy_modules_after(f"import {module}") == []
+
+
+def test_no_experiment_loads_scipy_optimize():
+    """Every registered experiment at its pinned config leaves scipy.optimize unloaded; compensating loads no scipy."""
+    pinned = Path(__file__).parent / "pinned_reports.json"
+    run_all = (
+        "import json; from flatclust.experiments import run_experiment\n"
+        f"for name, pin in json.loads(open({str(pinned)!r}).read())['reports'].items():\n"
+        "    run_experiment(name, pin['config'])"
+    )
+    loaded = _scipy_modules_after(run_all)
+    assert "scipy.spatial" in loaded  # the probe ran the experiments that need scipy
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]] == []
+    pin = json.loads(pinned.read_text())["reports"]["compensating"]["config"]
+    compensating = f"from flatclust.experiments import run_experiment; run_experiment('compensating', {pin!r})"
+    assert _scipy_modules_after(compensating) == []

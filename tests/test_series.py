@@ -115,6 +115,28 @@ class TestSeriesBatch:
         with pytest.raises(ValueError, match="series id 'b' is repeated"):
             SeriesBatch(ids=list("abcba"), s=1, offsets=range(6), times=np.full(5, 0.5), values=np.zeros((5, 1)))
 
+    def test_refuses_an_id_that_is_not_a_str_naming_the_first(self):
+        times, values = np.full(4, 0.5), np.zeros((4, 1))
+        with pytest.raises(ValueError, match="^series id 1 has type int, not str$"):
+            SeriesBatch(ids=[1, 2], s=1, offsets=[0, 2, 4], times=times, values=values)
+        with pytest.raises(ValueError, match=r"^series id b'b' has type bytes, not str$"):
+            SeriesBatch._adopt(["a", b"b", None], 1, np.array([0, 1, 2, 4]), times.copy(), values.copy())
+        with pytest.raises(ValueError, match="^series id None has type NoneType, not str$"):
+            RawSeries(id=None, s=1, times=[0.5], values=[[0.0]])
+        numpy_ids = SeriesBatch(ids=np.array(["a", "b"]), s=1, offsets=[0, 2, 4], times=[0.5, 1.0] * 2, values=values)
+        assert numpy_ids.ids == ("a", "b")  # numpy's str_ is a str
+
+    def test_names_the_first_empty_series(self):
+        times, values = [0.2, 0.4, 0.6, 0.8], np.zeros((4, 1))
+        with pytest.raises(ValueError, match="^series 'a' has no observations$"):
+            SeriesBatch(ids=["a", "b"], s=1, offsets=[0, 0, 4], times=times, values=values)
+        with pytest.raises(ValueError, match="^series 'b' has no observations$"):
+            SeriesBatch(ids=["a", "b", "c", "d"], s=1, offsets=[0, 2, 2, 4, 4], times=times, values=values)
+        with pytest.raises(ValueError, match="^offsets must not decrease$"):
+            SeriesBatch(ids=["a", "b", "c"], s=1, offsets=[0, 3, 2, 4], times=times, values=values)
+        with pytest.raises(ValueError, match="^times must be a nonempty 1-d array$"):
+            RawSeries(id="a", s=1, times=[], values=np.zeros((0, 1)))
+
     def test_from_series_names_the_first_series_of_another_s(self):
         a, c = (RawSeries.from_uniform(sid, np.full(4, 0.5)) for sid in "ac")
         b, d = (RawSeries.from_uniform(sid, np.full((4, 2), 0.5)) for sid in "bd")
