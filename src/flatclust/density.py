@@ -43,8 +43,21 @@ class KdeModel:
 
 
 def _normalizer(n: int, delta: float, sd: int) -> float:
-    """n * delta^sd * v_sd, the constant dividing every ball count."""
-    return n * delta**sd * ball_volume(sd)
+    """n * delta^sd * v_sd, the constant dividing every ball count.
+
+    Raises ValueError when it is not a positive finite number, as for a
+    tiny delta whose power underflows to 0 or a huge one that overflows:
+    every level would then divide by 0 or by inf.
+    """
+    try:
+        value = n * delta**sd * ball_volume(sd)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"delta={delta!r} at sd={sd}, n={n} gives n*delta^sd*v_sd={value!r}, not a positive finite number"
+        )
+    return value
 
 
 def kde_eval(model: KdeModel, x) -> float:

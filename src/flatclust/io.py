@@ -379,9 +379,10 @@ def emit_labels_csv(path, ids: list[str], labels) -> None:
 
 
 def write_json_document(path, doc: dict) -> None:
+    """Write doc as sorted, indented JSON; a NaN or infinity is refused before the file is opened."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json_document(path) -> dict:
@@ -403,9 +404,22 @@ def _resolve_k(cfg: PipelineConfig, n: int, delta: float, sd: int) -> int:
     if cfg.k is not None:
         return cfg.k
     raw = k_of_lambda(cfg.level, n, delta, sd)
+    if math.isinf(raw):
+        raise ValueError(f"lambda={cfg.level!r} at delta={delta!r}, sd={sd}, n={n} gives k=inf")
     rounded = round(raw)
     k = rounded if abs(raw - rounded) < 1e-9 else math.ceil(raw)
     return max(1, int(k))
+
+
+def _check_levels(cfg: PipelineConfig, k: int, n: int, delta: float, sd: int) -> None:
+    """Refuse, before any clustering, a delta whose ball mass is 0 or inf or whose top level is inf.
+
+    The top level is lambda_of_k at the largest k of the run, k or a rung
+    of the ladder: the documents report it, and JSON has no infinity.
+    """
+    top = max((k, *(cfg.k_ladder or ())))
+    if math.isinf(lambda_of_k(top, n, delta, sd)):
+        raise ValueError(f"delta={delta!r} at sd={sd}, n={n} gives k={top} lambda=inf")
 
 
 def run_smooth(cfg: PipelineConfig, batch: SeriesBatch) -> list[GridSeries]:
@@ -453,6 +467,7 @@ def run_cluster(cfg: PipelineConfig, batch: SeriesBatch) -> dict:
     n, sd = points.shape
     delta = delta_schedule(n, sd) if cfg.delta == "auto" else float(cfg.delta)
     k = _resolve_k(cfg, n, delta, sd)
+    _check_levels(cfg, k, n, delta, sd)
     labeling = dbscan_cluster(points, k=k, delta=delta, link_radius=cfg.link_radius)
     gammas = dict(zip(batch.ids, _resolve_gammas(cfg, batch)))
     manifest = {

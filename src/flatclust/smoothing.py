@@ -52,7 +52,8 @@ def _check_bandwidths(gammas) -> None:
 def kernel_le(u):
     """Left-side Epanechnikov kernel: 2 - 2u^2 on [-1, 0], zero elsewhere."""
     u = np.asarray(u, dtype=float)
-    out = np.where((u >= -1.0) & (u <= 0.0), 2.0 - 2.0 * u * u, 0.0)
+    with np.errstate(over="ignore"):  # u*u overflows only far outside the support, where np.where drops it
+        out = np.where((u >= -1.0) & (u <= 0.0), 2.0 - 2.0 * u * u, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -129,8 +130,13 @@ def _rows(a: np.ndarray, offsets: np.ndarray, idx: np.ndarray, m: int) -> np.nda
     return a[offsets[idx, None] + np.arange(m)]
 
 
-# Observations per block of series weighted row by row: bounds smooth_batch's (rows, m) temporaries.
+# Observations per block of series: bounds smooth_batch's (rows, m) temporaries and the sampler's chunks.
 _ROW_BLOCK = 1 << 14
+
+
+def _rows_per_block(m: int) -> int:
+    """Series of length m per block of about _ROW_BLOCK observations, and at least one."""
+    return max(1, _ROW_BLOCK // m)
 
 
 def _weight_rows(times: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray):
@@ -201,7 +207,7 @@ def smooth_batch(batch: SeriesBatch, d: int, gammas) -> np.ndarray:
     groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if n else []
     for idx in sorted(groups, key=lambda g: g[0]):
         m = int(lengths[idx[0]])
-        step = max(1, _ROW_BLOCK // m)
+        step = _rows_per_block(m)
         blocks = [idx[a : a + step] for a in range(0, idx.size, step)]
         first = _rows(batch.times, batch.offsets, idx[:1], m)
         one_row = np.all(gammas[idx] == gammas[idx[0]]) and all(
@@ -220,18 +226,21 @@ def _smooth_chunks(out: np.ndarray, chunks, times: np.ndarray, gamma: float, id_
 
     out is (n, d, s); chunks yields (start, stop, values), the (k, m, s)
     observations of series start..stop-1, and may reuse one buffer for
-    them all. Each chunk is smoothed by _smooth_rows with one weight row
-    per grid time, so out is smooth_batch of the whole batch, bit for bit,
-    without the batch ever being held. gamma is checked before the first
-    chunk is drawn. Empty windows warn as in smooth_batch, naming series
-    id_of(i), at the line that called this function's caller.
+    them all. The d weight rows, one per grid time, depend only on times,
+    gamma and the grid, so they are made once, before the first chunk is
+    drawn, and every chunk is smoothed by _smooth_rows with them: out is
+    smooth_batch of the whole batch, bit for bit, without the batch ever
+    being held. Memory holds the d rows of m weights besides the chunks.
+    Empty windows warn as in smooth_batch, naming series id_of(i), at the
+    line that called this function's caller.
     """
     _check_bandwidths(gamma)
     grid = grid_times(out.shape[1])
-    times, bandwidths = times[None], np.array([[gamma]], dtype=float)
+    bandwidths = np.array([[gamma]], dtype=float)
+    weights = list(_weight_rows(times[None], bandwidths, grid))
     gammas = np.broadcast_to(bandwidths[0, 0], out.shape[:1])
     for start, stop, values in chunks:
-        _smooth_rows(out, np.arange(start, stop), values, _weight_rows(times, bandwidths, grid), id_of, gammas, 3)
+        _smooth_rows(out, np.arange(start, stop), values, weights, id_of, gammas, 3)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from ._ufuncs import row_loops
 from .codec import Codec, prefixed
 from .series import GridSeries, SeriesBatch, _adopt_grid, grid_times
-from .smoothing import _smooth_chunks
+from .smoothing import _rows_per_block, _smooth_chunks
 
 __all__ = [
     "Bump1D",
@@ -519,9 +519,6 @@ class FunctionFamilySpec(Codec):
         return best
 
 
-# Series drawn per bulk draw: memory holds one chunk's uniforms and values, not the batch's.
-SAMPLE_CHUNK = 64
-
 _series_id = "series{:05d}".format
 
 
@@ -533,18 +530,23 @@ def _drawn_chunks(
     rng: np.random.Generator,
     grid: np.ndarray,
 ):
-    """Draw noisy series of templates[labels[i]] at times, SAMPLE_CHUNK at a time: yield (start, stop, values).
+    """Draw noisy series of templates[labels[i]] at times, a chunk at a time: yield (start, stop, values).
 
-    values holds the chunk's (k, m, s) observations in one buffer made once
-    per call and refilled for every chunk, so a chunk must be used before
-    the next is drawn. The chunk's exact values at 1/d..1 go into
+    A chunk is smoothing._rows_per_block(m) series, the row blocks of
+    smooth_batch: about _ROW_BLOCK observations, or one series when m is
+    longer. values holds the chunk's (k, m, s) observations in one buffer
+    made once per call and refilled for every chunk, so a chunk must be
+    used before the next is drawn, and memory holds one chunk's draw and
+    values whatever n. The chunk's exact values at 1/d..1 go into
     grid[start:stop], grid being (n, d, s).
 
     The random stream is the one of a per-series loop of `draw_jitter` and
     `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
     [amp scales s | offset shifts s | noise m*s] from one bulk `random`
     draw per chunk, mapped by `low + (high - low) * u` as `uniform` maps
-    it, so the values are bit-identical to that loop's. Each chunk's draw
+    it, so the values are bit-identical to that loop's, whatever the chunk
+    size: a bulk draw is the run of doubles that draws of its parts, one
+    after another, would give. Each chunk's draw
     lands in one buffer made once per call and is mapped in place, and its
     paths are filled straight into values and grid.
     """
@@ -555,10 +557,11 @@ def _drawn_chunks(
     jitter_lo = np.array([[1.0 - t.amp_jitter, -t.offset_jitter] for t in templates])[:, :, None]
     jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
     paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(grid.shape[1]))
-    draws = np.empty(min(SAMPLE_CHUNK, n) * width)
-    buffer = np.empty((min(SAMPLE_CHUNK, n), m, s))
-    for start in range(0, n, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, n)
+    step = _rows_per_block(m)
+    draws = np.empty(min(step, n) * width)
+    buffer = np.empty((min(step, n), m, s))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         values = buffer[: stop - start]
         chunk_labels = labels[start:stop]
         with row_loops(m):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,23 @@ class TestLambdaK:
     def test_roundtrip(self, k, n, delta, sd):
         lam = lambda_of_k(k, n, delta, sd)
         assert k_of_lambda(lam, n, delta, sd) == pytest.approx(k, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, delta, sd, mass",
+        [(30, 1e-200, 4, "0.0"), (30, 1e308, 4, "inf"), (512, 1e-170, 2, "0.0"), (10, 1e200, 2, "inf")],
+    )
+    def test_refuses_a_ball_mass_that_is_zero_or_infinite(self, n, delta, sd, mass):
+        # 1e-200**4 underflows to 0 and 1e308**4 overflows: every level would divide by 0 or by inf
+        message = f"^{re.escape(f'delta={delta!r} at sd={sd}, n={n} gives n*delta^sd*v_sd={mass}')}, not a positive"
+        with pytest.raises(ValueError, match=message):
+            lambda_of_k(3, n, delta, sd)
+        with pytest.raises(ValueError, match=message):
+            k_of_lambda(1.0, n, delta, sd)
+        with pytest.raises(ValueError, match=message):
+            KdeModel(np.full((n, sd), 0.5), delta)
+
+    def test_a_tiny_but_representable_ball_mass_is_kept(self):
+        assert lambda_of_k(1, 2, 1e-100, 3) == 1 / (2 * 1e-100**3 * ball_volume(3))
 
 
 class TestSandwichProperty:

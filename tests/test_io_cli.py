@@ -611,6 +611,74 @@ def test_bad_config_is_an_invalid_argument(tmp_path, capsys, command, config, me
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("cluster", {"delta": 1e-200}, "delta=1e-200 at sd=4, n=24 gives n*delta^sd*v_sd=0.0, not a positive"),
+        ("cluster", {"delta": 1e308}, "delta=1e+308 at sd=4, n=24 gives n*delta^sd*v_sd=inf, not a positive"),
+        ("tree", {"delta": 1e-200, "k_ladder": [5, 3]}, "delta=1e-200 at sd=4, n=24 gives n*delta^sd*v_sd=0.0"),
+        ("cluster", {"delta": 1e-90, "k": None, "lambda": 1.0}, "delta=1e-90 at sd=4, n=24 gives n*delta^sd*v_sd=0.0"),
+        # a subnormal ball mass: lambda_of_k(3) is inf, which no JSON document can hold
+        ("cluster", {"d": 2, "delta": 1e-160}, "delta=1e-160 at sd=2, n=24 gives k=3 lambda=inf"),
+        ("tree", {"d": 2, "delta": 1e-154, "k_ladder": [10**6, 3]}, "delta=1e-154 at sd=2, n=24 gives k=1000000"),
+        ("cluster", {"delta": 1.0, "k": None, "lambda": 1e308}, "lambda=1e+308 at delta=1.0, sd=4, n=24 gives k=inf"),
+    ],
+    ids=["delta-underflow", "delta-overflow", "tree-underflow", "lambda-underflow", "level-inf", "ladder-inf", "k-inf"],
+)
+def test_an_extreme_delta_is_refused_before_clustering(tmp_path, capsys, monkeypatch, command, config, message):
+    # these ended in ZeroDivisionError and OverflowError tracebacks, or wrote Infinity into the manifest
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("clustering ran")
+
+    monkeypatch.setattr(fio, "dbscan_cluster", no_clustering)
+    monkeypatch.setattr(fio, "cluster_tree", no_clustering)
+    series_path, _ = _write_cluster_inputs(tmp_path)
+    cfg = tmp_path / "extreme.json"
+    write_json_document(cfg, {k: v for k, v in {**_BASE, **config}.items() if v is not None})
+    rc = main([command, "--config", str(cfg), "--input", str(series_path), "--outdir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-argument" and payload["message"].startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_experiment_with_an_extreme_delta_is_refused(tmp_path, capsys):
+    # exited 0 with NaN and Infinity tokens in its report
+    cfg = tmp_path / "exp.json"
+    write_json_document(cfg, {"delta_scale": 1e-300, "m_ladder": [64, 128], "trials": 1})
+    assert main(["experiment", "noisy_kde_gap", "--config", str(cfg), "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "invalid-argument"
+    assert payload["message"].endswith("at sd=2, n=512 gives n*delta^sd*v_sd=0.0, not a positive finite number")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_tiny_gamma_smooths_without_an_overflow_warning(tmp_path):
+    series_path, _ = _write_cluster_inputs(tmp_path)
+    cfg = tmp_path / "tiny_gamma.json"
+    write_json_document(cfg, {**_BASE, "delta": 0.1, "gamma": 1e-300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # kernel_le's u*u overflowed outside the support
+        assert main(["cluster", "--config", str(cfg), "--input", str(series_path), "--outdir", str(tmp_path / "o")]) == 0
+    assert read_json_document(tmp_path / "o" / "manifest.json")["resolved"]["gamma"]["series00000"] == 1e-300
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_document_refuses_non_json_numbers_before_opening(tmp_path, bad):
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    write_json_document(kept, {"a": 1})
+    before = kept.read_bytes()
+    for path in (fresh, kept):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            write_json_document(path, {"a": 1, "nested": {"level": [0.5, bad]}})
+    assert not fresh.exists()
+    assert kept.read_bytes() == before == b'{\n  "a": 1\n}\n'
+
+
 _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights": [1.0]}
 
 

@@ -39,6 +39,14 @@ class TestKernel:
         out = kernel_le(np.array([-2.0, -1.0, -0.5, 0.0, 0.5]))
         assert np.allclose(out, [0.0, 0.0, 1.5, 2.0, 0.0])
 
+    def test_far_outside_the_support_is_zero_without_overflow(self):
+        u = np.array([-1e300, -1e200, 1e300, -1.0, -0.75, -0.5, -1e-300, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # u*u overflowed at |u| > 1.3e154
+            out = kernel_le(u)
+        assert out[:3].tolist() == [0.0, 0.0, 0.0]
+        assert out[3:].tobytes() == (2.0 - 2.0 * u[3:] * u[3:]).tobytes()
+
     def test_symmetric_reference(self):
         assert kernel_symmetric(0.0) == pytest.approx(0.75)
         assert kernel_symmetric(1.0) == pytest.approx(0.0)

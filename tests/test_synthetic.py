@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatclust import synthetic
+from flatclust import smoothing, synthetic
 from flatclust.series import grid_times
 from flatclust.smoothing import EmptyWindowWarning, gamma_schedule, smooth_batch
 from flatclust.synthetic import (
@@ -569,7 +569,8 @@ class TestSampleSmoothed:
         [gap_family(), lipschitz_family(d=3, eps_bar=0.0), _two_sine_family(), _mixed_family()],
         ids=["gap", "eps_bar_0", "two_sine_s2", "mixed_s2"],
     )
-    @pytest.mark.parametrize("n", [0, 1, 20, synthetic.SAMPLE_CHUNK, synthetic.SAMPLE_CHUNK + 1, 201])
+    # at m = 40 a chunk is _rows_per_block(40) = 409 series: n at and just past one chunk, and past two
+    @pytest.mark.parametrize("n", [0, 1, 20, smoothing._rows_per_block(40), smoothing._rows_per_block(40) + 1, 850])
     def test_is_smooth_batch_of_the_sampled_batch(self, family, n):
         m = 40
         gamma = gamma_schedule(m)
@@ -582,7 +583,7 @@ class TestSampleSmoothed:
     def test_does_not_depend_on_the_chunk_size(self, chunk, monkeypatch):
         family = _two_sine_family()
         want = _sample_smoothed(family, 70, 24, 7, 0.2)
-        monkeypatch.setattr(synthetic, "SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(smoothing, "_ROW_BLOCK", chunk * 24)  # chunks of `chunk` series of length 24
         got = _sample_smoothed(family, 70, 24, 7, 0.2)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in _batch_then_smoothed(family, 70, 24, 7, 0.2)]
@@ -590,7 +591,7 @@ class TestSampleSmoothed:
     @pytest.mark.parametrize("chunk", [3, 64])
     def test_empty_windows_give_the_batchs_zero_slots_and_warnings(self, chunk, monkeypatch):
         # at m = 10, no sample j/10 lies in [0.21, 0.25] or [0.71, 0.75]: gamma 0.04 empties those windows
-        monkeypatch.setattr(synthetic, "SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(smoothing, "_ROW_BLOCK", chunk * 10)
         family = jump_family(d=4)
         want, want_warnings = _smoothed_and_warned(_batch_then_smoothed, family, 7, 10, 3, 0.04)
         got, got_warnings = _smoothed_and_warned(_sample_smoothed, family, 7, 10, 3, 0.04)
@@ -605,15 +606,48 @@ class TestSampleSmoothed:
         with pytest.raises(ValueError, match="gamma must be a positive finite number, got inf"):
             _sample_smoothed(gap_family(), 3, 8, 1, math.inf)
 
-    def test_memory_holds_a_few_chunks_not_the_batch(self):
-        family, n, m = gap_family(), 512, 4096
+    @pytest.mark.parametrize("m", [24, 5000, 20000])
+    def test_chunks_are_the_smoothers_row_blocks(self, m, monkeypatch):
+        family, n = gap_family(), 40
+
+        def sizes():
+            labels, times, grid = np.zeros(n, dtype=np.intp), np.arange(1, m + 1) / m, np.empty((n, family.d, 1))
+            chunks = synthetic._drawn_chunks(family.clusters, labels, times, 0.02, np.random.default_rng(1), grid)
+            return [stop - start for start, stop, _ in chunks]
+
+        for row_block in (smoothing._ROW_BLOCK, 3 * m + 1):  # the helper reads _ROW_BLOCK at call time
+            monkeypatch.setattr(smoothing, "_ROW_BLOCK", row_block)
+            step = smoothing._rows_per_block(m)
+            assert step == max(1, row_block // m)
+            assert sizes() == [step] * (n // step) + ([n % step] if n % step else [])
+
+    @staticmethod
+    def _traced_peak(family, n, m):
         _sample_smoothed(family, 2, 8, 1, 0.3)  # first-call allocations stay out of the count
         tracemalloc.start()
         try:
             _sample_smoothed(family, n, m, 1, gamma_schedule(m))
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a chunk's draw and its values, one chunk more for the kernel's temporaries, and the two grids
-        chunk, grids = synthetic.SAMPLE_CHUNK * m * family.s * 8, 2 * n * family.d * family.s * 8
-        assert peak < 3 * chunk + grids < n * m * family.s * 8 / 2
+
+    @staticmethod
+    def _budget(family, n, m):
+        """A chunk's draw and values, one chunk more for temporaries, the per-time arrays, and the two grids.
+
+        A chunk holds about _ROW_BLOCK observations, or one series when m is
+        longer. The per-time arrays are the m times, the d cached weight
+        rows of m weights, and one (m, s) path curve per template.
+        """
+        chunk = max(smoothing._ROW_BLOCK, m) * family.s * 8
+        per_time = (1 + family.d + family.C * family.s) * m * 8
+        return 3 * chunk + per_time + 2 * n * family.d * family.s * 8
+
+    def test_memory_holds_a_few_chunks_not_the_batch(self):
+        family, n, m = gap_family(), 512, 4096
+        assert self._traced_peak(family, n, m) < self._budget(family, n, m) < n * m * family.s * 8 / 4
+
+    def test_memory_at_a_large_m_holds_one_series_per_chunk(self):
+        # chunks of a fixed 64 series peaked at 71 MB here, against this budget of 4.2 MB
+        family, n, m = gap_family(), 64, 1 << 16
+        assert self._traced_peak(family, n, m) < self._budget(family, n, m) < n * m * family.s * 8 / 4
