@@ -95,6 +95,10 @@ class SynthDocument(Codec):
     m: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n < 1:  # refused here, before a directory is made, whatever the spec's kind
+            raise ValueError(f"n must be >= 1, got {self.n}")
+
 
 def _cmd_synth(args) -> int:
     doc = fio.read_json_document(args.spec)

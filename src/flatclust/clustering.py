@@ -129,7 +129,9 @@ def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray)
     """Component labels on the subgraph of link pairs between core points.
 
     The pairs come in ascending (src, dst) order, so they already are a CSR
-    graph's rows and sorted column indices, and scipy sorts nothing.
+    graph's rows and sorted column indices, and scipy sorts nothing. The
+    row pointers take the pairs' dtype, so scipy copies no index array
+    either, and when every endpoint is core the pairs are used as they are.
     """
     # deferred, like spatial's cKDTree: `import flatclust` need not load scipy
     from scipy.sparse import csr_matrix
@@ -137,8 +139,10 @@ def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray)
 
     n = is_core.size
     keep = is_core[src] & is_core[dst]
-    src, dst = src[keep], dst[keep]
-    indptr = np.zeros(n + 1, dtype=np.intp)
+    if not keep.all():
+        src, dst = src[keep], dst[keep]
+    del keep
+    indptr = np.zeros(n + 1, dtype=src.dtype)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     graph = csr_matrix((np.ones(dst.size), dst, indptr), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
@@ -231,6 +235,11 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     each ball is a run of consecutive points, and the link components are
     runs of consecutive core points, which avoids the pair list that dense
     1-D samples make quadratic.
+
+    Off a line, sq and the masks are released once the counts and links are
+    taken, and the labeler keeps only the linked pairs, in pair_sq_dists'
+    ascending (src, dst) order: two int32 indices per pair while n and the
+    pair count fit in int32, two np.intp otherwise.
     """
     n = pts.shape[0]
     if pts.shape[1] == 1:
@@ -242,8 +251,16 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     src, dst, sq = GridIndex(pts).pair_sq_dists(max(link, delta))
     near = sq <= delta * delta
     counts = 1 + np.bincount(src[near], minlength=n) + np.bincount(dst[near], minlength=n)
+    del near
     linked = sq <= link * link
-    src, dst = src[linked], dst[linked]
+    del sq
+    if not linked.all():  # all are at link >= delta, the default 2*delta among them
+        src, dst = src[linked], dst[linked]
+    del linked
+    # int32 while every index and every CSR row pointer, at most the pair count, fits
+    index = np.int32 if max(n, src.size) <= np.iinfo(np.int32).max else np.intp
+    src = src.astype(index, copy=False)
+    dst = dst.astype(index, copy=False)
     return counts, lambda is_core: _assignments_for_core(is_core, src, dst)
 
 

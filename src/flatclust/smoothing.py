@@ -77,7 +77,8 @@ def nw_weights(t: float, times: np.ndarray, gamma: float) -> tuple[np.ndarray, b
     times = np.asarray(times, dtype=float)
     # (t_j - t)/gamma lands in the kernel support [-1, 0] exactly when
     # t_j lies in the backward window [t - gamma, t]
-    raw = kernel_le((times - t) / gamma)
+    with np.errstate(over="ignore"):  # under a subnormal gamma; an overflowed quotient is outside the support
+        raw = kernel_le((times - t) / gamma)
     total = raw.sum()
     if total <= 0.0:
         return np.zeros_like(raw), True
@@ -147,7 +148,8 @@ def _weight_rows(times: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray):
     [t - gamma, t], whose weights are all zero.
     """
     for t in grid:
-        raw = kernel_le((times - t) / bandwidths)
+        with np.errstate(over="ignore"):  # as in nw_weights
+            raw = kernel_le((times - t) / bandwidths)
         total = raw.sum(axis=1, keepdims=True)
         empty = total[:, 0] <= 0.0
         total[empty] = 1.0  # an empty window's zero weights stay zero

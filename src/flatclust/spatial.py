@@ -30,6 +30,9 @@ __all__ = [
 # surely within r and every point within r is a tree hit at r * (1 + SLACK).
 SLACK = 1e-9
 
+# Candidate pairs per block of pair_sq_dists' coordinate gathers.
+_PAIR_BLOCK = 1 << 16
+
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a and b, broadcast.
@@ -192,14 +195,39 @@ class GridIndex:
         pairs are sorted by the key src * n + dst, and the refilter gathers
         one coordinate column at a time: the same rounded operations as
         sq_dists(p[src], p[dst]), without gathering whole rows.
+
+        Per candidate pair the refilter holds three 8-byte arrays: the key,
+        whose buffer becomes dst, src and sq. The tree's own (P, 2) pair
+        array goes once the key is built, and the coordinate gathers go
+        through two buffers of _PAIR_BLOCK pairs that every block and
+        coordinate reuses. When every candidate is within r, as all are but
+        ties at the slack, the arrays are returned without a compacting copy.
         """
         r = _checked_radius(r)
         n = len(self)
-        pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray").astype(np.int64, copy=False)
-        key = pairs[:, 0] * n + pairs[:, 1]
+        pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray")
+        key = pairs[:, 0].astype(np.int64)
+        key *= n
+        key += pairs[:, 1]
+        del pairs
         key.sort()
-        src, dst = np.divmod(key, n)
+        src = key // n
+        dst = np.remainder(key, n, out=key)
+        sq = np.empty(key.size)
+        a, b = np.empty((2, min(key.size, _PAIR_BLOCK)))
         columns = np.ascontiguousarray(self.points.T)
-        sq = _sum_of_squares(col[src] - col[dst] for col in columns)
+        for lo in range(0, key.size, _PAIR_BLOCK):
+            s, d = src[lo : lo + _PAIR_BLOCK], dst[lo : lo + _PAIR_BLOCK]
+            ga, gb = a[: s.size], b[: s.size]
+            # every index is in range, so "clip" changes nothing; the default "raise" buffers out in a copy
+            diffs = (
+                np.subtract(np.take(col, s, out=ga, mode="clip"), np.take(col, d, out=gb, mode="clip"), out=ga)
+                for col in columns
+            )
+            _sum_of_squares(diffs, out=sq[lo : lo + s.size])
         keep = sq <= r * r
-        return src[keep], dst[keep], sq[keep]
+        if keep.all():
+            return src, dst, sq
+        src = src[keep]  # one copy at a time
+        dst = dst[keep]
+        return src, dst, sq[keep]

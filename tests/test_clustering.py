@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,31 @@ def test_cluster_tree_is_one_sweep(monkeypatch, sd):
     tree = cluster_tree(pts, 0.1 * np.sqrt(sd), (40, 10, 3))
     assert len(tree.levels) == 3
     assert calls == (["__init__", "pair_sq_dists"] if sd > 1 else [])
+
+
+@pytest.mark.parametrize("sd, n, delta", [(2, 2000, 0.1), (8, 1000, 0.5)])
+def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
+    # The neighbour pass sets cluster_tree's peak on dense points. Each
+    # candidate pair once cost about 57 traced bytes: a key, int64 src, dst
+    # and their compacted copies, sq, whole-size gathers. With int32 pairs,
+    # blocked gathers and no copy where every pair is kept, it is 33-35.
+    rng = np.random.default_rng(60 + sd)
+    pts = rng.uniform(0.0, 1.0, size=(n, sd))
+    index = GridIndex(pts)
+    pairs = index.pair_sq_dists(2 * delta)[0].size
+    assert pairs >= 10**5
+    # about nine points in ten are core at the top level, so its labeler
+    # compacts nearly every pair, the costliest level; at k = 1 all are core
+    ks = (int(np.percentile(index.counts_within_all(delta), 10)), 1)
+    cluster_tree(pts[:50], delta, (3,))  # scipy's deferred imports are not the pass's memory
+    tracemalloc.start()
+    try:
+        tree = cluster_tree(pts, delta, ks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < np.count_nonzero(tree.levels[0].labeling.assignments != NOISE) < n
+    assert peak / pairs < 40
 
 
 @pytest.mark.parametrize("sd", [1, 2, 5])

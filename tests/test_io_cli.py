@@ -657,14 +657,17 @@ def test_an_experiment_with_an_extreme_delta_is_refused(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_a_tiny_gamma_smooths_without_an_overflow_warning(tmp_path):
+@pytest.mark.parametrize("gamma", [1e-300, 1e-320])
+def test_a_tiny_gamma_smooths_without_an_overflow_warning(tmp_path, gamma):
+    # at 1e-300 kernel_le's u*u overflowed outside the support; at the
+    # subnormal 1e-320 the quotient (t_j - t) / gamma itself did
     series_path, _ = _write_cluster_inputs(tmp_path)
     cfg = tmp_path / "tiny_gamma.json"
-    write_json_document(cfg, {**_BASE, "delta": 0.1, "gamma": 1e-300})
+    write_json_document(cfg, {**_BASE, "delta": 0.1, "gamma": gamma})
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # kernel_le's u*u overflowed outside the support
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["cluster", "--config", str(cfg), "--input", str(series_path), "--outdir", str(tmp_path / "o")]) == 0
-    assert read_json_document(tmp_path / "o" / "manifest.json")["resolved"]["gamma"]["series00000"] == 1e-300
+    assert read_json_document(tmp_path / "o" / "manifest.json")["resolved"]["gamma"]["series00000"] == gamma
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -690,6 +693,8 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
         (["synth", "--spec"], {"spec": _MIXTURE, "n": True}, "n must be an integer, got True"),
         (["synth", "--spec"], {"spec": _MIXTURE, "n": "5"}, "n must be an integer, got '5'"),
         (["synth", "--spec"], {"spec": _MIXTURE, "seed": 1.9}, "seed must be an integer, got 1.9"),
+        (["synth", "--spec"], {"spec": _MIXTURE, "n": 0}, "n must be >= 1, got 0"),
+        (["synth", "--spec"], {"spec": lipschitz_family(d=4).to_dict(), "n": 0}, "n must be >= 1, got 0"),
         (["synth", "--spec"], {"spec": {"kind": "mixture"}}, "missing required config key 'spec.components'"),
         (
             ["synth", "--spec"],
@@ -751,6 +756,8 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
         "synth-n-bool",
         "synth-n-string",
         "synth-seed-fraction",
+        "synth-mixture-no-points",
+        "synth-family-no-series",
         "synth-missing-components",
         "synth-box-string",
         "kde_rate-array",

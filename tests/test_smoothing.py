@@ -59,6 +59,16 @@ class TestNwWeights:
         assert not empty
         assert np.array_equal(w, [1.0])
 
+    def test_subnormal_gamma_keeps_only_the_sample_at_t_without_a_warning(self):
+        # (t_j - t) / 1e-320 overflows to -inf for every past sample, which lies outside the support
+        y = RawSeries(id="a", s=2, times=np.array([0.25, 0.5, 1.0]), values=np.array([[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w, empty = nw_weights(1.0, y.times, 1e-320)
+            est = smooth_at(y, 1.0, 1e-320)
+        assert not empty and w.tolist() == [0.0, 0.0, 1.0]
+        assert est.tolist() == [0.3, 0.7]
+
     def test_empty_window(self):
         w, empty = nw_weights(0.5, np.array([0.9, 1.0]), gamma=0.1)
         assert empty

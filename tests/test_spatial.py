@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flatclust import spatial
 from flatclust.clustering import _neighbour_pass, cluster_tree, components_bruteforce, dbscan_cluster
 from flatclust.density import KdeModel, kde_counts_batch
 from flatclust.spatial import (
@@ -270,3 +271,17 @@ def test_pair_sq_dists_ascending_and_with_exact_sq():
         assert src.size and np.all(np.diff(key) > 0) and np.all(src < dst)
         assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, 0.3)
         assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+def test_pair_sq_dists_blocks_keep_every_bit(monkeypatch, block):
+    # the refilter gathers _PAIR_BLOCK candidate pairs at a time; blocks of
+    # one or five pairs give the pairs and sq bits of one whole gather
+    rng = np.random.default_rng(39)
+    pts = np.vstack([rng.integers(0, 6, size=(120, 3)) * 0.1, rng.uniform(0.0, 0.5, size=(60, 3))])
+    monkeypatch.setattr(spatial, "_PAIR_BLOCK", block)
+    src, dst, sq = GridIndex(pts).pair_sq_dists(0.3)
+    assert src.size > 1000  # hundreds of blocks at the small sizes
+    assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, 0.3)
+    assert np.all(np.diff(src * pts.shape[0] + dst) > 0)
+    assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))
