@@ -13,8 +13,17 @@ machine's load falls on both sides alike. Every figure of a run is what the
 last line of its output reports, the numbers the benchmark gates.
 
 The JSON written holds, per workload and metric, the quartiles of each side
-over the pairs, in how many pairs the change was lower, and the change of
-the median in percent; then every pair, and the failed passes per side.
+over the pairs, in how many pairs the change was lower, the change of the
+median in percent and a verdict; then every pair, and the failed passes per
+side. The verdict reads the metric's `end_to_end` bound in the working
+tree's BENCHMARK.json, a fraction of the parent's median:
+
+- "gain": the change is better in at least 9 of 10 pairs, and the medians
+  differ by more than the parent's q3 - q1;
+- "worse": the change's median is worse than the parent's by more than the
+  bound;
+- "unresolved": the parent's q3 - q1 is wider than the bound;
+- "within bound": anything else ("no bound" where BENCHMARK.json gives none).
 """
 
 from __future__ import annotations
@@ -60,7 +69,31 @@ def _quartiles(values: list[float]) -> dict:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def summarize(pairs: list[dict], metrics: list[str]) -> dict:
+def end_to_end_bounds(root: Path) -> dict[str, tuple[float, str]]:
+    """{metric: (bound, better)} of the end_to_end metrics root's BENCHMARK.json declares."""
+    doc = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (float(m["bound"]), m["better"]) for m in doc["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], bound: float | None, better: str = "lower") -> str:
+    """The change against the parent on one metric, by the rules of this script's docstring."""
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = statistics.median(parent), statistics.median(change)
+    quartiles = _quartiles(parent)
+    spread = quartiles["q3"] - quartiles["q1"]
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and sign * (p - c) > spread:
+        return "gain"
+    if bound is None:
+        return "no bound"
+    if sign * (c - p) > bound * abs(p):
+        return "worse"
+    if spread > bound * abs(p):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], metrics: list[str], bounds: dict[str, tuple[float, str]]) -> dict:
     summary = {}
     for name in metrics:
         parent = [p["parent"][name] for p in pairs]
@@ -72,12 +105,14 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
             "change": _quartiles(change),
             "change_lower_in_pairs": f"{lower}/{len(pairs)}",
             "median_change_pct": round(100.0 * (statistics.median(change) - base) / base, 1) if base else None,
+            "verdict": verdict(parent, change, *bounds.get(name, (None, "lower"))),
         }
     return summary
 
 
 def bench(root: Path, parent_rev: str, workloads: list[str], pairs: int, seconds: float, command=RUN) -> dict:
     """Run the pairs of every workload, the parent from parent_rev and the change from root."""
+    bounds = end_to_end_bounds(root)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export_revision(root, parent_rev, Path(tmp))
         sides = {"parent": Path(tmp), "change": root}
@@ -93,7 +128,7 @@ def bench(root: Path, parent_rev: str, workloads: list[str], pairs: int, seconds
                 done.append({k: pair[k] for k in ("seed", "first", "parent", "change")})
             metrics = [k for k in done[0]["parent"] if k not in ("passes", "failed", "correct")]
             results[workload] = {
-                "summary": summarize(done, metrics),
+                "summary": summarize(done, metrics, bounds),
                 "pairs": done,
                 "failed_passes": {side: sum(p[side]["failed"] for p in done) for side in ("parent", "change")},
             }
@@ -154,7 +189,7 @@ def main(argv=None) -> int:
         for name, s in result["summary"].items():
             print(
                 f"{workload:12s} {name:12s} parent {s['parent']['median']:<10g} change {s['change']['median']:<10g}"
-                f" lower in {s['change_lower_in_pairs']} pairs, median change {s['median_change_pct']}%"
+                f" lower in {s['change_lower_in_pairs']} pairs, median change {s['median_change_pct']}%: {s['verdict']}"
             )
     return 0
 

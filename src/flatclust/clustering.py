@@ -5,6 +5,9 @@ the point itself included. Clusters are connected components of the graph
 linking core points within link_radius; everything else is NOISE. With the
 default link_radius = 2*delta the components coincide exactly with the
 connected components of the union of delta-balls around core points.
+
+One neighbour pass lists the linked pairs once; every level of a k-ladder
+then labels its core set with a blocked union-find over them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import flat_array
-from .spatial import GridIndex, checked_points, sorted_line_counts, sq_dists
+from .spatial import _PAIR_BLOCK, GridIndex, checked_points, sorted_line_counts, sq_dists
 
 __all__ = [
     "NOISE",
@@ -125,29 +128,50 @@ def _ids_by_smallest_member(comp: np.ndarray, members: np.ndarray, n: int) -> np
     return assignments
 
 
+def _roots_of_joins(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) roots of the pairs (a, b) whose ends lie in different trees.
+
+    Every pointer of parent points at its root, so one gather finds it.
+    np.take casts int32 indices to intp in one pass, about twice as fast
+    as indexing's buffered cast, for a transient block-sized copy.
+    """
+    a = np.take(parent, a)
+    b = np.take(parent, b)
+    small = np.minimum(a, b)
+    large = np.maximum(a, b, out=b)
+    del a
+    joins = small != large
+    return small[joins], large[joins]
+
+
 def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Component labels on the subgraph of link pairs between core points.
 
-    The pairs come in ascending (src, dst) order, so they already are a CSR
-    graph's rows and sorted column indices, and scipy sorts nothing. The
-    row pointers take the pairs' dtype, so scipy copies no index array
-    either, and when every endpoint is core the pairs are used as they are.
+    A union-find (Tarjan 1975) with hooking and pointer jumping as in
+    Shiloach & Vishkin (1982), one block of _PAIR_BLOCK pairs at a time:
+    the block's pairs between core points hook the larger root of their ends
+    under the smaller, every pointer then jumps to its root, and the pairs
+    that still join two roots go round again. Pointers only ever decrease,
+    so each root is its component's smallest point. Beside the n pointers,
+    a few block-sized arrays are all the memory a level takes, whatever the
+    pair count; the pairs need no order.
     """
-    # deferred, like spatial's cKDTree: `import flatclust` need not load scipy
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = is_core.size
-    keep = is_core[src] & is_core[dst]
-    if not keep.all():
-        src, dst = src[keep], dst[keep]
-    del keep
-    indptr = np.zeros(n + 1, dtype=src.dtype)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    graph = csr_matrix((np.ones(dst.size), dst, indptr), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    parent = np.arange(is_core.size, dtype=src.dtype)
+    for start in range(0, src.size, _PAIR_BLOCK):
+        a, b = src[start : start + _PAIR_BLOCK], dst[start : start + _PAIR_BLOCK]
+        both = np.take(is_core, a) & np.take(is_core, b)
+        small, large = _roots_of_joins(parent, a[both], b[both])
+        del both
+        while small.size:
+            np.minimum.at(parent, large, small)
+            while True:
+                jumped = np.take(parent, parent)
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+            small, large = _roots_of_joins(parent, small, large)
     core = np.nonzero(is_core)[0]
-    return _ids_by_smallest_member(labels[core], core, n)
+    return _ids_by_smallest_member(parent[core], core, is_core.size)
 
 
 def _assignments_1d(order: np.ndarray, sorted_x: np.ndarray, is_core: np.ndarray, link: float) -> np.ndarray:
@@ -181,7 +205,7 @@ def _checked_link(ks, delta: float, link_radius: float | None = None) -> float:
     Returns the link radius, 2*delta when link_radius is None.
     """
     for k in ks:
-        if not (k >= 1 and float(k).is_integer()):
+        if isinstance(k, (bool, np.bool_)) or not (k >= 1 and float(k).is_integer()):
             raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
@@ -237,9 +261,10 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     1-D samples make quadratic.
 
     Off a line, sq and the masks are released once the counts and links are
-    taken, and the labeler keeps only the linked pairs, in pair_sq_dists'
-    ascending (src, dst) order: two int32 indices per pair while n and the
-    pair count fit in int32, two np.intp otherwise.
+    taken, and the labeler keeps only the linked pairs: two int32 indices per
+    pair while n fits in int32, whatever the pair count, two np.intp
+    otherwise. Each level's union-find then adds n pointers and a few
+    block-sized arrays.
     """
     n = pts.shape[0]
     if pts.shape[1] == 1:
@@ -257,8 +282,7 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     if not linked.all():  # all are at link >= delta, the default 2*delta among them
         src, dst = src[linked], dst[linked]
     del linked
-    # int32 while every index and every CSR row pointer, at most the pair count, fits
-    index = np.int32 if max(n, src.size) <= np.iinfo(np.int32).max else np.intp
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
     src = src.astype(index, copy=False)
     dst = dst.astype(index, copy=False)
     return counts, lambda is_core: _assignments_for_core(is_core, src, dst)

@@ -386,8 +386,12 @@ def write_json_document(path, doc: dict) -> None:
 
 
 def read_json_document(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document in path; a byte that is not UTF-8 or a syntax error is a ParseError naming its line."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{exc.msg} (column {exc.colno})", line=exc.lineno) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatclust import clustering
 from flatclust.clustering import (
     NOISE,
     Labeling,
+    _assignments_for_core,
+    _neighbour_pass,
     _parents,
     ball_union_components,
     cluster_tree,
@@ -80,6 +86,23 @@ _PARAM_PTS = np.random.default_rng(35).uniform(0, 1, size=(20, 2))
 def test_bad_parameters_rejected(call):
     with pytest.raises(ValueError, match="must be"):
         call()
+
+
+@pytest.mark.parametrize("k", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: dbscan_cluster(_PARAM_PTS, k, 0.06),
+        lambda k: cluster_tree(_PARAM_PTS, 0.06, [k]),
+        lambda k: core_points(_PARAM_PTS, k, 0.06),
+        lambda k: components_bruteforce(_PARAM_PTS, k, 0.06),
+    ],
+    ids=["dbscan", "tree", "core", "brute"],
+)
+def test_bool_k_rejected(call, k):
+    # a bool is no count, as the codec already holds for documents; True once clustered as k = 1
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got (np\.)?True_?$"):
+        call(k)
 
 
 class TestDbscan:
@@ -313,29 +336,98 @@ def test_cluster_tree_is_one_sweep(monkeypatch, sd):
     assert calls == (["__init__", "pair_sq_dists"] if sd > 1 else [])
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 @pytest.mark.parametrize("sd, n, delta", [(2, 2000, 0.1), (8, 1000, 0.5)])
 def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
     # The neighbour pass sets cluster_tree's peak on dense points. Each
     # candidate pair once cost about 57 traced bytes: a key, int64 src, dst
     # and their compacted copies, sq, whole-size gathers. With int32 pairs,
-    # blocked gathers and no copy where every pair is kept, it is 33-35.
+    # blocked gathers and no copy where every pair is kept, it is 30-33.
+    # A level's labeler once built a CSR graph that connected_components
+    # copied transposed, 25-27 bytes a pair; its blocked union-find holds
+    # n pointers and a few block-sized arrays, 7-10 bytes a pair here.
     rng = np.random.default_rng(60 + sd)
     pts = rng.uniform(0.0, 1.0, size=(n, sd))
     index = GridIndex(pts)
     pairs = index.pair_sq_dists(2 * delta)[0].size
     assert pairs >= 10**5
     # about nine points in ten are core at the top level, so its labeler
-    # compacts nearly every pair, the costliest level; at k = 1 all are core
+    # masks pairs out of every block; at k = 1 all are core
     ks = (int(np.percentile(index.counts_within_all(delta), 10)), 1)
     cluster_tree(pts[:50], delta, (3,))  # scipy's deferred imports are not the pass's memory
-    tracemalloc.start()
-    try:
-        tree = cluster_tree(pts, delta, ks)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    tree, peak = _traced_peak(lambda: cluster_tree(pts, delta, ks))
     assert 0 < np.count_nonzero(tree.levels[0].labeling.assignments != NOISE) < n
     assert peak / pairs < 40
+    counts, assign = _neighbour_pass(pts, delta, 2 * delta)
+    is_core = counts >= ks[0]
+    top, peak = _traced_peak(lambda: assign(is_core))
+    assert np.array_equal(top, tree.levels[0].labeling.assignments)
+    assert peak / pairs < 12
+
+
+def _components_by_csgraph(is_core, src, dst):
+    """Reference labels: scipy's connected components of the core-to-core pairs, numbered by smallest member."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = is_core.size
+    keep = is_core[src] & is_core[dst]
+    graph = coo_matrix((np.ones(np.count_nonzero(keep)), (src[keep], dst[keep])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    want = np.full(n, NOISE, dtype=np.int64)
+    ids: dict[int, int] = {}
+    for i in np.nonzero(is_core)[0]:  # ascending, so a component is first seen at its smallest member
+        want[i] = ids.setdefault(int(comp[i]), len(ids))
+    return want
+
+
+@pytest.mark.parametrize("block", [1, 5, clustering._PAIR_BLOCK])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_union_find_equals_connected_components(block, data):
+    # any pairs in any order, self pairs and repeats included, over any core set
+    n = data.draw(st.integers(1, 40), label="n")
+    ends = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=120), label="pairs")
+    is_core = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="core"))
+    index = data.draw(st.sampled_from([np.int32, np.intp]), label="dtype")
+    src, dst = np.array(pairs, dtype=index).reshape(-1, 2).T
+    with mock.patch.object(clustering, "_PAIR_BLOCK", block):
+        got = _assignments_for_core(is_core, src, dst)
+    assert np.array_equal(got, _components_by_csgraph(is_core, src, dst))
+
+
+@pytest.mark.parametrize(
+    "is_core, pairs, want",
+    [
+        ([True] * 4, [], [0, 1, 2, 3]),
+        ([False] * 4, [(0, 1), (1, 2), (2, 3)], [NOISE] * 4),
+        ([True], [], [0]),
+    ],
+    ids=["no-pairs", "no-core-point", "single-point"],
+)
+def test_union_find_edge_cases(is_core, pairs, want):
+    src, dst = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+    assert _assignments_for_core(np.array(is_core), src, dst).tolist() == want
+
+
+def test_union_find_random_order_path_is_one_component():
+    # the deepest case for hooking: every round joins a root only to its path neighbours
+    n = 10**5
+    order = np.random.default_rng(7).permutation(n)
+    src, dst = np.sort(np.stack([order[:-1], order[1:]]), axis=0).astype(np.int32)
+    by_src = np.lexsort((dst, src))  # pair_sq_dists' ascending (src, dst) order
+    labels = _assignments_for_core(np.ones(n, dtype=bool), src[by_src], dst[by_src])
+    assert np.array_equal(labels, np.zeros(n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("sd", [1, 2, 5])

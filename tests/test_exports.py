@@ -47,8 +47,30 @@ def test_import_loads_no_scipy(module):
     assert _scipy_modules_after(f"import {module}") == []
 
 
+def _loads_csgraph(loaded: list[str]) -> bool:
+    return any(m.split(".")[:3] == ["scipy", "sparse", "csgraph"] for m in loaded)
+
+
+def test_tree_command_loads_no_csgraph(tmp_path):
+    """`flatclust tree` labels its levels without scipy.sparse.csgraph, and still clusters through scipy.spatial."""
+    from flatclust.io import emit_series_csv, write_json_document
+    from flatclust.synthetic import lipschitz_family, sample_raw_series
+
+    raws, _, _ = sample_raw_series(lipschitz_family(d=4, eps_bar=0.02), 24, 32, seed=14)
+    emit_series_csv(tmp_path / "series.csv", raws)
+    write_json_document(tmp_path / "config.json", {"s": 1, "d": 4, "delta": 0.1, "k": 3, "k_ladder": [6, 3, 1]})
+    argv = ["tree", "--config", "config.json", "--input", "series.csv", "--outdir", "out"]
+    tree = f"import os; os.chdir({str(tmp_path)!r}); from flatclust.cli import main; assert main({argv!r}) == 0"
+    loaded = _scipy_modules_after(tree)
+    assert "scipy.spatial" in loaded  # the probe clustered off a line, through the pair pass
+    assert not _loads_csgraph(loaded)
+
+
 def test_no_experiment_loads_scipy_optimize():
-    """Every registered experiment at its pinned config leaves scipy.optimize unloaded; compensating loads no scipy."""
+    """Every registered experiment at its pinned config leaves scipy.optimize and scipy.sparse.csgraph unloaded.
+
+    compensating loads no scipy at all.
+    """
     pinned = Path(__file__).parent / "pinned_reports.json"
     run_all = (
         "import json; from flatclust.experiments import run_experiment\n"
@@ -58,6 +80,7 @@ def test_no_experiment_loads_scipy_optimize():
     loaded = _scipy_modules_after(run_all)
     assert "scipy.spatial" in loaded  # the probe ran the experiments that need scipy
     assert [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]] == []
+    assert not _loads_csgraph(loaded)
     pin = json.loads(pinned.read_text())["reports"]["compensating"]["config"]
     compensating = f"from flatclust.experiments import run_experiment; run_experiment('compensating', {pin!r})"
     assert _scipy_modules_after(compensating) == []

@@ -790,6 +790,41 @@ def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, messag
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "--config", "{doc}", "--input", "{csv}", "--outdir", "{out}"],
+        ["tree", "--config", "{doc}", "--input", "{csv}", "--outdir", "{out}"],
+        ["smooth", "--config", "{doc}", "--input", "{csv}", "--output", "{out}"],
+        ["synth", "--spec", "{doc}", "--outdir", "{out}"],
+        ["experiment", "kde_rate", "--config", "{doc}", "--outdir", "{out}"],
+    ],
+    ids=["cluster", "tree", "smooth", "synth", "experiment"],
+)
+@pytest.mark.parametrize(
+    "data, line, message",
+    [
+        (b'{"s": 1, "d": 1, "k": 1,\n "delta": }', 2, "line 2: Expecting value (column 11)"),
+        (b'{"s": 1,\r\n\r\n "d": 1', 3, "line 3: Expecting ',' delimiter (column 8)"),
+        (b"\xff{}", 1, "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        (b'{"s": 1,\n "d": "\xe9"}', 2, "line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        (b"\xef\xbb\xbf{}", 1, "line 1: Unexpected UTF-8 BOM (decode using utf-8-sig) (column 1)"),
+        (b"", 1, "line 1: Expecting value (column 1)"),
+    ],
+    ids=["syntax", "unterminated-crlf", "leading-0xff", "non-utf8-value", "bom", "empty"],
+)
+def test_unreadable_document_is_a_parse_error_naming_its_line(tmp_path, capsys, argv, data, line, message):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(data)
+    paths = {"doc": doc, "csv": tmp_path / "series.csv", "out": tmp_path / "o"}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "parse-error", "line": line, "message": message}
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("document", [{"spec": _MIXTURE, "n": 10**15}], ids=["mixture-n"])
 def test_synth_beyond_the_address_space_is_one_json_error(tmp_path, capsys, document):
     # numpy refuses an array larger than the address space at once, so nothing is allocated
