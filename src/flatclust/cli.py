@@ -133,7 +133,9 @@ def _cmd_experiment(args) -> int:
             f"unknown experiment {args.name!r}",
             available=experiment_names(),
         )
-    overrides = fio.read_json_document(args.config) if args.config else {}
+    overrides = {} if args.config is None else fio.read_json_document(args.config)
+    if overrides is None:  # a null document is not "no config"
+        raise ValueError("config must be a JSON object, got NoneType")
     report = run_experiment(args.name, overrides)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -100,9 +100,6 @@ class ClusterTree:
     delta: float
     link_radius: float
 
-    def level_for_k(self, k: int) -> TreeLevel:
-        return self.levels[self.ks.index(k)]
-
 
 @dataclass(frozen=True)
 class ClusterRef:
@@ -261,10 +258,10 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     1-D samples make quadratic.
 
     Off a line, sq and the masks are released once the counts and links are
-    taken, and the labeler keeps only the linked pairs: two int32 indices per
-    pair while n fits in int32, whatever the pair count, two np.intp
-    otherwise. Each level's union-find then adds n pointers and a few
-    block-sized arrays.
+    taken, and the labeler keeps only the linked pairs, in pair_sq_dists'
+    own order and index type: two int32 indices per pair while n fits in
+    int32, two np.intp otherwise. Each level's union-find then adds n
+    pointers and a few block-sized arrays.
     """
     n = pts.shape[0]
     if pts.shape[1] == 1:
@@ -282,9 +279,6 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     if not linked.all():  # all are at link >= delta, the default 2*delta among them
         src, dst = src[linked], dst[linked]
     del linked
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    src = src.astype(index, copy=False)
-    dst = dst.astype(index, copy=False)
     return counts, lambda is_core: _assignments_for_core(is_core, src, dst)
 
 
@@ -310,10 +304,18 @@ def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> 
 
 
 def smallest_containing_cluster(tree: ClusterTree, sample_indices) -> ClusterRef | None:
-    """The cluster at the largest k whose members contain all given indices."""
-    idx = np.asarray(sample_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("sample_indices must be nonempty")
+    """The cluster at the largest k whose members contain all given indices.
+
+    Every index must be an integer point index in [0, n): a fraction is not
+    rounded and a negative index does not count from the end.
+    """
+    idx = np.asarray(sample_indices)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("sample_indices must be a nonempty list of point indices")
+    n = tree.levels[0].labeling.assignments.size
+    ok = (idx >= 0) & (idx < n) if idx.dtype.kind in "iu" else np.zeros(idx.size, dtype=bool)
+    if not ok.all():
+        raise ValueError(f"sample index {idx[~ok].tolist()[0]!r} is not an integer in [0, {n})")
     for level in tree.levels:  # ks descend: the first hit is the smallest cluster
         labels = level.labeling.assignments[idx]
         first = labels[0]

@@ -1061,11 +1061,11 @@ def experiment_names() -> list[str]:
 
 
 def run_experiment(name: str, config: dict | None = None) -> ExperimentReport:
-    """Run a registered experiment from a plain config dict."""
+    """Run a registered experiment from a plain config dict; None runs the defaults."""
     if name not in REGISTRY:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(experiment_names())}"
         )
     config_cls, runner = REGISTRY[name]
-    cfg = config_cls.from_dict(config or {})
+    cfg = config_cls.from_dict({} if config is None else config)
     return runner(cfg)

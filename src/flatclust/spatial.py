@@ -144,11 +144,7 @@ class GridIndex:
 
         points = checked_points(points)
         self.points = points
-        self.dim = points.shape[1]
         self._tree = cKDTree(points)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
     def indices_within(self, x, r: float) -> np.ndarray:
         """Indices (ascending) of all points with |p - x| <= r."""
@@ -189,34 +185,32 @@ class GridIndex:
     def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, sq) of every index pair with |p_src - p_dst| <= r.
 
-        Each pair is listed once, src < dst, in ascending (src, dst) order.
-        sq holds each pair's sq_dists value, so any smaller radius r' selects
-        its own pairs exactly by `sq <= r' * r'`. The tree is asked once, the
-        pairs are sorted by the key src * n + dst, and the refilter gathers
-        one coordinate column at a time: the same rounded operations as
+        Each pair is listed once, src < dst, in the tree's own order: no
+        caller needs another. src and dst are int32 while the point count
+        fits, np.intp otherwise. sq holds each pair's sq_dists value, so any
+        smaller radius r' selects its own pairs exactly by `sq <= r' * r'`.
+        The tree is asked once, and the refilter gathers one coordinate
+        column at a time: the same rounded operations as
         sq_dists(p[src], p[dst]), without gathering whole rows.
 
-        Per candidate pair the refilter holds three 8-byte arrays: the key,
-        whose buffer becomes dst, src and sq. The tree's own (P, 2) pair
-        array goes once the key is built, and the coordinate gathers go
-        through two buffers of _PAIR_BLOCK pairs that every block and
+        Per candidate pair the refilter holds src and dst, 4 bytes each
+        while n fits in int32, and sq, 8 bytes. The tree's own (P, 2) pair
+        array goes once its columns are copied, and the coordinate gathers
+        go through two buffers of _PAIR_BLOCK pairs that every block and
         coordinate reuses. When every candidate is within r, as all are but
         ties at the slack, the arrays are returned without a compacting copy.
         """
         r = _checked_radius(r)
-        n = len(self)
+        n = self.points.shape[0]
+        index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
         pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray")
-        key = pairs[:, 0].astype(np.int64)
-        key *= n
-        key += pairs[:, 1]
+        src = pairs[:, 0].astype(index)
+        dst = pairs[:, 1].astype(index)
         del pairs
-        key.sort()
-        src = key // n
-        dst = np.remainder(key, n, out=key)
-        sq = np.empty(key.size)
-        a, b = np.empty((2, min(key.size, _PAIR_BLOCK)))
+        sq = np.empty(src.size)
+        a, b = np.empty((2, min(src.size, _PAIR_BLOCK)))
         columns = np.ascontiguousarray(self.points.T)
-        for lo in range(0, key.size, _PAIR_BLOCK):
+        for lo in range(0, src.size, _PAIR_BLOCK):
             s, d = src[lo : lo + _PAIR_BLOCK], dst[lo : lo + _PAIR_BLOCK]
             ga, gb = a[: s.size], b[: s.size]
             # every index is in range, so "clip" changes nothing; the default "raise" buffers out in a copy

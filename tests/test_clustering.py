@@ -348,13 +348,13 @@ def _traced_peak(call):
 
 @pytest.mark.parametrize("sd, n, delta", [(2, 2000, 0.1), (8, 1000, 0.5)])
 def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
-    # The neighbour pass sets cluster_tree's peak on dense points. Each
-    # candidate pair once cost about 57 traced bytes: a key, int64 src, dst
-    # and their compacted copies, sq, whole-size gathers. With int32 pairs,
-    # blocked gathers and no copy where every pair is kept, it is 30-33.
-    # A level's labeler once built a CSR graph that connected_components
-    # copied transposed, 25-27 bytes a pair; its blocked union-find holds
-    # n pointers and a few block-sized arrays, 7-10 bytes a pair here.
+    # The neighbour pass sets cluster_tree's peak on dense points. Per
+    # candidate pair it holds int32 src and dst, copied once from the
+    # tree's pair array, and sq; gathers go through block-sized buffers and
+    # nothing is copied where every pair is kept: 24-27 traced bytes, where
+    # an int64 sort key and whole-size gathers once took 57. A level's
+    # blocked union-find holds n pointers and a few block-sized arrays,
+    # 7-10 bytes a pair here.
     rng = np.random.default_rng(60 + sd)
     pts = rng.uniform(0.0, 1.0, size=(n, sd))
     index = GridIndex(pts)
@@ -366,7 +366,7 @@ def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
     cluster_tree(pts[:50], delta, (3,))  # scipy's deferred imports are not the pass's memory
     tree, peak = _traced_peak(lambda: cluster_tree(pts, delta, ks))
     assert 0 < np.count_nonzero(tree.levels[0].labeling.assignments != NOISE) < n
-    assert peak / pairs < 40
+    assert peak / pairs < 30
     counts, assign = _neighbour_pass(pts, delta, 2 * delta)
     is_core = counts >= ks[0]
     top, peak = _traced_peak(lambda: assign(is_core))
@@ -425,8 +425,7 @@ def test_union_find_random_order_path_is_one_component():
     n = 10**5
     order = np.random.default_rng(7).permutation(n)
     src, dst = np.sort(np.stack([order[:-1], order[1:]]), axis=0).astype(np.int32)
-    by_src = np.lexsort((dst, src))  # pair_sq_dists' ascending (src, dst) order
-    labels = _assignments_for_core(np.ones(n, dtype=bool), src[by_src], dst[by_src])
+    labels = _assignments_for_core(np.ones(n, dtype=bool), src, dst)
     assert np.array_equal(labels, np.zeros(n, dtype=np.int64))
 
 
@@ -476,6 +475,19 @@ class TestSmallestContainingCluster:
         _, tree = self._tree()
         with pytest.raises(ValueError):
             smallest_containing_cluster(tree, [])
+
+    @pytest.mark.parametrize(
+        "indices, bad",
+        [([0.5], "0.5"), ([-1], "-1"), ([3, 60], "60"), ([True], "True"), ([2, 1.5], "2.0")],
+        ids=["fraction", "negative", "past-the-end", "bool", "float-array"],
+    )
+    def test_rejects_non_integer_or_out_of_range_index(self, indices, bad):
+        # a fraction is not rounded to a point, nor does -1 name the last one
+        _, tree = self._tree()
+        with pytest.raises(ValueError, match=rf"^sample index {bad} is not an integer in \[0, 60\)$"):
+            smallest_containing_cluster(tree, indices)
+        with pytest.raises(ValueError, match=rf"^sample index {bad} "):
+            hartigan_disjoint(tree, [0], indices)
 
     def test_singleton(self):
         pts, tree = self._tree()

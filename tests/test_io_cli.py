@@ -657,6 +657,15 @@ def test_an_experiment_with_an_extreme_delta_is_refused(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_an_empty_experiment_config_path_is_an_io_error(tmp_path, capsys):
+    # an empty path names no file; it is not "no --config", which runs the defaults
+    assert main(["experiment", "compensating", "--config", "", "--outdir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "io-error"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("gamma", [1e-300, 1e-320])
 def test_a_tiny_gamma_smooths_without_an_overflow_warning(tmp_path, gamma):
     # at 1e-300 kernel_le's u*u overflowed outside the support; at the
@@ -749,6 +758,12 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
             {"mixture": {**_MIXTURE, "components": [{"box": [[0.4, 0.1]]}]}},
             "mixture.components[0]: need lo < hi, got [0.4, 0.1]",
         ),
+        # a falsy document is refused like any other non-object, not read as "no config"
+        (["experiment", "compensating", "--config"], [], "config must be a JSON object, got list"),
+        (["experiment", "compensating", "--config"], None, "config must be a JSON object, got NoneType"),
+        (["experiment", "compensating", "--config"], 0, "config must be a JSON object, got int"),
+        (["experiment", "compensating", "--config"], False, "config must be a JSON object, got bool"),
+        (["experiment", "compensating", "--config"], "", "config must be a JSON object, got str"),
     ],
     ids=[
         "synth-array",
@@ -776,6 +791,11 @@ _MIXTURE = {"kind": "mixture", "components": [{"box": [[0.1, 0.4]]}], "weights":
         "smoothing_rate-no-series",
         "compensating-closed-form-overflow",
         "sandwich-component-box-reversed",
+        "compensating-empty-array",
+        "compensating-null",
+        "compensating-zero",
+        "compensating-false",
+        "compensating-empty-string",
     ],
 )
 def test_bad_document_is_one_json_error(tmp_path, capsys, argv, document, message):

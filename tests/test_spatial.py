@@ -262,26 +262,30 @@ def test_sorted_line_counts_exact_where_searchsorted_guesses_wrong():
     assert wrong > 50  # the guesses alone would fail
 
 
-def test_pair_sq_dists_ascending_and_with_exact_sq():
+def test_pair_sq_dists_lists_each_pair_once_with_exact_sq():
     rng = np.random.default_rng(37)
     for sd in (2, 3, 8):
         pts = rng.integers(0, 6, size=(150, sd)) * 0.1
         src, dst, sq = GridIndex(pts).pair_sq_dists(0.3)
-        key = src * pts.shape[0] + dst
-        assert src.size and np.all(np.diff(key) > 0) and np.all(src < dst)
-        assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, 0.3)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        assert src.size and len(set(pairs)) == len(pairs) and np.all(src < dst)
+        assert set(pairs) == _brute_pairs(pts, 0.3)
         assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))
+        assert src.dtype == dst.dtype == np.int32
 
 
 @pytest.mark.parametrize("block", [1, 5, 1 << 16])
 def test_pair_sq_dists_blocks_keep_every_bit(monkeypatch, block):
     # the refilter gathers _PAIR_BLOCK candidate pairs at a time; blocks of
-    # one or five pairs give the pairs and sq bits of one whole gather
+    # one or five pairs give the pairs, order and sq bits of one whole gather
     rng = np.random.default_rng(39)
     pts = np.vstack([rng.integers(0, 6, size=(120, 3)) * 0.1, rng.uniform(0.0, 0.5, size=(60, 3))])
+    want = GridIndex(pts).pair_sq_dists(0.3)
     monkeypatch.setattr(spatial, "_PAIR_BLOCK", block)
-    src, dst, sq = GridIndex(pts).pair_sq_dists(0.3)
-    assert src.size > 1000  # hundreds of blocks at the small sizes
+    got = GridIndex(pts).pair_sq_dists(0.3)
+    assert got[0].size > 1000  # hundreds of blocks at the small sizes
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    src, dst, sq = got
     assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, 0.3)
-    assert np.all(np.diff(src * pts.shape[0] + dst) > 0)
     assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))
