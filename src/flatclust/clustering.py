@@ -6,8 +6,8 @@ linking core points within link_radius; everything else is NOISE. With the
 default link_radius = 2*delta the components coincide exactly with the
 connected components of the union of delta-balls around core points.
 
-One neighbour pass lists the linked pairs once; every level of a k-ladder
-then labels its core set with a blocked union-find over them.
+One neighbour pass lists the linked pairs once; one blocked union-find
+then runs down a k-ladder, each level hooking only the pairs it adds.
 """
 
 from __future__ import annotations
@@ -110,21 +110,6 @@ class ClusterRef:
     members: frozenset
 
 
-def _ids_by_smallest_member(comp: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
-    """Assignments of n points: members[i] joins component comp[i], rest NOISE.
-
-    Component ids are renumbered from 0 in order of their smallest member.
-    """
-    assignments = np.full(n, NOISE, dtype=np.int64)
-    vals, inverse = np.unique(comp, return_inverse=True)
-    smallest = np.full(vals.size, n, dtype=np.int64)
-    np.minimum.at(smallest, inverse, members)
-    rank = np.empty(vals.size, dtype=np.int64)
-    rank[np.argsort(smallest)] = np.arange(vals.size)
-    assignments[members] = rank[inverse]
-    return assignments
-
-
 def _roots_of_joins(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(smaller, larger) roots of the pairs (a, b) whose ends lie in different trees.
 
@@ -141,59 +126,61 @@ def _roots_of_joins(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[n
     return small[joins], large[joins]
 
 
-def _assignments_for_core(is_core: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Component labels on the subgraph of link pairs between core points.
+def _ladder_roots(counts: np.ndarray, ks, src: np.ndarray, dst: np.ndarray):
+    """Each level's roots, k descending: a core point's smallest component member, else the point itself.
 
-    A union-find (Tarjan 1975) with hooking and pointer jumping as in
-    Shiloach & Vishkin (1982), one block of _PAIR_BLOCK pairs at a time:
-    the block's pairs between core points hook the larger root of their ends
-    under the smaller, every pointer then jumps to its root, and the pairs
-    that still join two roots go round again. Pointers only ever decrease,
-    so each root is its component's smallest point. Beside the n pointers,
-    a few block-sized arrays are all the memory a level takes, whatever the
-    pair count; the pairs need no order.
+    Level k links the pairs whose smaller end count is at least k, a set
+    that grows as k falls, so one union-find (Tarjan 1975) runs down the
+    whole ladder and each level hooks only the pairs that join at it. It
+    hooks and jumps pointers as in Shiloach & Vishkin (1982), one block of
+    _PAIR_BLOCK pairs at a time: the block's new pairs hook the larger root
+    of their ends under the smaller, every pointer then jumps to its root,
+    and the pairs that still join two roots go round again. Pointers only
+    ever decrease, so each root is its component's smallest point. Beside
+    the n pointers, a few block-sized arrays are all the memory a level
+    takes, whatever the pair count; the pairs need no order.
     """
-    parent = np.arange(is_core.size, dtype=src.dtype)
-    for start in range(0, src.size, _PAIR_BLOCK):
-        a, b = src[start : start + _PAIR_BLOCK], dst[start : start + _PAIR_BLOCK]
-        both = np.take(is_core, a) & np.take(is_core, b)
-        small, large = _roots_of_joins(parent, a[both], b[both])
-        del both
-        while small.size:
-            np.minimum.at(parent, large, small)
-            while True:
-                jumped = np.take(parent, parent)
-                if np.array_equal(jumped, parent):
-                    break
-                parent = jumped
-            small, large = _roots_of_joins(parent, small, large)
-    core = np.nonzero(is_core)[0]
-    return _ids_by_smallest_member(parent[core], core, is_core.size)
+    # the first level at which each point is core, len(ks) if none
+    first_level = np.zeros(counts.size, dtype=np.min_scalar_type(len(ks)))
+    for k in ks:
+        first_level += counts < k
+    parent = np.arange(counts.size, dtype=src.dtype)
+    for level in range(len(ks)):
+        for start in range(0, src.size, _PAIR_BLOCK):
+            a, b = src[start : start + _PAIR_BLOCK], dst[start : start + _PAIR_BLOCK]
+            new = np.maximum(np.take(first_level, a), np.take(first_level, b)) == level
+            small, large = _roots_of_joins(parent, a[new], b[new])
+            del new
+            while small.size:
+                np.minimum.at(parent, large, small)
+                while True:
+                    jumped = np.take(parent, parent)
+                    if np.array_equal(jumped, parent):
+                        break
+                    parent = jumped
+                small, large = _roots_of_joins(parent, small, large)
+        yield parent.copy()
 
 
-def _assignments_1d(order: np.ndarray, sorted_x: np.ndarray, is_core: np.ndarray, link: float) -> np.ndarray:
-    """Link components on a line: runs of consecutive core points.
+def _line_roots(order: np.ndarray, sorted_x: np.ndarray, counts: np.ndarray, ks, link: float):
+    """_ladder_roots for points on a line: each run of consecutive core points is a component.
 
     In one dimension a pair of core points is linked through the graph iff
     every consecutive core-to-core gap between them passes the same squared
-    predicate, so runs reproduce the generic components bit for bit.
+    predicate, so runs reproduce the generic components bit for bit. Runs
+    nest as k falls: for sorted points fl(x_m - x_a) <= fl(x_b - x_a), so
+    a point that turns core inside a gap splits it into no larger gaps.
     """
-    core_pos = np.nonzero(is_core[order])[0]
-    gaps = np.diff(sorted_x[core_pos])
-    comp = np.zeros(core_pos.size, dtype=np.int64)
-    comp[1:] = np.cumsum(gaps * gaps > link * link)
-    return _ids_by_smallest_member(comp, order[core_pos], order.size)
-
-
-def _parents(coarse: Labeling, finer: Labeling) -> tuple[int, ...]:
-    """Each coarse cluster's label one level finer, which all its members share."""
-    a, b = coarse.assignments, finer.assignments
-    core = a != NOISE
-    parents = np.full(coarse.n_clusters, NOISE, dtype=np.int64)
-    parents[a[core]] = b[core]
-    if np.any(parents == NOISE) or np.any(parents[a[core]] != b[core]):
-        raise AssertionError("cluster not nested in a single parent")
-    return tuple(parents.tolist())
+    sorted_counts = counts[order]
+    for k in ks:
+        core_pos = np.nonzero(sorted_counts >= k)[0]
+        gaps = np.diff(sorted_x[core_pos])
+        run = np.zeros(core_pos.size, dtype=np.intp)
+        run[1:] = np.cumsum(gaps * gaps > link * link)
+        members = order[core_pos]
+        root = np.arange(order.size)
+        root[members] = np.minimum.reduceat(members, np.flatnonzero(np.diff(run, prepend=-1)))[run]
+        yield root
 
 
 def _checked_link(ks, delta: float, link_radius: float | None = None) -> float:
@@ -248,7 +235,7 @@ def ball_union_components(core_pts, delta: float) -> list[frozenset]:
 
 
 def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
-    """(counts, assign): every point's closed delta-ball count, and a labeler of core sets.
+    """(counts, ladder_roots): every point's closed delta-ball count, and the roots of a k-ladder.
 
     Off a line, one pair query at the larger of link and delta yields both:
     the pairs within delta, each counted at both ends, give the counts, and
@@ -258,10 +245,10 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     1-D samples make quadratic.
 
     Off a line, sq and the masks are released once the counts and links are
-    taken, and the labeler keeps only the linked pairs, in pair_sq_dists'
+    taken, and ladder_roots keeps only the linked pairs, in pair_sq_dists'
     own order and index type: two int32 indices per pair while n fits in
-    int32, two np.intp otherwise. Each level's union-find then adds n
-    pointers and a few block-sized arrays.
+    int32, two np.intp otherwise. Its union-find then adds n pointers, a
+    byte or so per point for the levels, and a few block-sized arrays.
     """
     n = pts.shape[0]
     if pts.shape[1] == 1:
@@ -269,7 +256,7 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
         sorted_x = pts[order, 0]
         counts = np.empty(n, dtype=np.intp)
         counts[order] = sorted_line_counts(sorted_x, delta)
-        return counts, lambda is_core: _assignments_1d(order, sorted_x, is_core, link)
+        return counts, lambda ks: _line_roots(order, sorted_x, counts, ks, link)
     src, dst, sq = GridIndex(pts).pair_sq_dists(max(link, delta))
     near = sq <= delta * delta
     counts = 1 + np.bincount(src[near], minlength=n) + np.bincount(dst[near], minlength=n)
@@ -279,14 +266,16 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     if not linked.all():  # all are at link >= delta, the default 2*delta among them
         src, dst = src[linked], dst[linked]
     del linked
-    return counts, lambda is_core: _assignments_for_core(is_core, src, dst)
+    return counts, lambda ks: _ladder_roots(counts, ks, src, dst)
 
 
 def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> ClusterTree:
     """One labeling per k, k strictly descending, with containment links.
 
-    One neighbour pass serves every level: only the core set changes with
-    k, and core sets grow as k falls.
+    One neighbour pass and one union-find serve every level: core sets
+    and their links only grow as k falls, so every cluster nests in one
+    cluster of the next level. Each cluster's id ranks its root, its
+    smallest member, and the root's label one level finer is its parent.
     """
     pts = flat_array(points)
     ks = tuple(ks)
@@ -296,9 +285,16 @@ def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> 
     ks = tuple(int(k) for k in ks)
     if any(k1 <= k2 for k1, k2 in zip(ks[:-1], ks[1:])):
         raise ValueError(f"ks must be strictly descending, got {ks}")
-    counts, assign = _neighbour_pass(checked_points(pts), delta, link)
-    labelings = [Labeling(assign(counts >= k), k=k, delta=delta, link_radius=link) for k in ks]
-    parents = [_parents(lab, finer) for lab, finer in zip(labelings[:-1], labelings[1:])] + [()]
+    counts, ladder_roots = _neighbour_pass(checked_points(pts), delta, link)
+    labelings, firsts = [], []
+    for k, root in zip(ks, ladder_roots(ks)):
+        core = np.nonzero(counts >= k)[0]
+        first, ids = np.unique(root[core], return_inverse=True)
+        assignments = np.full(counts.size, NOISE, dtype=np.int64)
+        assignments[core] = ids
+        labelings.append(Labeling(assignments, k=k, delta=delta, link_radius=link))
+        firsts.append(first)
+    parents = [tuple(finer.assignments[f].tolist()) for f, finer in zip(firsts, labelings[1:])] + [()]
     levels = tuple(TreeLevel(k=lab.k, labeling=lab, parents=p) for lab, p in zip(labelings, parents))
     return ClusterTree(ks=ks, levels=levels, delta=delta, link_radius=link)
 

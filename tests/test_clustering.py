@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from flatclust import clustering
 from flatclust.clustering import (
     NOISE,
-    Labeling,
-    _assignments_for_core,
+    _ladder_roots,
     _neighbour_pass,
-    _parents,
     ball_union_components,
     cluster_tree,
     components_bruteforce,
@@ -22,7 +20,7 @@ from flatclust.clustering import (
     smallest_containing_cluster,
 )
 from flatclust.density import KdeModel, kde_eval, lambda_of_k
-from flatclust.spatial import GridIndex
+from flatclust.spatial import GridIndex, sq_dists
 from flatclust.synthetic import two_bump_mixture_1d
 
 
@@ -282,13 +280,13 @@ class TestClusterTree:
                 assert (kde_eval(model, x) >= lam) == (i in core)
 
 
-def _per_cluster_parents(tree):
-    """Parent links by the per-cluster loop cluster_tree once ran, for reference."""
+def _per_cluster_parents(labelings):
+    """Parent links by a per-cluster loop over every member, for reference."""
     out = []
-    for level, finer in zip(tree.levels[:-1], tree.levels[1:]):
+    for labeling, finer in zip(labelings[:-1], labelings[1:]):
         parents = []
-        for c in range(level.labeling.n_clusters):
-            owners = np.unique(finer.labeling.assignments[level.labeling.members(c)])
+        for c in range(labeling.n_clusters):
+            owners = np.unique(finer.assignments[labeling.members(c)])
             assert owners.size == 1 and owners[0] != NOISE
             parents.append(int(owners[0]))
         out.append(tuple(parents))
@@ -308,7 +306,8 @@ def test_parents_match_per_cluster_loop_with_empty_levels(sd):
         ks = sorted({n + 2, n + 1, *(int(k) for k in rng.integers(1, n + 1, size=4))}, reverse=True)
         tree = cluster_tree(pts, delta, ks)
         assert tree.levels[0].labeling.n_clusters == 0
-        assert [level.parents for level in tree.levels] == _per_cluster_parents(tree)
+        labelings = [level.labeling for level in tree.levels]
+        assert [level.parents for level in tree.levels] == _per_cluster_parents(labelings)
         multi += any(level.labeling.n_clusters > 1 for level in tree.levels)
     tree = cluster_tree(pts, delta, [n + 2, n + 1])
     assert [level.parents for level in tree.levels] == [(), ()]
@@ -352,9 +351,9 @@ def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
     # candidate pair it holds int32 src and dst, copied once from the
     # tree's pair array, and sq; gathers go through block-sized buffers and
     # nothing is copied where every pair is kept: 24-27 traced bytes, where
-    # an int64 sort key and whole-size gathers once took 57. A level's
-    # blocked union-find holds n pointers and a few block-sized arrays,
-    # 7-10 bytes a pair here.
+    # an int64 sort key and whole-size gathers once took 57. The ladder's
+    # union-find holds n pointers and a few block-sized arrays, 7-10 bytes
+    # a pair here for its first level.
     rng = np.random.default_rng(60 + sd)
     pts = rng.uniform(0.0, 1.0, size=(n, sd))
     index = GridIndex(pts)
@@ -367,15 +366,19 @@ def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
     tree, peak = _traced_peak(lambda: cluster_tree(pts, delta, ks))
     assert 0 < np.count_nonzero(tree.levels[0].labeling.assignments != NOISE) < n
     assert peak / pairs < 30
-    counts, assign = _neighbour_pass(pts, delta, 2 * delta)
-    is_core = counts >= ks[0]
-    top, peak = _traced_peak(lambda: assign(is_core))
-    assert np.array_equal(top, tree.levels[0].labeling.assignments)
+    counts, ladder_roots = _neighbour_pass(pts, delta, 2 * delta)
+    root, peak = _traced_peak(lambda: next(ladder_roots(ks)))
+    core = counts >= ks[0]
+    ids = np.unique(root[core], return_inverse=True)[1]
+    assert np.array_equal(ids, tree.levels[0].labeling.assignments[core])
     assert peak / pairs < 12
 
 
-def _components_by_csgraph(is_core, src, dst):
-    """Reference labels: scipy's connected components of the core-to-core pairs, numbered by smallest member."""
+def _roots_by_csgraph(is_core, src, dst):
+    """Reference roots: scipy's components of the core-to-core pairs, each named by its smallest member.
+
+    A point that is not core is its own root.
+    """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
@@ -383,10 +386,10 @@ def _components_by_csgraph(is_core, src, dst):
     keep = is_core[src] & is_core[dst]
     graph = coo_matrix((np.ones(np.count_nonzero(keep)), (src[keep], dst[keep])), shape=(n, n))
     _, comp = connected_components(graph, directed=False)
-    want = np.full(n, NOISE, dtype=np.int64)
-    ids: dict[int, int] = {}
+    want = np.arange(n)
+    smallest: dict[int, int] = {}
     for i in np.nonzero(is_core)[0]:  # ascending, so a component is first seen at its smallest member
-        want[i] = ids.setdefault(int(comp[i]), len(ids))
+        want[i] = smallest.setdefault(int(comp[i]), int(i))
     return want
 
 
@@ -394,30 +397,33 @@ def _components_by_csgraph(is_core, src, dst):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_union_find_equals_connected_components(block, data):
-    # any pairs in any order, self pairs and repeats included, over any core set
+    # any pairs in any order, self pairs and repeats included, any counts, any descending ks
     n = data.draw(st.integers(1, 40), label="n")
     ends = st.integers(0, n - 1)
     pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=120), label="pairs")
-    is_core = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="core"))
+    counts = np.array(data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n), label="counts"))
+    ks = sorted(data.draw(st.sets(st.integers(1, 14), min_size=1, max_size=6), label="ks"), reverse=True)
     index = data.draw(st.sampled_from([np.int32, np.intp]), label="dtype")
     src, dst = np.array(pairs, dtype=index).reshape(-1, 2).T
     with mock.patch.object(clustering, "_PAIR_BLOCK", block):
-        got = _assignments_for_core(is_core, src, dst)
-    assert np.array_equal(got, _components_by_csgraph(is_core, src, dst))
+        levels = list(zip(ks, _ladder_roots(counts, ks, src, dst), strict=True))
+    for k, root in levels:
+        assert np.array_equal(root, _roots_by_csgraph(counts >= k, src, dst)), k
 
 
 @pytest.mark.parametrize(
-    "is_core, pairs, want",
+    "counts, ks, pairs, want",
     [
-        ([True] * 4, [], [0, 1, 2, 3]),
-        ([False] * 4, [(0, 1), (1, 2), (2, 3)], [NOISE] * 4),
-        ([True], [], [0]),
+        ([1] * 4, (1,), [], [[0, 1, 2, 3]]),
+        ([1] * 4, (2,), [(0, 1), (1, 2), (2, 3)], [[0, 1, 2, 3]]),
+        ([1], (1,), [], [[0]]),
+        ([3, 1, 3, 2], (3, 2, 1), [(2, 3), (0, 3), (1, 0)], [[0, 1, 2, 3], [0, 1, 0, 0], [0, 0, 0, 0]]),
     ],
-    ids=["no-pairs", "no-core-point", "single-point"],
+    ids=["no-pairs", "no-core-point", "single-point", "three-levels"],
 )
-def test_union_find_edge_cases(is_core, pairs, want):
+def test_union_find_edge_cases(counts, ks, pairs, want):
     src, dst = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
-    assert _assignments_for_core(np.array(is_core), src, dst).tolist() == want
+    assert [root.tolist() for root in _ladder_roots(np.array(counts), ks, src, dst)] == want
 
 
 def test_union_find_random_order_path_is_one_component():
@@ -425,8 +431,35 @@ def test_union_find_random_order_path_is_one_component():
     n = 10**5
     order = np.random.default_rng(7).permutation(n)
     src, dst = np.sort(np.stack([order[:-1], order[1:]]), axis=0).astype(np.int32)
-    labels = _assignments_for_core(np.ones(n, dtype=bool), src, dst)
-    assert np.array_equal(labels, np.zeros(n, dtype=np.int64))
+    (root,) = _ladder_roots(np.ones(n, dtype=np.intp), (1,), src, dst)
+    assert np.array_equal(root, np.zeros(n, dtype=np.int32))
+
+
+@pytest.mark.parametrize("sd", [2, 8])
+def test_ladder_hooks_each_pair_once(monkeypatch, sd):
+    # a pair joins the graph at the level of its smaller end count and stays:
+    # the ladder hands it to the union-find at that level only
+    rng = np.random.default_rng(8 + sd)
+    centers = rng.uniform(0.25, 0.75, size=(3, sd))
+    pts = np.clip(centers[rng.integers(0, 3, 600)] + rng.normal(0, 0.05, (600, sd)), 0, 1)
+    delta, ks = 0.08 * np.sqrt(sd), (40, 10, 3)
+    first_round, returned = [], []
+    roots_of_joins = clustering._roots_of_joins
+
+    def counted(parent, a, b):
+        if not any(a is r for r in returned):  # a later round passes the last round's roots
+            first_round.append(a.size)
+        returned.extend(result := roots_of_joins(parent, a, b))
+        return result
+
+    monkeypatch.setattr(clustering, "_roots_of_joins", counted)
+    monkeypatch.setattr(clustering, "_PAIR_BLOCK", 5000)
+    cluster_tree(pts, delta, ks)
+    sq = sq_dists(pts[:, None, :], pts[None, :, :])
+    counts = (sq <= delta * delta).sum(axis=1)
+    i, j = np.nonzero(np.triu(sq <= (2 * delta) ** 2, 1))
+    assert i.size > 5000
+    assert sum(first_round) == np.count_nonzero(np.minimum(counts[i], counts[j]) >= ks[-1])
 
 
 @pytest.mark.parametrize("sd", [1, 2, 5])
@@ -446,21 +479,7 @@ def test_cluster_tree_equals_oracle_for_any_link_radius(sd, link_factor):
         oracle = [components_bruteforce(pts, k, delta, link_radius=link) for k in ks]
         for level, want in zip(tree.levels, oracle):
             assert np.array_equal(level.labeling.assignments, want.assignments), (case, level.k)
-        want_parents = [_parents(a, b) for a, b in zip(oracle[:-1], oracle[1:])] + [()]
-        assert [level.parents for level in tree.levels] == want_parents, case
-
-
-def test_non_nested_levels_raise():
-    def lab(a):
-        return Labeling(np.array(a), k=1, delta=0.1, link_radius=0.2)
-
-    assert _parents(lab([0, 0, 1, -1]), lab([1, 1, 0, 0])) == (1, 0)
-    with pytest.raises(AssertionError, match="not nested"):
-        _parents(lab([0, 0, -1]), lab([0, 1, 1]))  # split across two finer clusters
-    with pytest.raises(AssertionError, match="not nested"):
-        _parents(lab([0, 0]), lab([0, -1]))  # a member is noise one level finer
-    with pytest.raises(AssertionError, match="not nested"):
-        _parents(lab([0, 0]), lab([-1, 0]))
+        assert [level.parents for level in tree.levels] == _per_cluster_parents(oracle), case
 
 
 class TestSmallestContainingCluster:
