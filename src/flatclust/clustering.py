@@ -131,25 +131,31 @@ def _ladder_roots(counts: np.ndarray, ks, src: np.ndarray, dst: np.ndarray):
 
     Level k links the pairs whose smaller end count is at least k, a set
     that grows as k falls, so one union-find (Tarjan 1975) runs down the
-    whole ladder and each level hooks only the pairs that join at it. It
-    hooks and jumps pointers as in Shiloach & Vishkin (1982), one block of
-    _PAIR_BLOCK pairs at a time: the block's new pairs hook the larger root
-    of their ends under the smaller, every pointer then jumps to its root,
-    and the pairs that still join two roots go round again. Pointers only
-    ever decrease, so each root is its component's smallest point. Beside
-    the n pointers, a few block-sized arrays are all the memory a level
-    takes, whatever the pair count; the pairs need no order.
+    whole ladder and each level hooks only the pairs that join at it. A
+    pair joins at the later of its two ends' first core levels, computed
+    once for all pairs, a byte or two each. The union-find hooks and jumps
+    pointers as in Shiloach & Vishkin (1982), one block of _PAIR_BLOCK
+    pairs at a time: the block's new pairs hook the larger root of their
+    ends under the smaller, every pointer then jumps to its root, and the
+    pairs that still join two roots go round again. Pointers only ever
+    decrease, so each root is its component's smallest point. Beside the n
+    pointers and the pair levels, a few block-sized arrays are all the
+    memory a level takes, whatever the pair count; the pairs need no order.
     """
     # the first level at which each point is core, len(ks) if none
-    first_level = np.zeros(counts.size, dtype=np.min_scalar_type(len(ks)))
-    for k in ks:
-        first_level += counts < k
+    first_level = len(ks) - np.searchsorted(np.asarray(ks)[::-1], counts, "right")
+    first_level = first_level.astype(np.min_scalar_type(len(ks)))
+    pair_level = np.empty(src.size, dtype=first_level.dtype)
+    blocks = range(0, src.size, _PAIR_BLOCK)
+    for start in blocks:
+        block = slice(start, start + _PAIR_BLOCK)
+        np.maximum(np.take(first_level, src[block]), np.take(first_level, dst[block]), out=pair_level[block])
     parent = np.arange(counts.size, dtype=src.dtype)
     for level in range(len(ks)):
-        for start in range(0, src.size, _PAIR_BLOCK):
-            a, b = src[start : start + _PAIR_BLOCK], dst[start : start + _PAIR_BLOCK]
-            new = np.maximum(np.take(first_level, a), np.take(first_level, b)) == level
-            small, large = _roots_of_joins(parent, a[new], b[new])
+        for start in blocks:
+            block = slice(start, start + _PAIR_BLOCK)
+            new = pair_level[block] == level
+            small, large = _roots_of_joins(parent, src[block][new], dst[block][new])
             del new
             while small.size:
                 np.minimum.at(parent, large, small)
@@ -163,24 +169,26 @@ def _ladder_roots(counts: np.ndarray, ks, src: np.ndarray, dst: np.ndarray):
 
 
 def _line_roots(order: np.ndarray, sorted_x: np.ndarray, counts: np.ndarray, ks, link: float):
-    """_ladder_roots for points on a line: each run of consecutive core points is a component.
+    """_ladder_roots for points on a line, every level in one set of array passes.
 
     In one dimension a pair of core points is linked through the graph iff
     every consecutive core-to-core gap between them passes the same squared
-    predicate, so runs reproduce the generic components bit for bit. Runs
-    nest as k falls: for sorted points fl(x_m - x_a) <= fl(x_b - x_a), so
-    a point that turns core inside a gap splits it into no larger gaps.
+    predicate, so runs of consecutive core points reproduce the generic
+    components bit for bit. Runs nest as k falls: for sorted points
+    fl(x_m - x_a) <= fl(x_b - x_a), so a point that turns core inside a
+    gap splits it into no larger gaps. Every level's core points, in sorted
+    order and one level after another, make one sequence; a run ends where
+    the level changes or a gap fails, and its root is its smallest member.
     """
-    sorted_counts = counts[order]
-    for k in ks:
-        core_pos = np.nonzero(sorted_counts >= k)[0]
-        gaps = np.diff(sorted_x[core_pos])
-        run = np.zeros(core_pos.size, dtype=np.intp)
-        run[1:] = np.cumsum(gaps * gaps > link * link)
-        members = order[core_pos]
-        root = np.arange(order.size)
-        root[members] = np.minimum.reduceat(members, np.flatnonzero(np.diff(run, prepend=-1)))[run]
-        yield root
+    level, pos = np.nonzero(counts[order] >= np.asarray(ks)[:, None])
+    starts = np.ones(pos.size, dtype=bool)
+    gaps = np.diff(sorted_x[pos])
+    starts[1:] = (np.diff(level) != 0) | (gaps * gaps > link * link)
+    starts = np.flatnonzero(starts)
+    members = order[pos]
+    roots = np.tile(np.arange(order.size), (len(ks), 1))
+    roots[level, members] = np.repeat(np.minimum.reduceat(members, starts), np.diff(starts, append=pos.size))
+    return iter(roots)
 
 
 def _checked_link(ks, delta: float, link_radius: float | None = None) -> float:
@@ -252,7 +260,7 @@ def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     """
     n = pts.shape[0]
     if pts.shape[1] == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
+        order = np.argsort(pts[:, 0])
         sorted_x = pts[order, 0]
         counts = np.empty(n, dtype=np.intp)
         counts[order] = sorted_line_counts(sorted_x, delta)
@@ -286,16 +294,24 @@ def cluster_tree(points, delta: float, ks, link_radius: float | None = None) -> 
     if any(k1 <= k2 for k1, k2 in zip(ks[:-1], ks[1:])):
         raise ValueError(f"ks must be strictly descending, got {ks}")
     counts, ladder_roots = _neighbour_pass(checked_points(pts), delta, link)
-    labelings, firsts = [], []
-    for k, root in zip(ks, ladder_roots(ks)):
-        core = np.nonzero(counts >= k)[0]
-        first, ids = np.unique(root[core], return_inverse=True)
-        assignments = np.full(counts.size, NOISE, dtype=np.int64)
-        assignments[core] = ids
-        labelings.append(Labeling(assignments, k=k, delta=delta, link_radius=link))
-        firsts.append(first)
-    parents = [tuple(finer.assignments[f].tolist()) for f, finer in zip(firsts, labelings[1:])] + [()]
-    levels = tuple(TreeLevel(k=lab.k, labeling=lab, parents=p) for lab, p in zip(labelings, parents))
+    roots = np.stack(tuple(ladder_roots(ks)))
+    core = counts >= np.asarray(ks)[:, None]
+    # every level at once: a cluster's id ranks its root among its level's
+    # roots, and its parent is its root's cluster one level finer
+    level, first = np.nonzero(core & (roots == np.arange(counts.size)))
+    ids = np.zeros(roots.shape, dtype=np.int64)
+    ids[level, first] = np.arange(level.size) - np.searchsorted(level, level)
+    assignments = np.take_along_axis(ids, roots, axis=1)
+    del ids, roots
+    assignments[~core] = NOISE
+    assignments.setflags(write=False)
+    finer = assignments[np.minimum(level + 1, len(ks) - 1), first]
+    parents = [tuple(p.tolist()) for p in np.split(finer, np.searchsorted(level, np.arange(1, len(ks))))]
+    parents[-1] = ()
+    levels = tuple(
+        TreeLevel(k=k, labeling=Labeling(labels, k=k, delta=delta, link_radius=link), parents=p)
+        for k, labels, p in zip(ks, assignments, parents)
+    )
     return ClusterTree(ks=ks, levels=levels, delta=delta, link_radius=link)
 
 

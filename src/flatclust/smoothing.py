@@ -145,7 +145,8 @@ def _weight_rows(times: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray):
 
     times is (rows, m) and bandwidths (rows, 1); a one-row pair serves
     every series that shares it. empty marks the rows with no sample in
-    [t - gamma, t], whose weights are all zero.
+    [t - gamma, t], whose weights are all zero, and is None where no row
+    is empty.
     """
     for t in grid:
         with np.errstate(over="ignore"):  # as in nw_weights
@@ -153,11 +154,11 @@ def _weight_rows(times: np.ndarray, bandwidths: np.ndarray, grid: np.ndarray):
         total = raw.sum(axis=1, keepdims=True)
         empty = total[:, 0] <= 0.0
         total[empty] = 1.0  # an empty window's zero weights stay zero
-        yield t, raw / total, empty
+        yield t, raw / total, empty if empty.any() else None
 
 
 def _smooth_rows(out, rows, block, weights, id_of, gammas, stacklevel: int) -> None:
-    """Smooth the series rows, whose (k, m, s) values are block, into out[rows, j] for the j-th weights.
+    """Smooth the series rows (an index array or a slice), whose (k, m, s) values are block, into out[rows, j].
 
     weights yields (t, W, empty) per grid time, as _weight_rows does, with
     one row of W per series or one for all. `np.matmul(W[:, None, :],
@@ -168,10 +169,10 @@ def _smooth_rows(out, rows, block, weights, id_of, gammas, stacklevel: int) -> N
     """
     for j, (t, w, empty) in enumerate(weights):
         slots = np.matmul(w[:, None, :], block)[:, 0]
-        if empty.any():
-            empty = np.broadcast_to(empty, rows.shape)
+        if empty is not None:
+            empty = np.broadcast_to(empty, slots.shape[:1])
             slots[empty] = 0.0  # not 0 @ values, which is -0.0 where values are negative
-            for i in rows[empty].tolist():
+            for i in np.arange(out.shape[0])[rows][empty].tolist():
                 _warn_empty(id_of(i), t, gammas[i], stacklevel + 1)
         out[rows, j] = slots
 
@@ -242,7 +243,7 @@ def _smooth_chunks(out: np.ndarray, chunks, times: np.ndarray, gamma: float, id_
     weights = list(_weight_rows(times[None], bandwidths, grid))
     gammas = np.broadcast_to(bandwidths[0, 0], out.shape[:1])
     for start, stop, values in chunks:
-        _smooth_rows(out, np.arange(start, stop), values, weights, id_of, gammas, 3)
+        _smooth_rows(out, slice(start, stop), values, weights, id_of, gammas, 3)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

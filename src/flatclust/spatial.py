@@ -1,17 +1,21 @@
 """Exact closed-ball queries over a fixed point set.
 
-A kd-tree (Bentley 1975; `scipy.spatial.cKDTree`) only prefilters: it is
-asked for radii widened or narrowed by a relative slack, and every point it
-cannot settle is decided by `sq_dists(...) <= r * r`, the one
-squared-distance kernel shared with the brute-force paths. Indexed, batched
-and brute-force answers therefore agree bit for bit, closed balls and ties
-included (<=, never <). On a line, sorted_line_counts needs no tree: each
-ball is a run of the sorted points, whose ends are checked, or bisected,
-with the same predicate.
+Every answer is decided by `sq_dists(...) <= r * r`, the one
+squared-distance kernel shared with the brute-force paths, so indexed,
+batched and brute-force answers agree bit for bit, closed balls and ties
+included (<=, never <). On a line, one sort answers every question: each
+ball is a run of the sorted points, whose ends a searchsorted guess finds
+and the predicate checks, or bisects (_line_runs), so neither GridIndex nor
+sorted_line_counts needs a tree there. With more coordinates a kd-tree
+(Bentley 1975; `scipy.spatial.cKDTree`) only prefilters: it is asked for
+radii widened or narrowed by a relative slack, and every point it cannot
+settle goes to the predicate.
 Approximate neighbor answers are not allowed anywhere in the pipeline.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -96,60 +100,107 @@ def brute_count_within(points: np.ndarray, x, r: float) -> int:
     return int(np.count_nonzero(sq_dists(points, x) <= r * r))
 
 
-def sorted_line_counts(xs: np.ndarray, r: float) -> np.ndarray:
-    """|B(xs[i], r)| for every point of an ascending 1-D array, self included.
+def _checked_queries(x, dim: int, single: bool = False) -> np.ndarray:
+    """x as float query vectors of length dim, refused as cKDTree refuses them when misshapen or non-finite.
 
-    On a line fl(x_i - x_j) is monotone in x_j, so every closed ball is one
-    run of consecutive points around i, and the kernel's own predicate,
-    (x_i - x_j)**2 <= r*r, holds for a prefix of the steps away from i.
-    np.searchsorted at x_i + r and x_i - r guesses where each run ends. A
-    guess is kept where the predicate holds at it and fails one step further
-    (or that step is off the end), which makes it exact. Only the rows whose
-    guess fails go through a vectorized bisection. The counts equal
-    counts_within_all's bit for bit.
+    A single query is one vector of shape (dim,); otherwise any shape (..., dim).
+    """
+    x = np.asarray(x, dtype=float)
+    if (x.shape != (dim,)) if single else (x.ndim == 0 or x.shape[-1] != dim):
+        raise ValueError(f"x must consist of vectors of length {dim} but has shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("'x' must be finite, check for nan or inf values")
+    return x
+
+
+def _line_runs(xs: np.ndarray, q: np.ndarray, r: float, split: np.ndarray | None = None):
+    """(first, stop): the closed r-ball of each q[i] is the run xs[first[i]:stop[i]] of an ascending xs.
+
+    split[i] divides xs into the points below q[i] and those above it
+    (xs[:split] <= q <= xs[split:]); searchsorted finds one when it is not
+    given. On a line fl(x_j - q) is monotone in x_j, so the kernel's own
+    predicate, (x_j - q)**2 <= r*r, holds for a prefix of the steps away
+    from split on either side. np.searchsorted at q + r and q - r guesses
+    where each prefix ends. A guess is kept where the predicate holds at
+    its last step and fails one step further (or that step is off the end),
+    which makes it exact. Only the rows whose guess fails go through a
+    vectorized bisection.
     """
     r = _checked_radius(r)
     n = xs.size
-    pos = np.arange(n)
+    if split is None:
+        split = np.searchsorted(xs, q, "left")
 
-    def inside(rows: np.ndarray, steps: np.ndarray, sign: int) -> np.ndarray:
-        diff = xs[rows] - xs[rows + sign * steps]
+    def inside(at: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # an index off either end is clipped; callers mask what it answers
+        diff = np.take(xs, at, mode="clip") - q
         return diff * diff <= r * r
 
     def reach(sign: int, room: np.ndarray, guess: np.ndarray) -> np.ndarray:
-        ok = inside(pos, guess, sign) & ((guess == room) | ~inside(pos, np.minimum(guess + 1, room), sign))
-        rows = np.nonzero(~ok)[0]
-        # ball members at steps 1..lo from rows, none at step hi (room + 1 is off the end)
-        lo, hi = np.zeros(rows.size, dtype=np.intp), room[rows] + 1
-        while np.any(hi - lo > 1):
-            mid = (lo + hi) // 2
-            within = inside(rows, mid, sign)
-            lo = np.where(within, mid, lo)
-            hi = np.where(within, hi, mid)
+        # step t from the split is xs[base + sign * t]: xs[split + t] above it, xs[split - 1 - t] below
+        base = split - (sign < 0)
+        guess = np.clip(guess, 0, room)
+        ok = (guess == 0) | inside(base + sign * (guess - 1), q)
+        ok &= (guess == room) | ~inside(base + sign * guess, q)
+        rows = np.flatnonzero(~ok)
+        # the predicate holds at steps 0..lo-1 from rows, and fails past step hi - 1
+        base, rows_q = base[rows], q[rows]
+        lo, hi = np.zeros(rows.size, dtype=np.intp), room[rows]
+        while np.any(open_ := lo < hi):
+            mid = (lo + hi + 1) // 2
+            within = inside(base + sign * (mid - 1), rows_q)
+            lo = np.where(open_ & within, mid, lo)
+            hi = np.where(open_ & ~within, mid - 1, hi)
         guess[rows] = lo
         return guess
 
-    right = np.searchsorted(xs, xs + r, "right") - 1 - pos
-    left = pos - np.searchsorted(xs, xs - r, "left")
-    return 1 + reach(1, n - 1 - pos, right) + reach(-1, pos, left)
+    above = reach(1, n - split, np.searchsorted(xs, q + r, "right") - split)
+    below = reach(-1, split, split - np.searchsorted(xs, q - r, "left"))
+    return split - below, split + above
+
+
+def sorted_line_counts(xs: np.ndarray, r: float) -> np.ndarray:
+    """|B(xs[i], r)| for every point of an ascending 1-D array, self included.
+
+    Each ball is a run of consecutive points found by _line_runs, split at
+    the point itself, so the counts equal counts_within_all's bit for bit.
+    """
+    first, stop = _line_runs(xs, xs, r, np.arange(xs.size))
+    return stop - first
 
 
 class GridIndex:
-    """Exact radius queries: a kd-tree prefilter plus the sq_dists refilter."""
+    """Exact radius queries over a fixed point set.
+
+    Points with one coordinate are held sorted, and every ball is a run of
+    them (_line_runs). Otherwise a kd-tree prefilters and sq_dists refilters.
+    """
 
     def __init__(self, points: np.ndarray):
+        points = checked_points(points)
+        self.points = points
+        self._tree = None
+        if points.shape[1] == 1:
+            self._sorted = np.sort(points[:, 0])
+            return
         # deferred: importing scipy.spatial takes about 0.4 s and 38 MB of resident
         # memory (2-core Xeon, scipy 1.17), which `import flatclust` does not pay
         from scipy.spatial import cKDTree
 
-        points = checked_points(points)
-        self.points = points
         self._tree = cKDTree(points)
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:
+        """On a line, the point indices in the order of _sorted; counting needs only _sorted."""
+        return np.argsort(self.points[:, 0])
 
     def indices_within(self, x, r: float) -> np.ndarray:
         """Indices (ascending) of all points with |p - x| <= r."""
         r = _checked_radius(r)
-        x = np.asarray(x, dtype=float)
+        x = _checked_queries(x, self.points.shape[1], single=True)
+        if self._tree is None:
+            first, stop = _line_runs(self._sorted, x, r)
+            return np.sort(self._order[first[0] : stop[0]])
         cand = np.asarray(self._tree.query_ball_point(x, r * (1.0 + SLACK)), dtype=np.intp)
         return np.sort(cand[sq_dists(self.points[cand], x) <= r * r])
 
@@ -159,13 +210,17 @@ class GridIndex:
     def counts_within(self, queries: np.ndarray, r: float) -> np.ndarray:
         """Ball counts |B(q, r)| for every row q of queries.
 
-        The tree counts each ball at r * (1 - SLACK), all surely inside, and
-        at r * (1 + SLACK), a superset; where the two agree that is the
-        count. Only the rows that differ fetch their candidates for the exact
+        On a line each count is the length of the query's run. Otherwise the
+        tree counts each ball at r * (1 - SLACK), all surely inside, and at
+        r * (1 + SLACK), a superset; where the two agree that is the count.
+        Only the rows that differ fetch their candidates for the exact
         refilter, so no full pair list is ever built.
         """
         r = _checked_radius(r)
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        queries = _checked_queries(np.atleast_2d(queries), self.points.shape[1])
+        if self._tree is None:
+            first, stop = _line_runs(self._sorted, queries[:, 0], r)
+            return stop - first
         lo = self._tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
         hi = self._tree.query_ball_point(queries, r * (1.0 + SLACK), return_length=True)
         counts = np.asarray(lo, dtype=np.intp)
@@ -180,18 +235,24 @@ class GridIndex:
 
     def counts_within_all(self, r: float) -> np.ndarray:
         """Neighbor counts |B(p_i, r)| for every indexed point (self included)."""
+        if self._tree is None:
+            counts = np.empty(self.points.shape[0], dtype=np.intp)
+            counts[self._order] = sorted_line_counts(self._sorted, r)
+            return counts
         return self.counts_within(self.points, r)
 
     def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, sq) of every index pair with |p_src - p_dst| <= r.
 
-        Each pair is listed once, src < dst, in the tree's own order: no
-        caller needs another. src and dst are int32 while the point count
-        fits, np.intp otherwise. sq holds each pair's sq_dists value, so any
-        smaller radius r' selects its own pairs exactly by `sq <= r' * r'`.
-        The tree is asked once, and the refilter gathers one coordinate
-        column at a time: the same rounded operations as
-        sq_dists(p[src], p[dst]), without gathering whole rows.
+        Each pair is listed once, src < dst, in the tree's own order (on a
+        line, in the order of the sorted points): no caller needs another.
+        src and dst are int32 while the point count fits, np.intp otherwise.
+        sq holds each pair's sq_dists value, so any smaller radius r'
+        selects its own pairs exactly by `sq <= r' * r'`. The tree is asked
+        once, and the refilter gathers one coordinate column at a time: the
+        same rounded operations as sq_dists(p[src], p[dst]), without
+        gathering whole rows. On a line each sorted point pairs with the run
+        after it that its ball reaches.
 
         Per candidate pair the refilter holds src and dst, 4 bytes each
         while n fits in int32, and sq, 8 bytes. The tree's own (P, 2) pair
@@ -203,6 +264,15 @@ class GridIndex:
         r = _checked_radius(r)
         n = self.points.shape[0]
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        if self._tree is None:
+            # sorted point i pairs with the run after it, up to its ball's end
+            stop = _line_runs(self._sorted, self._sorted, r, np.arange(1, n + 1))[1]
+            reach = stop - np.arange(1, n + 1)
+            i = np.repeat(np.arange(n), reach)
+            j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(reach) - reach, reach)
+            a, b = self._order[i], self._order[j]
+            src, dst = np.minimum(a, b).astype(index), np.maximum(a, b).astype(index)
+            return src, dst, sq_dists(self.points[src], self.points[dst])
         pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray")
         src = pairs[:, 0].astype(index)
         dst = pairs[:, 1].astype(index)

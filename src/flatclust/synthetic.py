@@ -537,8 +537,8 @@ def _drawn_chunks(
     longer. values holds the chunk's (k, m, s) observations in one buffer
     made once per call and refilled for every chunk, so a chunk must be
     used before the next is drawn, and memory holds one chunk's draw and
-    values whatever n. The chunk's exact values at 1/d..1 go into
-    grid[start:stop], grid being (n, d, s).
+    values whatever n. The exact values at 1/d..1 go into grid, (n, d, s),
+    in one fill once the last chunk is used.
 
     The random stream is the one of a per-series loop of `draw_jitter` and
     `uniform(-eps_bar, eps_bar, (m, s))` calls: each series takes
@@ -553,25 +553,27 @@ def _drawn_chunks(
     n, m, s = labels.size, times.size, templates[0].s
     noisy = eps_bar > 0
     width = 2 * s + (m * s if noisy else 0)
-    # draw_jitter's (amp scale, offset shift) bounds per template, shaped (C, 2, 1) for (k, 2, s) draws
+    # draw_jitter's (amp scale, offset shift) bounds per template, shaped (C, 2, 1) for (k, 2, s) draws,
+    # and gathered for every series once: a chunk takes its rows by a slice
     jitter_lo = np.array([[1.0 - t.amp_jitter, -t.offset_jitter] for t in templates])[:, :, None]
     jitter_width = np.array([[1.0 + t.amp_jitter, t.offset_jitter] for t in templates])[:, :, None] - jitter_lo
-    paths, grid_paths = _Paths(templates, times), _Paths(templates, grid_times(grid.shape[1]))
+    jitter_lo, jitter_width = jitter_lo[labels], jitter_width[labels]
+    # every series' jitter, kept for one fill of the grid after the last chunk
+    jitter = np.empty((n, 2, s))
+    paths = _Paths(templates, times)
     step = _rows_per_block(m)
     draws = np.empty(min(step, n) * width)
     buffer = np.empty((min(step, n), m, s))
     for start in range(0, n, step):
         stop = min(start + step, n)
         values = buffer[: stop - start]
-        chunk_labels = labels[start:stop]
+        chunk = slice(start, stop)
         with row_loops(m):
             draw = rng.random(out=draws[: (stop - start) * width])
             u = draw.reshape(stop - start, width)
-            jitter = u[:, : 2 * s].reshape(-1, 2, s)
-            jitter *= jitter_width[chunk_labels]
-            jitter += jitter_lo[chunk_labels]
-            paths.fill(values, chunk_labels, jitter[:, 0], jitter[:, 1])
-            grid_paths.fill(grid[start:stop], chunk_labels, jitter[:, 0], jitter[:, 1])
+            drawn = np.multiply(u[:, : 2 * s].reshape(-1, 2, s), jitter_width[chunk], out=jitter[chunk])
+            drawn += jitter_lo[chunk]
+            paths.fill(values, labels[chunk], drawn[:, 0], drawn[:, 1])
             if noisy:
                 # mapped as one flat run: the jitter columns it also maps are spent
                 lo, hi = -eps_bar, eps_bar
@@ -579,6 +581,7 @@ def _drawn_chunks(
                 draw += lo
                 values += u[:, 2 * s :].reshape(-1, m, s)
         yield start, stop, values  # outside row_loops: its one-row buffer slows the consumer's ops
+    _Paths(templates, grid_times(grid.shape[1])).fill(grid, labels, jitter[:, 0], jitter[:, 1])
 
 
 def _sample_batch(

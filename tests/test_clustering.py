@@ -561,3 +561,41 @@ class TestHartiganDisjoint:
         pts, tree = np.array([[0.1], [0.9]]), cluster_tree(np.array([[0.1], [0.9]]), 0.05, [2, 1])
         # at k=2 nothing is core; indices that span blobs have no cluster
         assert not hartigan_disjoint(tree, [0, 1], [0])
+
+
+@pytest.mark.parametrize("sd", [1, 2, 5])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_count_level_equals_oracle(sd, data):
+    # the whole tree over every distinct ball count, as the all-level tree asks
+    # for it: each level's labels and parents are the brute-force oracle's
+    n = data.draw(st.integers(1, 40), label="n")
+    grid = data.draw(st.sampled_from([0.1, 0.25, None]), label="grid")
+    if grid is None:
+        coords = st.floats(0.0, 1.0, allow_nan=False)
+    else:
+        coords = st.integers(0, int(1 / grid)).map(lambda i: i * grid)  # ties at the ball's edge
+    pts = np.array(data.draw(st.lists(st.tuples(*[coords] * sd), min_size=n, max_size=n), label="pts"))
+    delta = data.draw(st.sampled_from([0.1, 0.2, 0.25, 0.3]), label="delta")
+    link = delta * data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="link_factor")
+    counts, _ = _neighbour_pass(pts, delta, link)
+    ks = sorted(set(counts.tolist()), reverse=True)
+    tree = cluster_tree(pts, delta, ks, link_radius=link)
+    oracle = [components_bruteforce(pts, k, delta, link_radius=link) for k in ks]
+    for level, want in zip(tree.levels, oracle, strict=True):
+        assert np.array_equal(level.labeling.assignments, want.assignments), level.k
+    assert [level.parents for level in tree.levels] == _per_cluster_parents(oracle)
+
+
+@pytest.mark.parametrize("sd", [1, 2])
+def test_ks_beyond_any_integer_array_label_as_ks_above_n(sd):
+    # no count exceeds n, so a k of 2**63 or 2**70, which no int64 array
+    # holds, makes the empty level a k of n + 1 does
+    pts = np.random.default_rng(9).uniform(0.0, 1.0, size=(40, sd))
+    huge = cluster_tree(pts, 0.2, (2**70, 2**63, 5, 1))
+    above = cluster_tree(pts, 0.2, (42, 41, 5, 1))
+    assert huge.ks == (2**70, 2**63, 5, 1)
+    for got, want in zip(huge.levels, above.levels, strict=True):
+        assert np.array_equal(got.labeling.assignments, want.labeling.assignments)
+        assert got.parents == want.parents
+    assert huge.levels[0].labeling.n_clusters == 0 < huge.levels[2].labeling.n_clusters

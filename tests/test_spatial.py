@@ -289,3 +289,58 @@ def test_pair_sq_dists_blocks_keep_every_bit(monkeypatch, block):
     src, dst, sq = got
     assert set(zip(src.tolist(), dst.tolist())) == _brute_pairs(pts, 0.3)
     assert np.array_equal(sq, sq_dists(pts[src], pts[dst]))
+
+
+@pytest.mark.parametrize("sd", [1, 2])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda index, x: index.counts_within(x, 0.3),
+        lambda index, x: index.indices_within(x, 0.3),
+        lambda index, x: index.count_within(x, 0.3),
+    ],
+    ids=["counts_within", "indices_within", "count_within"],
+)
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "too-long", "too-short", "too-wide"])
+def test_bad_queries_refused_on_and_off_a_line(query, sd, bad):
+    # a NaN query must not count 0, nor a query of the wrong length answer for its first coordinate
+    index = GridIndex(np.random.default_rng(40).uniform(0.0, 1.0, size=(30, sd)))
+    if bad in ("nan", "inf", "-inf"):
+        x = np.full(sd, 0.5)
+        x[-1] = float(bad)
+        match = "'x' must be finite"
+    else:
+        shape = {"too-long": (sd + 1,), "too-short": (sd - 1,), "too-wide": (3, sd + 1)}[bad]
+        x = np.full(shape, 0.5)
+        match = f"x must consist of vectors of length {sd}"
+    with pytest.raises(ValueError, match=match):
+        query(index, x)
+
+
+def _line_index_cases(rng):
+    """Lines with duplicates, points exactly r from a query, r = 0, and _line_cases' off-by-a-step runs."""
+    for xs, r in _line_cases(rng):
+        yield xs, r, np.concatenate([xs, xs + r, xs - r, rng.uniform(xs.min() - 1, xs.max() + 1, 20)])
+    dup = np.repeat(rng.integers(0, 11, 15) * 0.1, 4)
+    yield dup, 0.2, np.concatenate([dup, dup + 0.2, dup - 0.2, [0.05, 1.5, -0.5]])
+    yield dup, 0.0, np.concatenate([dup, dup + 1e-17, [0.25]])
+    yield rng.permutation(np.arange(12) * 0.25), 0.25, np.arange(-4, 52) * 0.0625
+
+
+def test_line_index_equals_brute_force_exactly():
+    rng = np.random.default_rng(41)
+    for case, (xs, r, queries) in enumerate(_line_index_cases(rng)):
+        pts = rng.permutation(xs)[:, None]
+        index = GridIndex(pts)
+        want = [brute_indices_within(pts, [q], r) for q in queries]
+        assert np.array_equal(index.counts_within(queries[:, None], r), [w.size for w in want]), case
+        for q, w in zip(queries, want):
+            assert np.array_equal(index.indices_within([q], r), w), (case, q)
+            assert index.count_within([q], r) == brute_count_within(pts, [q], r) == w.size
+        counts = np.array([brute_count_within(pts, p, r) for p in pts])
+        assert np.array_equal(index.counts_within_all(r), counts), case
+        src, dst, sq = index.pair_sq_dists(r)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        assert len(set(pairs)) == len(pairs) and set(pairs) == _brute_pairs(pts, r), case
+        assert src.dtype == dst.dtype == np.int32
+        assert np.array_equal(sq, sq_dists(pts[src], pts[dst])), case
