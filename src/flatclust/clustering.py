@@ -103,11 +103,10 @@ class ClusterTree:
 
 @dataclass(frozen=True)
 class ClusterRef:
-    """One cluster of one tree level, with its member index set."""
+    """One cluster of one tree level; that level's labeling.members(cluster_id) lists its points."""
 
     k: int
     cluster_id: int
-    members: frozenset
 
 
 def _roots_of_joins(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,21 +331,24 @@ def smallest_containing_cluster(tree: ClusterTree, sample_indices) -> ClusterRef
         labels = level.labeling.assignments[idx]
         first = labels[0]
         if first != NOISE and np.all(labels == first):
-            return ClusterRef(
-                k=level.k,
-                cluster_id=int(first),
-                members=frozenset(level.labeling.members(int(first)).tolist()),
-            )
+            return ClusterRef(k=level.k, cluster_id=int(first))
     return None
 
 
 def hartigan_disjoint(tree: ClusterTree, a_indices, a_prime_indices) -> bool:
-    """Whether the smallest containing clusters exist and share no points."""
+    """Whether the smallest containing clusters exist and share no points.
+
+    The tree's clusters nest: the finer cluster lies inside one cluster of
+    the coarser level, so it meets the coarser cluster exactly when that
+    level labels one of the finer query's indices with the coarser id.
+    """
     ref_a = smallest_containing_cluster(tree, a_indices)
     ref_b = smallest_containing_cluster(tree, a_prime_indices)
     if ref_a is None or ref_b is None:
         return False
-    return not (ref_a.members & ref_b.members)
+    coarse, finer_query = (ref_a, a_prime_indices) if ref_a.k <= ref_b.k else (ref_b, a_indices)
+    labels = tree.levels[tree.ks.index(coarse.k)].labeling.assignments
+    return int(labels[np.asarray(finer_query)[0]]) != coarse.cluster_id
 
 
 def components_bruteforce(points, k: int, delta: float, link_radius: float | None = None) -> Labeling:

@@ -64,23 +64,20 @@ def kde_eval(model: KdeModel, x) -> float:
     """Density estimate |B(x, delta) n sample| / (n delta^sd v_sd) at one point.
 
     Reference implementation: tests hold kde_eval_batch and the core-point
-    sets of the clustering equal to it.
+    sets of the clustering equal to it. Its count comes from the index's
+    kd-tree, on a line too, so kde_eval_batch's sorted runs are checked
+    against an independent path.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.sd,):
-        raise ValueError(f"query must have shape ({model.sd},), got {x.shape}")
     return model.index.count_within(x, model.delta) / model.normalizer
 
 
 def kde_counts_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:
     """Ball counts |B(q, delta) n sample| for every row q of queries.
 
-    The index decides every count with the same exact refilter as the
+    The index decides every count by the same sq_dists predicate as the
     single-query path, so batch results equal looped kde_eval results exactly.
+    The index refuses a misshapen or non-finite query.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.shape[1] != model.sd:
-        raise ValueError(f"queries must have {model.sd} coordinates, got {queries.shape[1]}")
     return model.index.counts_within(queries, model.delta)
 
 

@@ -930,12 +930,15 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> fl
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's division gives an inf or NaN step, which the test below bisects
+                stry = math.inf
             limit = 3 * abs(sbis) - delta  # C's MIN below: limit unless spre is smaller, a NaN limit too
             if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
                 spre, scur = scur, stry  # good short step

@@ -3,19 +3,17 @@
 Every answer is decided by `sq_dists(...) <= r * r`, the one
 squared-distance kernel shared with the brute-force paths, so indexed,
 batched and brute-force answers agree bit for bit, closed balls and ties
-included (<=, never <). On a line, one sort answers every question: each
-ball is a run of the sorted points, whose ends a searchsorted guess finds
-and the predicate checks, or bisects (_line_runs), so neither GridIndex nor
-sorted_line_counts needs a tree there. With more coordinates a kd-tree
-(Bentley 1975; `scipy.spatial.cKDTree`) only prefilters: it is asked for
-radii widened or narrowed by a relative slack, and every point it cannot
-settle goes to the predicate.
+included (<=, never <). On a line, one sort counts every ball: each ball
+is a run of the sorted points, whose ends a searchsorted guess finds and
+the predicate checks, or bisects (_line_runs), so neither
+GridIndex.counts_within nor sorted_line_counts needs a tree there. Every
+other query goes to a kd-tree (Bentley 1975; `scipy.spatial.cKDTree`),
+which only prefilters: it is asked for radii widened or narrowed by a
+relative slack, and every point it cannot settle goes to the predicate.
 Approximate neighbor answers are not allowed anywhere in the pipeline.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -103,10 +101,10 @@ def brute_count_within(points: np.ndarray, x, r: float) -> int:
 def _checked_queries(x, dim: int, single: bool = False) -> np.ndarray:
     """x as float query vectors of length dim, refused as cKDTree refuses them when misshapen or non-finite.
 
-    A single query is one vector of shape (dim,); otherwise any shape (..., dim).
+    A single query is one vector of shape (dim,); otherwise a (q, dim) array.
     """
     x = np.asarray(x, dtype=float)
-    if (x.shape != (dim,)) if single else (x.ndim == 0 or x.shape[-1] != dim):
+    if (x.shape != (dim,)) if single else (x.ndim != 2 or x.shape[1] != dim):
         raise ValueError(f"x must consist of vectors of length {dim} but has shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("'x' must be finite, check for nan or inf values")
@@ -172,36 +170,34 @@ def sorted_line_counts(xs: np.ndarray, r: float) -> np.ndarray:
 class GridIndex:
     """Exact radius queries over a fixed point set.
 
-    Points with one coordinate are held sorted, and every ball is a run of
-    them (_line_runs). Otherwise a kd-tree prefilters and sq_dists refilters.
+    A kd-tree prefilters and sq_dists refilters. On a line counts_within
+    reads each ball as a run of the sorted points (_line_runs) instead, and
+    the tree is built only if another query asks for it.
     """
 
     def __init__(self, points: np.ndarray):
         points = checked_points(points)
         self.points = points
         self._tree = None
-        if points.shape[1] == 1:
-            self._sorted = np.sort(points[:, 0])
-            return
-        # deferred: importing scipy.spatial takes about 0.4 s and 38 MB of resident
-        # memory (2-core Xeon, scipy 1.17), which `import flatclust` does not pay
-        from scipy.spatial import cKDTree
+        self._sorted = np.sort(points[:, 0]) if points.shape[1] == 1 else None
+        if self._sorted is None:
+            self._kdtree()
 
-        self._tree = cKDTree(points)
+    def _kdtree(self):
+        """The kd-tree over the points; __init__ builds it off a line, the first query needing it on one."""
+        if self._tree is None:
+            # deferred: importing scipy.spatial takes about 0.4 s and 38 MB of resident
+            # memory (2-core Xeon, scipy 1.17), which `import flatclust` does not pay
+            from scipy.spatial import cKDTree
 
-    @functools.cached_property
-    def _order(self) -> np.ndarray:
-        """On a line, the point indices in the order of _sorted; counting needs only _sorted."""
-        return np.argsort(self.points[:, 0])
+            self._tree = cKDTree(self.points)
+        return self._tree
 
     def indices_within(self, x, r: float) -> np.ndarray:
         """Indices (ascending) of all points with |p - x| <= r."""
         r = _checked_radius(r)
         x = _checked_queries(x, self.points.shape[1], single=True)
-        if self._tree is None:
-            first, stop = _line_runs(self._sorted, x, r)
-            return np.sort(self._order[first[0] : stop[0]])
-        cand = np.asarray(self._tree.query_ball_point(x, r * (1.0 + SLACK)), dtype=np.intp)
+        cand = np.asarray(self._kdtree().query_ball_point(x, r * (1.0 + SLACK)), dtype=np.intp)
         return np.sort(cand[sq_dists(self.points[cand], x) <= r * r])
 
     def count_within(self, x, r: float) -> int:
@@ -218,7 +214,7 @@ class GridIndex:
         """
         r = _checked_radius(r)
         queries = _checked_queries(np.atleast_2d(queries), self.points.shape[1])
-        if self._tree is None:
+        if self._sorted is not None:
             first, stop = _line_runs(self._sorted, queries[:, 0], r)
             return stop - first
         lo = self._tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
@@ -235,24 +231,19 @@ class GridIndex:
 
     def counts_within_all(self, r: float) -> np.ndarray:
         """Neighbor counts |B(p_i, r)| for every indexed point (self included)."""
-        if self._tree is None:
-            counts = np.empty(self.points.shape[0], dtype=np.intp)
-            counts[self._order] = sorted_line_counts(self._sorted, r)
-            return counts
         return self.counts_within(self.points, r)
 
     def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, sq) of every index pair with |p_src - p_dst| <= r.
 
-        Each pair is listed once, src < dst, in the tree's own order (on a
-        line, in the order of the sorted points): no caller needs another.
+        Each pair is listed once, src < dst, in the tree's own order: no
+        caller needs another.
         src and dst are int32 while the point count fits, np.intp otherwise.
         sq holds each pair's sq_dists value, so any smaller radius r'
         selects its own pairs exactly by `sq <= r' * r'`. The tree is asked
         once, and the refilter gathers one coordinate column at a time: the
         same rounded operations as sq_dists(p[src], p[dst]), without
-        gathering whole rows. On a line each sorted point pairs with the run
-        after it that its ball reaches.
+        gathering whole rows.
 
         Per candidate pair the refilter holds src and dst, 4 bytes each
         while n fits in int32, and sq, 8 bytes. The tree's own (P, 2) pair
@@ -264,16 +255,7 @@ class GridIndex:
         r = _checked_radius(r)
         n = self.points.shape[0]
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        if self._tree is None:
-            # sorted point i pairs with the run after it, up to its ball's end
-            stop = _line_runs(self._sorted, self._sorted, r, np.arange(1, n + 1))[1]
-            reach = stop - np.arange(1, n + 1)
-            i = np.repeat(np.arange(n), reach)
-            j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(reach) - reach, reach)
-            a, b = self._order[i], self._order[j]
-            src, dst = np.minimum(a, b).astype(index), np.maximum(a, b).astype(index)
-            return src, dst, sq_dists(self.points[src], self.points[dst])
-        pairs = self._tree.query_pairs(r * (1.0 + SLACK), output_type="ndarray")
+        pairs = self._kdtree().query_pairs(r * (1.0 + SLACK), output_type="ndarray")
         src = pairs[:, 0].astype(index)
         dst = pairs[:, 1].astype(index)
         del pairs

@@ -518,7 +518,7 @@ class TestSmallestContainingCluster:
             if level.labeling.assignments[0] != NOISE
         )
         assert ref.k == best_k
-        assert 0 in ref.members
+        assert 0 in tree.levels[tree.ks.index(ref.k)].labeling.members(ref.cluster_id)
 
     def test_spanning_indices_return_none(self):
         pts, tree = self._tree()
@@ -540,7 +540,8 @@ class TestSmallestContainingCluster:
             if best is None:
                 assert got is None
             else:
-                assert (got.k, got.cluster_id, set(got.members)) == best
+                members = tree.levels[tree.ks.index(got.k)].labeling.members(got.cluster_id)
+                assert (got.k, got.cluster_id, set(members.tolist())) == best
 
 
 class TestHartiganDisjoint:
@@ -561,6 +562,32 @@ class TestHartiganDisjoint:
         pts, tree = np.array([[0.1], [0.9]]), cluster_tree(np.array([[0.1], [0.9]]), 0.05, [2, 1])
         # at k=2 nothing is core; indices that span blobs have no cluster
         assert not hartigan_disjoint(tree, [0, 1], [0])
+
+    @pytest.mark.parametrize("sd", [1, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_member_set_intersection(self, sd, data):
+        # the definition: both smallest containing clusters exist and their
+        # member sets do not meet, for every pair of one-point queries, whose
+        # clusters sit at one level or at two nested levels of a random
+        # ladder, and for queries of a few points
+        n = data.draw(st.integers(2, 24), label="n")
+        coords = st.integers(0, 10).map(lambda i: i * 0.1)
+        pts = np.array(data.draw(st.lists(st.tuples(*[coords] * sd), min_size=n, max_size=n), label="pts"))
+        ks = sorted(data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=5), label="ks"), reverse=True)
+        tree = cluster_tree(pts, data.draw(st.sampled_from([0.1, 0.2, 0.3]), label="delta"), ks)
+
+        def members(query):
+            ref = smallest_containing_cluster(tree, query)
+            return None if ref is None else set(tree.levels[tree.ks.index(ref.k)].labeling.members(ref.cluster_id))
+
+        query = st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True)
+        queries = [[i] for i in range(n)] + data.draw(st.lists(query, max_size=4), label="queries")
+        sets = [members(q) for q in queries]
+        for a, set_a in zip(queries, sets):
+            for b, set_b in zip(queries, sets):
+                want = set_a is not None and set_b is not None and not (set_a & set_b)
+                assert hartigan_disjoint(tree, a, b) == want, (a, b)
 
 
 @pytest.mark.parametrize("sd", [1, 2, 5])

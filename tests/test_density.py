@@ -59,11 +59,13 @@ class TestKdeEval:
             count = int(np.count_nonzero(np.einsum("ij,ij->i", diff, diff) <= delta * delta))
             assert kde_eval(model, q) == count / norm
 
-    def test_batch_matches_single(self):
+    @pytest.mark.parametrize("sd", [1, 3])
+    def test_batch_matches_single(self, sd):
+        # on a line the batch counts sorted runs and kde_eval asks the kd-tree
         rng = np.random.default_rng(13)
-        pts = rng.uniform(0, 1, size=(257, 3))
+        pts = rng.uniform(0, 1, size=(257, sd))
         model = KdeModel(pts, delta=0.2)
-        queries = rng.uniform(0, 1, size=(123, 3))
+        queries = rng.uniform(0, 1, size=(123, sd))
         batch = kde_eval_batch(model, queries)
         single = np.array([kde_eval(model, q) for q in queries])
         assert np.array_equal(batch, single)

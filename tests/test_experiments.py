@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import betainc as scipy_betainc
@@ -448,6 +448,9 @@ class TestBrentq:
         rtol=st.sampled_from([4 * np.finfo(float).eps, 1e-13, 1e-5]),
         maxiter=st.integers(0, 200),
     )
+    # a cubic whose extrapolation step divides by zero: scipy's C division bisects there
+    @example([5.870562732349344e-115, 0.0, 0.0, 0.0], -1.0, 3.0, 0.0, False, 5e-324, 4 * np.finfo(float).eps, 2)
+    @example([5.870562732349344e-115, 0.0, 0.0, 0.0], -1.0, 3.0, 0.0, False, 5e-324, 4 * np.finfo(float).eps, 500)
     def test_matches_scipy_on_polynomials(self, coefs, a, width, at, bracketed, xtol, rtol, maxiter):
         """A random polynomial p, or (x - r)(1 + p(x)^2) with its one root r inside [a, b]."""
         b, r = a + width, a + at * width

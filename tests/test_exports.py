@@ -84,3 +84,18 @@ def test_no_experiment_loads_scipy_optimize():
     pin = json.loads(pinned.read_text())["reports"]["compensating"]["config"]
     compensating = f"from flatclust.experiments import run_experiment; run_experiment('compensating', {pin!r})"
     assert _scipy_modules_after(compensating) == []
+
+
+def test_line_experiments_load_no_scipy():
+    """kde_rate, sandwich, hartigan and smoothing_rate at their pinned configs load no scipy module.
+
+    The first three count balls and cluster on a line, where GridIndex.counts_within
+    and the sweep read runs of one sort and build no kd-tree.
+    """
+    pinned = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())["reports"]
+    configs = {name: pinned[name]["config"] for name in ("kde_rate", "sandwich", "hartigan", "smoothing_rate")}
+    run = (
+        "from flatclust.experiments import run_experiment\n"
+        f"for name, config in {configs!r}.items(): run_experiment(name, config)"
+    )
+    assert _scipy_modules_after(run) == []

@@ -3,7 +3,7 @@ import pytest
 
 from flatclust import spatial
 from flatclust.clustering import _neighbour_pass, cluster_tree, components_bruteforce, dbscan_cluster
-from flatclust.density import KdeModel, kde_counts_batch
+from flatclust.density import KdeModel, kde_counts_batch, kde_eval
 from flatclust.spatial import (
     GridIndex,
     _sum_of_squares,
@@ -295,26 +295,29 @@ def test_pair_sq_dists_blocks_keep_every_bit(monkeypatch, block):
 @pytest.mark.parametrize(
     "query",
     [
-        lambda index, x: index.counts_within(x, 0.3),
-        lambda index, x: index.indices_within(x, 0.3),
-        lambda index, x: index.count_within(x, 0.3),
+        lambda model, x: model.index.counts_within(x, 0.3),
+        lambda model, x: model.index.indices_within(x, 0.3),
+        lambda model, x: model.index.count_within(x, 0.3),
+        kde_eval,
+        kde_counts_batch,
     ],
-    ids=["counts_within", "indices_within", "count_within"],
+    ids=["counts_within", "indices_within", "count_within", "kde_eval", "kde_counts_batch"],
 )
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "too-long", "too-short", "too-wide"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "too-long", "too-short", "too-wide", "too-deep"])
 def test_bad_queries_refused_on_and_off_a_line(query, sd, bad):
-    # a NaN query must not count 0, nor a query of the wrong length answer for its first coordinate
-    index = GridIndex(np.random.default_rng(40).uniform(0.0, 1.0, size=(30, sd)))
+    # a NaN query must not count 0, nor a query of the wrong shape answer for
+    # part of it; the index is the one place a query is checked
+    model = KdeModel(np.random.default_rng(40).uniform(0.0, 1.0, size=(30, sd)), delta=0.3)
     if bad in ("nan", "inf", "-inf"):
         x = np.full(sd, 0.5)
         x[-1] = float(bad)
         match = "'x' must be finite"
     else:
-        shape = {"too-long": (sd + 1,), "too-short": (sd - 1,), "too-wide": (3, sd + 1)}[bad]
+        shape = {"too-long": (sd + 1,), "too-short": (sd - 1,), "too-wide": (3, sd + 1), "too-deep": (2, 3, sd)}[bad]
         x = np.full(shape, 0.5)
         match = f"x must consist of vectors of length {sd}"
     with pytest.raises(ValueError, match=match):
-        query(index, x)
+        query(model, x)
 
 
 def _line_index_cases(rng):
