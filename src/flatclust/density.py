@@ -65,8 +65,8 @@ def kde_eval(model: KdeModel, x) -> float:
 
     Reference implementation: tests hold kde_eval_batch and the core-point
     sets of the clustering equal to it. Its count comes from the index's
-    kd-tree, on a line too, so kde_eval_batch's sorted runs are checked
-    against an independent path.
+    kd-tree, on a line and at any size too, so kde_eval_batch's sorted runs
+    and exact scan are checked against an independent path.
     """
     return model.index.count_within(x, model.delta) / model.normalizer
 

@@ -656,11 +656,13 @@ def _membership_flips(
 ) -> np.ndarray:
     """Per query: how many sample balls the estimation error moved across.
 
-    Brute force on purpose, so that it checks the indexed KDE counts. The
-    queries go through in tiles of _FLIP_TILE rows, whose distances to every
-    point are summed by spatial._sum_of_squares into buffers made once, one
-    contiguous coordinate column at a time: the bits of sq_dists, without
-    an array allocated per tile.
+    Brute force on purpose, so that it checks the KDE counts: at registry
+    sizes those come from GridIndex's exact scan, a separate implementation
+    of the same sq_dists predicate, and past its budget from the kd-tree.
+    The queries go through in tiles of _FLIP_TILE rows, whose distances to
+    every point are summed by spatial._sum_of_squares into buffers made
+    once, one contiguous coordinate column at a time: the bits of sq_dists,
+    without an array allocated per tile.
     """
     r2 = delta * delta
     q_cols = np.ascontiguousarray(queries.T)[:, :, None]

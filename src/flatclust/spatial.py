@@ -6,8 +6,10 @@ batched and brute-force answers agree bit for bit, closed balls and ties
 included (<=, never <). On a line, one sort counts every ball: each ball
 is a run of the sorted points, whose ends a searchsorted guess finds and
 the predicate checks, or bisects (_line_runs), so neither
-GridIndex.counts_within nor sorted_line_counts needs a tree there. Every
-other query goes to a kd-tree (Bentley 1975; `scipy.spatial.cKDTree`),
+GridIndex.counts_within nor sorted_line_counts needs a tree there. A
+small counts_within or pair_sq_dists tests every pair with the predicate,
+tile by tile, so it neither builds a tree nor imports scipy.spatial.
+Every other query goes to a kd-tree (Bentley 1975; `scipy.spatial.cKDTree`),
 which only prefilters: it is asked for radii widened or narrowed by a
 relative slack, and every point it cannot settle goes to the predicate.
 Approximate neighbor answers are not allowed anywhere in the pipeline.
@@ -16,6 +18,8 @@ Approximate neighbor answers are not allowed anywhere in the pipeline.
 from __future__ import annotations
 
 import numpy as np
+
+from ._ufuncs import row_loops
 
 __all__ = [
     "GridIndex",
@@ -32,8 +36,22 @@ __all__ = [
 # surely within r and every point within r is a tree hit at r * (1 + SLACK).
 SLACK = 1e-9
 
-# Candidate pairs per block of pair_sq_dists' coordinate gathers.
+# Candidate pairs per block of pair_sq_dists' coordinate gathers, and
+# elements per tile of the exact scan.
 _PAIR_BLOCK = 1 << 16
+
+# Work, in coordinate differences (pair tests x dim), up to which
+# counts_within off a line and pair_sq_dists test every pair instead of
+# asking the kd-tree, so they need neither the tree nor scipy.spatial's
+# import (GridIndex._kdtree). A scan costs its work whatever the answer; the
+# tree's cost grows with the answer. On uniform points at sd 1-16 (2-core
+# Xeon, scipy 1.17, import excluded), at 2^20 a count scan took 0.9-1.4 ms
+# against 4.0-5.6 ms for the tree built and asked, and a pair scan 2.5-7.4
+# ms against 0.7-19 ms from sparse to dense answers; at 2^22 a pair scan
+# took 9-35 ms. The experiment registry's indexes, up to 2^19, sit inside.
+# The benchmark's series_tree pair pass, 499,500 pairs at sd 8 (about
+# 2^22), sits outside: there the scan took 10.6 ms and the tree 6.0 ms.
+_SCAN_BUDGET = 1 << 20
 
 
 def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,6 +81,16 @@ def _sum_of_squares(diffs, out: np.ndarray | None = None) -> np.ndarray:
             diff *= diff
             out += diff
     return out
+
+
+def _tile_sq(a_cols: np.ndarray, b_cols: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[t, c] = sq_dists(a[t], b[c]) from coordinate columns a_cols (dim, h) and b_cols (dim, w).
+
+    The differences go through the (h, w) buffer diff, so a tile allocates
+    nothing. fl(a - b) is -fl(b - a), so the order of the operands keeps
+    every square, and every sum, bit for bit.
+    """
+    return _sum_of_squares((np.subtract(a[:, None], b, out=diff) for a, b in zip(a_cols, b_cols)), out=out)
 
 
 def checked_points(points) -> np.ndarray:
@@ -172,21 +200,29 @@ class GridIndex:
 
     A kd-tree prefilters and sq_dists refilters. On a line counts_within
     reads each ball as a run of the sorted points (_line_runs) instead, and
-    the tree is built only if another query asks for it.
+    a counts_within off a line or a pair_sq_dists whose work is within
+    _SCAN_BUDGET tests every pair with the predicate (_scan_counts,
+    _scan_pairs). __init__ builds the tree only when the points' own pair
+    pass is past the budget; otherwise the first query that needs it does.
     """
 
     def __init__(self, points: np.ndarray):
         points = checked_points(points)
         self.points = points
         self._tree = None
-        self._sorted = np.sort(points[:, 0]) if points.shape[1] == 1 else None
-        if self._sorted is None:
+        n, dim = points.shape
+        self._sorted = np.sort(points[:, 0]) if dim == 1 else None
+        if self._sorted is None and not self._scans(n * (n - 1) // 2):
             self._kdtree()
 
+    def _scans(self, tests: int) -> bool:
+        """Whether `tests` pair tests over the points' dimension are within _SCAN_BUDGET."""
+        return tests * self.points.shape[1] <= _SCAN_BUDGET
+
     def _kdtree(self):
-        """The kd-tree over the points; __init__ builds it off a line, the first query needing it on one."""
+        """The kd-tree over the points, built by __init__ or by the first query that needs it."""
         if self._tree is None:
-            # deferred: importing scipy.spatial takes about 0.4 s and 38 MB of resident
+            # deferred: importing scipy.spatial takes about 0.35 s and 35 MB of resident
             # memory (2-core Xeon, scipy 1.17), which `import flatclust` does not pay
             from scipy.spatial import cKDTree
 
@@ -206,27 +242,55 @@ class GridIndex:
     def counts_within(self, queries: np.ndarray, r: float) -> np.ndarray:
         """Ball counts |B(q, r)| for every row q of queries.
 
-        On a line each count is the length of the query's run. Otherwise the
-        tree counts each ball at r * (1 - SLACK), all surely inside, and at
-        r * (1 + SLACK), a superset; where the two agree that is the count.
-        Only the rows that differ fetch their candidates for the exact
-        refilter, so no full pair list is ever built.
+        On a line each count is the length of the query's run. Within the
+        scan budget every (query, point) pair is tested (_scan_counts).
+        Otherwise the tree counts each ball at r * (1 - SLACK), all surely
+        inside, and at r * (1 + SLACK), a superset; where the two agree that
+        is the count. Only the rows that differ fetch their candidates for
+        the exact refilter, so no full pair list is ever built.
         """
         r = _checked_radius(r)
         queries = _checked_queries(np.atleast_2d(queries), self.points.shape[1])
         if self._sorted is not None:
             first, stop = _line_runs(self._sorted, queries[:, 0], r)
             return stop - first
-        lo = self._tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
-        hi = self._tree.query_ball_point(queries, r * (1.0 + SLACK), return_length=True)
+        if self._scans(queries.shape[0] * self.points.shape[0]):
+            return self._scan_counts(queries, r)
+        tree = self._kdtree()
+        lo = tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
+        hi = tree.query_ball_point(queries, r * (1.0 + SLACK), return_length=True)
         counts = np.asarray(lo, dtype=np.intp)
         rows = np.nonzero(lo != hi)[0]
         if rows.size:
-            cand = self._tree.query_ball_point(queries[rows], r * (1.0 + SLACK))
+            cand = tree.query_ball_point(queries[rows], r * (1.0 + SLACK))
             owner = np.repeat(rows, [len(c) for c in cand])
             idx = np.concatenate(cand).astype(np.intp)
             inside = sq_dists(self.points[idx], queries[owner]) <= r * r
             counts[rows] = np.bincount(owner[inside], minlength=queries.shape[0])[rows]
+        return counts
+
+    def _scan_counts(self, queries: np.ndarray, r: float) -> np.ndarray:
+        """counts_within by testing every (query, point) pair with the sq_dists predicate.
+
+        Tiles of at most _PAIR_BLOCK pairs go through _tile_sq into buffers
+        made once, so besides a coordinate-major copy of the points the call
+        holds its tile buffers and the counts.
+        """
+        n = self.points.shape[0]
+        width = min(n, _PAIR_BLOCK)
+        rows = max(1, min(queries.shape[0], _PAIR_BLOCK // width))
+        columns = np.ascontiguousarray(self.points.T)
+        diff, sq = np.empty((2, rows, width))
+        inside = np.empty((rows, width), dtype=bool)
+        counts = np.zeros(queries.shape[0], dtype=np.intp)
+        with row_loops(width):  # each query's row of differences is one inner loop
+            for lo in range(0, queries.shape[0], rows):
+                block = queries[lo : lo + rows].T
+                for start in range(0, n, width):
+                    tile = (slice(0, block.shape[1]), slice(0, min(width, n - start)))
+                    _tile_sq(block, columns[:, start : start + width], diff[tile], sq[tile])
+                    np.less_equal(sq[tile], r * r, out=inside[tile])
+                    counts[lo : lo + block.shape[1]] += np.count_nonzero(inside[tile], axis=1)
         return counts
 
     def counts_within_all(self, r: float) -> np.ndarray:
@@ -236,14 +300,15 @@ class GridIndex:
     def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, sq) of every index pair with |p_src - p_dst| <= r.
 
-        Each pair is listed once, src < dst, in the tree's own order: no
-        caller needs another.
+        Each pair is listed once, src < dst, in the tree's own order or, on
+        the scan path, ascending by src then dst: no caller needs another.
         src and dst are int32 while the point count fits, np.intp otherwise.
         sq holds each pair's sq_dists value, so any smaller radius r'
-        selects its own pairs exactly by `sq <= r' * r'`. The tree is asked
-        once, and the refilter gathers one coordinate column at a time: the
-        same rounded operations as sq_dists(p[src], p[dst]), without
-        gathering whole rows.
+        selects its own pairs exactly by `sq <= r' * r'`. Within the scan
+        budget every pair is tested (_scan_pairs). Otherwise the tree is
+        asked once, and the refilter gathers one coordinate column at a
+        time: the same rounded operations as sq_dists(p[src], p[dst]),
+        without gathering whole rows.
 
         Per candidate pair the refilter holds src and dst, 4 bytes each
         while n fits in int32, and sq, 8 bytes. The tree's own (P, 2) pair
@@ -255,6 +320,8 @@ class GridIndex:
         r = _checked_radius(r)
         n = self.points.shape[0]
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        if self._scans(n * (n - 1) // 2):
+            return self._scan_pairs(r, index)
         pairs = self._kdtree().query_pairs(r * (1.0 + SLACK), output_type="ndarray")
         src = pairs[:, 0].astype(index)
         dst = pairs[:, 1].astype(index)
@@ -277,3 +344,47 @@ class GridIndex:
         src = src[keep]  # one copy at a time
         dst = dst[keep]
         return src, dst, sq[keep]
+
+    def _scan_pairs(self, r: float, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """pair_sq_dists by testing every pair i < j with the sq_dists predicate.
+
+        Row strips, each against every later point, go through _tile_sq in
+        tiles of at most _PAIR_BLOCK pairs (one row, if longer), into
+        buffers made once. The strips run twice: first to count the pairs
+        within r, then to write them into arrays of exactly that size. So
+        besides a coordinate-major copy of the points the call holds its
+        tile buffers and the kept pairs, 4 + 4 + 8 bytes each while n fits
+        in int32, and nothing per pair tested.
+        """
+        n = self.points.shape[0]
+        rows = max(1, _PAIR_BLOCK // max(1, n - 1))
+        columns = np.ascontiguousarray(self.points.T)
+        diff, sq = np.empty((2, min(rows, n - 1) * (n - 1)))
+        inside = np.empty(sq.size, dtype=bool)
+        later = np.tri(min(rows, n - 1), dtype=bool).T  # (t, c) with c >= t
+
+        def strips():
+            for lo in range(0, n - 1, rows):
+                # rows lo..lo+h-1 against points lo+1..n-1: (t, c) is the pair (lo + t, lo + 1 + c)
+                h, w = min(rows, n - 1 - lo), n - 1 - lo
+                d, s, keep = (buf[: h * w].reshape(h, w) for buf in (diff, sq, inside))
+                _tile_sq(columns[:, lo : lo + h], columns[:, lo + 1 :], d, s)
+                np.less_equal(s, r * r, out=keep)
+                keep[:, :h] &= later[:h, :h]  # each pair once, j > i
+                yield lo, s, keep
+
+        with row_loops(n - 1):  # each row's differences to the later points are one inner loop
+            size = sum(int(np.count_nonzero(keep)) for _, _, keep in strips())
+            src, dst, out = np.empty(size, dtype=index), np.empty(size, dtype=index), np.empty(size)
+            at = 0
+            for lo, s, keep in strips():
+                flat = np.flatnonzero(keep)  # t * w + c
+                t = np.repeat(np.arange(keep.shape[0]), np.count_nonzero(keep, axis=1))
+                stop = at + flat.size
+                np.take(s.ravel(), flat, out=out[at:stop], mode="clip")  # "clip": see pair_sq_dists
+                np.add(t, lo, out=src[at:stop], casting="unsafe")
+                t *= keep.shape[1]
+                flat -= t
+                np.add(flat, lo + 1, out=dst[at:stop], casting="unsafe")
+                at = stop
+        return src, dst, out

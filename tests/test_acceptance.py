@@ -67,6 +67,7 @@ def _random_instances(seed, count, max_n=500):
         yield pts, k, delta
 
 
+@pytest.mark.usefixtures("index_path")
 def test_c01_dbscan_equals_bruteforce_oracle():
     t0 = time.monotonic()
     mismatches = 0
@@ -82,6 +83,7 @@ def test_c01_dbscan_equals_bruteforce_oracle():
     )
 
 
+@pytest.mark.usefixtures("index_path")
 def test_c02_ball_union_equals_dbscan_components():
     mismatches = 0
     rng = np.random.default_rng(102)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatclust import clustering
+from flatclust import clustering, spatial
 from flatclust.clustering import (
     NOISE,
     _ladder_roots,
@@ -356,6 +356,7 @@ def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
     # a pair here for its first level.
     rng = np.random.default_rng(60 + sd)
     pts = rng.uniform(0.0, 1.0, size=(n, sd))
+    assert n * (n - 1) // 2 * sd > spatial._SCAN_BUDGET  # the pairs come from the tree, not the scan
     index = GridIndex(pts)
     pairs = index.pair_sq_dists(2 * delta)[0].size
     assert pairs >= 10**5

@@ -47,6 +47,7 @@ class TestKdeEval:
         with pytest.raises(ValueError):
             kde_eval(model, [0.5])
 
+    @pytest.mark.usefixtures("index_path")
     def test_index_matches_full_scan_on_random_queries(self):
         rng = np.random.default_rng(12)
         pts = rng.uniform(0, 1, size=(400, 2))
@@ -54,14 +55,18 @@ class TestKdeEval:
         model = KdeModel(pts, delta=delta)
         queries = rng.uniform(-delta, 1 + delta, size=(1000, 2))
         norm = model.normalizer
+        want = []
         for q in queries:
             diff = pts - q
-            count = int(np.count_nonzero(np.einsum("ij,ij->i", diff, diff) <= delta * delta))
-            assert kde_eval(model, q) == count / norm
+            want.append(int(np.count_nonzero(np.einsum("ij,ij->i", diff, diff) <= delta * delta)))
+            assert kde_eval(model, q) == want[-1] / norm
+        assert np.array_equal(kde_counts_batch(model, queries), want)
 
+    @pytest.mark.usefixtures("index_path")
     @pytest.mark.parametrize("sd", [1, 3])
     def test_batch_matches_single(self, sd):
-        # on a line the batch counts sorted runs and kde_eval asks the kd-tree
+        # on a line the batch counts sorted runs, off it it scans or asks the
+        # kd-tree, and kde_eval always asks the kd-tree
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 1, size=(257, sd))
         model = KdeModel(pts, delta=0.2)
@@ -70,6 +75,7 @@ class TestKdeEval:
         single = np.array([kde_eval(model, q) for q in queries])
         assert np.array_equal(batch, single)
 
+    @pytest.mark.usefixtures("index_path")
     def test_normalization_monte_carlo(self):
         rng = np.random.default_rng(14)
         pts = rng.uniform(0, 1, size=(150, 2))

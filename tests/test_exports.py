@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import flatclust
+from flatclust import spatial
 
 
 def test_every_exported_name_resolves():
@@ -51,25 +52,38 @@ def _loads_csgraph(loaded: list[str]) -> bool:
     return any(m.split(".")[:3] == ["scipy", "sparse", "csgraph"] for m in loaded)
 
 
-def test_tree_command_loads_no_csgraph(tmp_path):
-    """`flatclust tree` labels its levels without scipy.sparse.csgraph, and still clusters through scipy.spatial."""
+def _tree_command_modules(tmp_path, n: int) -> list[str]:
+    """The scipy modules `flatclust tree` loads on n series of 32 observations, flattened to sd = 4."""
     from flatclust.io import emit_series_csv, write_json_document
     from flatclust.synthetic import lipschitz_family, sample_raw_series
 
-    raws, _, _ = sample_raw_series(lipschitz_family(d=4, eps_bar=0.02), 24, 32, seed=14)
+    raws, _, _ = sample_raw_series(lipschitz_family(d=4, eps_bar=0.02), n, 32, seed=14)
     emit_series_csv(tmp_path / "series.csv", raws)
     write_json_document(tmp_path / "config.json", {"s": 1, "d": 4, "delta": 0.1, "k": 3, "k_ladder": [6, 3, 1]})
     argv = ["tree", "--config", "config.json", "--input", "series.csv", "--outdir", "out"]
     tree = f"import os; os.chdir({str(tmp_path)!r}); from flatclust.cli import main; assert main({argv!r}) == 0"
-    loaded = _scipy_modules_after(tree)
-    assert "scipy.spatial" in loaded  # the probe clustered off a line, through the pair pass
+    return _scipy_modules_after(tree)
+
+
+def test_tree_command_loads_no_csgraph(tmp_path):
+    """`flatclust tree` labels its levels without scipy.sparse.csgraph, and still clusters through scipy.spatial."""
+    n = 800
+    assert n * (n - 1) // 2 * 4 > spatial._SCAN_BUDGET  # past the scan budget, the pair pass asks the kd-tree
+    loaded = _tree_command_modules(tmp_path, n)
+    assert "scipy.spatial" in loaded  # the probe clustered off a line, through the tree
     assert not _loads_csgraph(loaded)
 
 
-def test_no_experiment_loads_scipy_optimize():
-    """Every registered experiment at its pinned config leaves scipy.optimize and scipy.sparse.csgraph unloaded.
+def test_small_tree_command_loads_no_scipy(tmp_path):
+    """On 24 series the pair pass is within the scan budget, so `flatclust tree` loads no scipy at all."""
+    assert _tree_command_modules(tmp_path, 24) == []
 
-    compensating loads no scipy at all.
+
+def test_no_experiment_loads_scipy_optimize():
+    """Every registered experiment at its pinned config leaves scipy.optimize, scipy.sparse.csgraph and scipy.spatial unloaded.
+
+    Their only indexes off a line are within GridIndex's scan budget, so no
+    kd-tree is built. compensating loads no scipy at all.
     """
     pinned = Path(__file__).parent / "pinned_reports.json"
     run_all = (
@@ -78,7 +92,8 @@ def test_no_experiment_loads_scipy_optimize():
         "    run_experiment(name, pin['config'])"
     )
     loaded = _scipy_modules_after(run_all)
-    assert "scipy.spatial" in loaded  # the probe ran the experiments that need scipy
+    assert "scipy.special" in loaded  # the probe ran sym_diff_mc, whose betainc needs scipy
+    assert "scipy.spatial" not in loaded
     assert [m for m in loaded if m.split(".")[:2] == ["scipy", "optimize"]] == []
     assert not _loads_csgraph(loaded)
     pin = json.loads(pinned.read_text())["reports"]["compensating"]["config"]

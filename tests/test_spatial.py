@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,7 @@ def test_index_equals_brute_force_exactly():
             assert index.count_within(x, r) == brute_count_within(pts, x, r)
 
 
+@pytest.mark.usefixtures("index_path")
 def test_boundary_ties_are_included_identically():
     # queries placed exactly at radius distance from stored points
     pts = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.4], [1.0, 1.0]])
@@ -102,6 +106,7 @@ def test_boundary_ties_are_included_identically():
     assert set(zip(src.tolist(), dst.tolist())) == {(0, 1), (0, 2), (1, 2)}
 
 
+@pytest.mark.usefixtures("index_path")
 def test_counts_within_all_matches_per_point_queries():
     rng = np.random.default_rng(32)
     for _ in range(15):
@@ -118,6 +123,7 @@ def test_counts_within_all_matches_per_point_queries():
         assert src.size == (want.sum() - n) // 2
 
 
+@pytest.mark.usefixtures("index_path")
 def test_high_dimension_matches_brute_force():
     rng = np.random.default_rng(33)
     for dim in (12, 16):
@@ -131,6 +137,7 @@ def test_high_dimension_matches_brute_force():
             assert np.array_equal(index.counts_within_all(r), want)
 
 
+@pytest.mark.usefixtures("index_path")
 @pytest.mark.parametrize("sd", [1, 2, 3, 4, 8, 16])
 def test_lattice_ties_every_path_agrees(sd):
     # Coordinates and radii on a 0.1 lattice put many pairs at exactly the
@@ -210,6 +217,7 @@ def _hard_point_sets(rng, sd):
     yield far, 1e-7
 
 
+@pytest.mark.usefixtures("index_path")
 @pytest.mark.parametrize("sd", [1, 2, 3, 8])
 def test_counts_from_one_pass_equal_every_counting_path(sd):
     # the counts cluster_tree takes from its one pair query (or, on a line,
@@ -224,6 +232,93 @@ def test_counts_from_one_pass_equal_every_counting_path(sd):
         if sd == 1:
             order = np.argsort(pts[:, 0], kind="stable")
             assert np.array_equal(sorted_line_counts(pts[order, 0], r), want[order]), case
+
+
+@pytest.mark.parametrize("sd", [2, 3, 8, 16])
+def test_scan_and_tree_answer_as_brute_force(index_path, sd):
+    # lattice ties at exactly r, duplicates, outliers and tiny spacings, with
+    # other queries than the points (q != n) and answers that are empty
+    rng = np.random.default_rng(70 + sd)
+    cases = list(_hard_point_sets(rng, sd))
+    cases.append((rng.uniform(0.0, 1.0, size=(40, sd)), 0.0))  # distinct points: no pair at r = 0
+    empty = 0
+    for case, (pts, r) in enumerate(cases):
+        queries = np.vstack([pts[::3], rng.integers(0, 11, size=(17, sd)) * 0.1, np.full((2, sd), 50.0)])
+        index = GridIndex(pts)
+        want = np.array([brute_count_within(pts, q, r) for q in queries])
+        assert np.array_equal(index.counts_within(queries, r), want), (sd, case)
+        empty += int(np.count_nonzero(want == 0))
+        src, dst, sq = index.pair_sq_dists(r)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        assert len(set(pairs)) == len(pairs) and np.all(src < dst), (sd, case)
+        assert set(pairs) == _brute_pairs(pts, r), (sd, case)
+        assert np.array_equal(sq, sq_dists(pts[src], pts[dst])), (sd, case)
+        assert src.dtype == dst.dtype == np.int32
+        assert (index._tree is None) == (index_path == "scan"), (sd, case)
+    assert empty > 0 and GridIndex(cases[-1][0]).pair_sq_dists(0.0)[0].size == 0
+
+
+def test_scan_budget_routes_each_query():
+    # work is pair tests times coordinates: the points' own pairs decide
+    # whether __init__ builds the tree, and each query's own work its path
+    rng = np.random.default_rng(42)
+    budget = spatial._SCAN_BUDGET
+    n = next(n for n in range(2, 10**4) if (n + 1) * n // 2 * 4 > budget)  # the largest n whose pairs scan
+    inside = GridIndex(rng.uniform(0.0, 1.0, size=(n, 4)))
+    assert inside._tree is None
+    inside.pair_sq_dists(0.3)
+    inside.counts_within(inside.points[: budget // (4 * n)], 0.3)
+    assert inside._tree is None
+    inside.counts_within(inside.points[: budget // (4 * n) + 1], 0.3)
+    assert inside._tree is not None
+    assert GridIndex(rng.uniform(0.0, 1.0, size=(n + 1, 4)))._tree is not None
+    line = GridIndex(rng.uniform(0.0, 1.0, size=(5000, 1)))
+    line.counts_within(line.points, 0.1)
+    assert line._tree is None  # a line counts runs of its sort, whatever the work
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 16])
+@pytest.mark.parametrize("sd", [2, 8, 16])
+def test_scan_memory_is_its_tiles_and_its_answer(monkeypatch, block, sd):
+    # pair_sq_dists holds its tile buffers and the kept pairs, 4 + 4 + 8
+    # bytes each, and counts_within its tile buffers and the counts, besides
+    # a coordinate-major copy of the points; nothing is held per pair
+    # tested, which blocks of 2^10 would show, at any size within the budget
+    monkeypatch.setattr(spatial, "_PAIR_BLOCK", block)
+    budget = spatial._SCAN_BUDGET
+    rng = np.random.default_rng(43 + sd)
+    GridIndex(rng.uniform(size=(5, sd))).pair_sq_dists(0.5)  # first-call allocations stay out of the count
+    widest = max(n for n in range(2, 2000) if n * (n - 1) // 2 * sd <= budget)
+    for n in (2, 40, widest):
+        pts = rng.uniform(0.0, 1.0, size=(n, sd))
+        index = GridIndex(pts)
+        rows = max(1, block // (n - 1))
+        tile = min(rows, n - 1) * (n - 1)
+        for r in (0.0, 0.5 * np.sqrt(sd), 2.0 * np.sqrt(sd)):  # none, some and every pair kept
+            (src, _, _), peak = _traced_peak(lambda: index.pair_sq_dists(r))
+            # diff, sq and keep buffers, the strip's index temporaries, and the points' columns
+            assert peak <= 40 * tile + 8 * n * sd + 16 * src.size + 16384, (n, r, peak, src.size)
+    square = math.isqrt(budget // sd)
+    for q, n in ((1, budget // sd), (square, square), (budget // (sd * 300), 300)):
+        pts = rng.uniform(0.0, 1.0, size=(n, sd))
+        queries = rng.uniform(0.0, 1.0, size=(q, sd))
+        index = GridIndex(pts)
+        index._tree = None  # past the budget for its own pairs, __init__ built one; the scan needs none
+        width = min(n, block)
+        tile = max(1, min(q, block // width)) * width
+        counts, peak = _traced_peak(lambda: index.counts_within(queries, 0.5))
+        assert index._tree is None
+        # diff, sq and the inside mask, the row sums' cast buffer, and the points' columns
+        assert peak <= 25 * tile + 8 * n * sd + 8 * counts.size + 16384, (q, n, peak)
 
 
 def test_sorted_line_counts_small_cases():
@@ -262,6 +357,7 @@ def test_sorted_line_counts_exact_where_searchsorted_guesses_wrong():
     assert wrong > 50  # the guesses alone would fail
 
 
+@pytest.mark.usefixtures("index_path")
 def test_pair_sq_dists_lists_each_pair_once_with_exact_sq():
     rng = np.random.default_rng(37)
     for sd in (2, 3, 8):
@@ -274,6 +370,7 @@ def test_pair_sq_dists_lists_each_pair_once_with_exact_sq():
         assert src.dtype == dst.dtype == np.int32
 
 
+@pytest.mark.usefixtures("index_path")
 @pytest.mark.parametrize("block", [1, 5, 1 << 16])
 def test_pair_sq_dists_blocks_keep_every_bit(monkeypatch, block):
     # the refilter gathers _PAIR_BLOCK candidate pairs at a time; blocks of
@@ -330,6 +427,7 @@ def _line_index_cases(rng):
     yield rng.permutation(np.arange(12) * 0.25), 0.25, np.arange(-4, 52) * 0.0625
 
 
+@pytest.mark.usefixtures("index_path")
 def test_line_index_equals_brute_force_exactly():
     rng = np.random.default_rng(41)
     for case, (xs, r, queries) in enumerate(_line_index_cases(rng)):
