@@ -12,9 +12,7 @@ from .clustering import (
     NOISE,
     ClusterTree,
     Labeling,
-    ball_union_components,
     cluster_tree,
-    components_bruteforce,
     core_points,
     dbscan_cluster,
     hartigan_disjoint,
@@ -24,7 +22,6 @@ from .density import (
     KdeModel,
     delta_schedule,
     k_of_lambda,
-    kde_eval,
     lambda_of_k,
 )
 from .geometry import ball_sym_diff_bound, ball_sym_diff_volume, ball_volume, reg_inc_beta

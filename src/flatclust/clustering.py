@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import flat_array
-from .spatial import _PAIR_BLOCK, GridIndex, checked_points, sorted_line_counts, sq_dists
+from .spatial import _PAIR_BLOCK, GridIndex, checked_points, sorted_line_counts
 
 __all__ = [
     "NOISE",
@@ -27,35 +27,12 @@ __all__ = [
     "ClusterRef",
     "core_points",
     "dbscan_cluster",
-    "ball_union_components",
     "cluster_tree",
     "smallest_containing_cluster",
     "hartigan_disjoint",
-    "components_bruteforce",
 ]
 
 NOISE = -1
-
-_BRUTE_GUARD = 5_000
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
 
 @dataclass(frozen=True)
 class Labeling:
@@ -218,29 +195,6 @@ def dbscan_cluster(points, k: int, delta: float, link_radius: float | None = Non
     return cluster_tree(points, delta, (k,), link_radius).levels[0].labeling
 
 
-def ball_union_components(core_pts, delta: float) -> list[frozenset]:
-    """Partition core points by connectivity of the union of their delta-balls.
-
-    Two closed delta-balls meet iff their centers are within 2*delta, so the
-    partition comes from that pairwise predicate over all center pairs. A
-    reference for tests: with link_radius = 2*delta, dbscan_cluster's
-    clusters must equal these components (acceptance c02).
-    """
-    pts = flat_array(core_pts)
-    n = pts.shape[0]
-    if n == 0:
-        return []
-    uf = _UnionFind(n)
-    for i in range(n):
-        touch = sq_dists(pts[i + 1 :], pts[i]) <= (2.0 * delta) ** 2
-        for off in np.nonzero(touch)[0]:
-            uf.union(i, int(i + 1 + off))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
-
-
 def _neighbour_pass(pts: np.ndarray, delta: float, link: float):
     """(counts, ladder_roots): every point's closed delta-ball count, and the roots of a k-ladder.
 
@@ -349,36 +303,3 @@ def hartigan_disjoint(tree: ClusterTree, a_indices, a_prime_indices) -> bool:
     coarse, finer_query = (ref_a, a_prime_indices) if ref_a.k <= ref_b.k else (ref_b, a_indices)
     labels = tree.levels[tree.ks.index(coarse.k)].labeling.assignments
     return int(labels[np.asarray(finer_query)[0]]) != coarse.cluster_id
-
-
-def components_bruteforce(points, k: int, delta: float, link_radius: float | None = None) -> Labeling:
-    """O(n^2) oracle: full pairwise distance matrix plus naive union-find.
-
-    A reference for tests only: dbscan_cluster's labels must equal its labels
-    bit for bit (acceptance c01).
-    """
-    pts = flat_array(points)
-    n = pts.shape[0]
-    if n > _BRUTE_GUARD:
-        raise ValueError(f"brute-force oracle refused for n={n} > {_BRUTE_GUARD}")
-    link = _checked_link((k,), delta, link_radius)
-    if n == 0:
-        return Labeling(np.empty(0, dtype=np.int64), k=k, delta=delta, link_radius=link)
-    sq = sq_dists(pts[:, None, :], pts[None, :, :])
-    counts = (sq <= delta * delta).sum(axis=1)
-    core = np.nonzero(counts >= k)[0]
-    is_core = np.zeros(n, dtype=bool)
-    is_core[core] = True
-    linked = (sq <= link * link) & np.triu(np.ones((n, n), dtype=bool), 1)
-    linked &= is_core[:, None] & is_core[None, :]
-    uf = _UnionFind(n)
-    for i, j in zip(*np.nonzero(linked)):
-        uf.union(int(i), int(j))
-    assignments = np.full(n, NOISE, dtype=np.int64)
-    root_to_id: dict[int, int] = {}
-    for i in core:  # ascending, so a root is first seen at its smallest member
-        root = uf.find(int(i))
-        if root not in root_to_id:
-            root_to_id[root] = len(root_to_id)
-        assignments[i] = root_to_id[root]
-    return Labeling(assignments=assignments, k=k, delta=delta, link_radius=link)

@@ -18,7 +18,6 @@ from .spatial import GridIndex
 
 __all__ = [
     "KdeModel",
-    "kde_eval",
     "kde_counts_batch",
     "kde_eval_batch",
     "delta_schedule",
@@ -60,29 +59,20 @@ def _normalizer(n: int, delta: float, sd: int) -> float:
     return value
 
 
-def kde_eval(model: KdeModel, x) -> float:
-    """Density estimate |B(x, delta) n sample| / (n delta^sd v_sd) at one point.
-
-    Reference implementation: tests hold kde_eval_batch and the core-point
-    sets of the clustering equal to it. Its count comes from the index's
-    kd-tree, on a line and at any size too, so kde_eval_batch's sorted runs
-    and exact scan are checked against an independent path.
-    """
-    return model.index.count_within(x, model.delta) / model.normalizer
-
-
 def kde_counts_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:
     """Ball counts |B(q, delta) n sample| for every row q of queries.
 
-    The index decides every count by the same sq_dists predicate as the
-    single-query path, so batch results equal looped kde_eval results exactly.
-    The index refuses a misshapen or non-finite query.
+    The index decides every count by the same sq_dists predicate as its
+    kd-tree single-query path, GridIndex.count_within, so batch results
+    equal looped single-query results exactly; tests hold them equal to the
+    kde_eval reference in tests/oracles.py, which takes that path. The
+    index refuses a misshapen or non-finite query.
     """
     return model.index.counts_within(queries, model.delta)
 
 
 def kde_eval_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:
-    """Vectorized kde_eval over the rows of queries."""
+    """Density estimates |B(q, delta) n sample| / (n delta^sd v_sd) for every row q of queries."""
     return kde_counts_batch(model, queries) / model.normalizer
 
 

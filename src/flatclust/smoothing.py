@@ -3,7 +3,7 @@
 The kernel window at time t is [t - gamma, t]: only past samples enter the
 estimate, so a right-continuous jump stops biasing the fit once the window
 has moved past it. A symmetric Epanechnikov kernel never sheds that bias at
-a jump and is kept here only as a reference for comparison tests.
+a jump; tests/oracles.py keeps one as a reference for comparison tests.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from .series import GridSeries, RawSeries, SeriesBatch, grid_times
 __all__ = [
     "EmptyWindowWarning",
     "kernel_le",
-    "kernel_symmetric",
     "nw_weights",
     "smooth_at",
-    "smooth_at_symmetric",
     "estimate_grid_series",
     "smooth_batch",
     "gamma_schedule",
@@ -54,13 +52,6 @@ def kernel_le(u):
     u = np.asarray(u, dtype=float)
     with np.errstate(over="ignore"):  # u*u overflows only far outside the support, where np.where drops it
         out = np.where((u >= -1.0) & (u <= 0.0), 2.0 - 2.0 * u * u, 0.0)
-    return out if out.ndim else float(out)
-
-
-def kernel_symmetric(u):
-    """Symmetric Epanechnikov kernel 0.75(1 - u^2) on [-1, 1]; a reference for tests only."""
-    u = np.asarray(u, dtype=float)
-    out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -99,18 +90,6 @@ def smooth_at(y: RawSeries, t: float, gamma: float) -> np.ndarray:
         _warn_empty(y.id, t, gamma, stacklevel=2)
         return np.zeros(y.s)
     return np.clip(w @ y.values, 0.0, 1.0)
-
-
-def smooth_at_symmetric(y: RawSeries, t: float, gamma: float) -> np.ndarray:
-    """Reference estimator with the two-sided kernel, which tests compare the left kernel against.
-
-    Not used in the pipeline.
-    """
-    raw = kernel_symmetric((t - y.times) / gamma)
-    total = raw.sum()
-    if total <= 0.0:
-        return np.zeros(y.s)
-    return (raw / total) @ y.values
 
 
 def estimate_grid_series(y: RawSeries, d: int, gamma: float) -> GridSeries:

@@ -1,11 +1,12 @@
 """Exact closed-ball queries over a fixed point set.
 
 Every answer is decided by `sq_dists(...) <= r * r`, the one
-squared-distance kernel shared with the brute-force paths, so indexed,
-batched and brute-force answers agree bit for bit, closed balls and ties
-included (<=, never <). On a line, one sort counts every ball: each ball
-is a run of the sorted points, whose ends a searchsorted guess finds and
-the predicate checks, or bisects (_line_runs), so neither
+squared-distance kernel, which the brute-force references in
+tests/oracles.py use too, so indexed, batched and brute-force answers
+agree bit for bit, closed balls and ties included (<=, never <). On a
+line, one sort counts every ball: each ball is a run of the sorted
+points, whose ends a searchsorted guess finds and the predicate checks,
+or bisects (_line_runs), so neither
 GridIndex.counts_within nor sorted_line_counts needs a tree there. A
 small counts_within or pair_sq_dists tests every pair with the predicate,
 tile by tile, so it neither builds a tree nor imports scipy.spatial.
@@ -26,8 +27,6 @@ __all__ = [
     "sq_dists",
     "checked_points",
     "sorted_line_counts",
-    "brute_indices_within",
-    "brute_count_within",
 ]
 
 # Relative radius slack of the kd prefilter. The tree's own distance
@@ -111,21 +110,6 @@ def _checked_radius(r) -> float:
     return r
 
 
-def brute_indices_within(points: np.ndarray, x, r: float) -> np.ndarray:
-    """Indices of all points with |p - x| <= r, by full scan.
-
-    The reference GridIndex.indices_within is tested against.
-    """
-    r = _checked_radius(r)
-    return np.nonzero(sq_dists(points, x) <= r * r)[0]
-
-
-def brute_count_within(points: np.ndarray, x, r: float) -> int:
-    """|B(x, r)| by full scan: the reference GridIndex's counts are tested against."""
-    r = _checked_radius(r)
-    return int(np.count_nonzero(sq_dists(points, x) <= r * r))
-
-
 def _checked_queries(x, dim: int, single: bool = False) -> np.ndarray:
     """x as float query vectors of length dim, refused as cKDTree refuses them when misshapen or non-finite.
 
@@ -202,25 +186,21 @@ class GridIndex:
     reads each ball as a run of the sorted points (_line_runs) instead, and
     a counts_within off a line or a pair_sq_dists whose work is within
     _SCAN_BUDGET tests every pair with the predicate (_scan_counts,
-    _scan_pairs). __init__ builds the tree only when the points' own pair
-    pass is past the budget; otherwise the first query that needs it does.
+    _scan_pairs). The first query that needs the tree builds it.
     """
 
     def __init__(self, points: np.ndarray):
         points = checked_points(points)
         self.points = points
         self._tree = None
-        n, dim = points.shape
-        self._sorted = np.sort(points[:, 0]) if dim == 1 else None
-        if self._sorted is None and not self._scans(n * (n - 1) // 2):
-            self._kdtree()
+        self._sorted = np.sort(points[:, 0]) if points.shape[1] == 1 else None
 
     def _scans(self, tests: int) -> bool:
         """Whether `tests` pair tests over the points' dimension are within _SCAN_BUDGET."""
         return tests * self.points.shape[1] <= _SCAN_BUDGET
 
     def _kdtree(self):
-        """The kd-tree over the points, built by __init__ or by the first query that needs it."""
+        """The kd-tree over the points, built by the first query that needs it."""
         if self._tree is None:
             # deferred: importing scipy.spatial takes about 0.35 s and 35 MB of resident
             # memory (2-core Xeon, scipy 1.17), which `import flatclust` does not pay

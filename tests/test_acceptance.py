@@ -15,13 +15,11 @@ from scipy.special import lambertw
 
 from flatclust.clustering import (
     NOISE,
-    ball_union_components,
     cluster_tree,
-    components_bruteforce,
     core_points,
     dbscan_cluster,
 )
-from flatclust.density import KdeModel, delta_schedule, k_of_lambda, kde_eval, lambda_of_k
+from flatclust.density import KdeModel, delta_schedule, k_of_lambda, lambda_of_k
 from flatclust.experiments import (
     CompensatingConfig,
     GridResolutionConfig,
@@ -49,6 +47,7 @@ from flatclust.io import (
     write_json_document,
 )
 from flatclust.synthetic import lipschitz_family, sample_raw_series, two_bump_mixture_1d
+from oracles import ball_union_components, components_bruteforce, kde_eval
 
 
 def _report(label: str, ok: bool, detail: str) -> bool:

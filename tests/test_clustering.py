@@ -11,17 +11,16 @@ from flatclust.clustering import (
     NOISE,
     _ladder_roots,
     _neighbour_pass,
-    ball_union_components,
     cluster_tree,
-    components_bruteforce,
     core_points,
     dbscan_cluster,
     hartigan_disjoint,
     smallest_containing_cluster,
 )
-from flatclust.density import KdeModel, kde_eval, lambda_of_k
+from flatclust.density import KdeModel, lambda_of_k
 from flatclust.spatial import GridIndex, sq_dists
 from flatclust.synthetic import two_bump_mixture_1d
+from oracles import ball_union_components, components_bruteforce, kde_eval
 
 
 def _random_instance(rng, max_n=200, max_sd=4):

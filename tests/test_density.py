@@ -12,12 +12,12 @@ from flatclust.density import (
     evaluation_lattice,
     k_of_lambda,
     kde_counts_batch,
-    kde_eval,
     kde_eval_batch,
     lambda_of_k,
 )
 from flatclust.geometry import ball_volume
 from flatclust.synthetic import two_bump_mixture_1d
+from oracles import kde_eval
 
 
 class TestKdeEval:

@@ -48,6 +48,82 @@ def test_import_loads_no_scipy(module):
     assert _scipy_modules_after(f"import {module}") == []
 
 
+def test_counts_within_the_scan_budget_load_no_scipy_spatial():
+    """A KdeModel past the scan budget for its own pairs builds no kd-tree for counts within it."""
+    counts = (
+        "import numpy as np\n"
+        "from flatclust import spatial\n"
+        "from flatclust.density import KdeModel, kde_counts_batch\n"
+        "pts = np.random.default_rng(0).uniform(size=(2000, 2))\n"
+        "assert 2000 * 1999 // 2 * 2 > spatial._SCAN_BUDGET >= 100 * 2000 * 2\n"
+        "model = KdeModel(pts, 0.05)\n"
+        "assert kde_counts_batch(model, pts[:100]).min() >= 1 and model.index._tree is None"
+    )
+    assert "scipy.spatial" not in _scipy_modules_after(counts)
+
+
+ORACLE_IMPORTS = {
+    "sq_dists",
+    "_checked_link",
+    "_checked_radius",
+    "flat_array",
+    "Labeling",
+    "NOISE",
+    "RawSeries",
+    "KdeModel",
+}
+
+
+def test_oracles_stay_apart_from_the_code_they_check():
+    """tests/oracles.py imports from flatclust only the kernel, checks and data types; no module holds an oracle.
+
+    The one path into the code under test is kde_eval's model.index.count_within,
+    the kd-tree single-query path, which no pipeline query takes.
+    """
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "flatclust" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "flatclust":
+            assert node.module != "flatclust"  # every name from its own module
+            imported |= {alias.name for alias in node.names}
+    assert imported <= ORACLE_IMPORTS
+    index_calls = {
+        (fn.name, node.attr)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "index"
+    }
+    assert index_calls == {("kde_eval", "count_within")}
+    oracles = {
+        node.name if not isinstance(node, ast.Assign) else node.targets[0].id
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign))
+    }
+    assert oracles == {
+        "_BRUTE_GUARD",
+        "_UnionFind",
+        "ball_union_components",
+        "components_bruteforce",
+        "kernel_symmetric",
+        "smooth_at_symmetric",
+        "kde_eval",
+        "brute_indices_within",
+        "brute_count_within",
+    }
+    names = pkgutil.iter_modules(flatclust.__path__)
+    modules = [flatclust] + [importlib.import_module(f"flatclust.{m.name}") for m in names if m.name != "__main__"]
+    held = {
+        (mod.__name__, name)
+        for mod in modules
+        for name in oracles
+        if hasattr(mod, name) or name in getattr(mod, "__all__", ())
+    }
+    assert held == set()
+
+
 def _loads_csgraph(loaded: list[str]) -> bool:
     return any(m.split(".")[:3] == ["scipy", "sparse", "csgraph"] for m in loaded)
 

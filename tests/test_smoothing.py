@@ -19,12 +19,11 @@ from flatclust.smoothing import (
     estimate_grid_series,
     gamma_schedule,
     kernel_le,
-    kernel_symmetric,
     nw_weights,
     smooth_at,
-    smooth_at_symmetric,
     smooth_batch,
 )
+from oracles import kernel_symmetric, smooth_at_symmetric
 
 
 class TestKernel:

@@ -5,16 +5,10 @@ import numpy as np
 import pytest
 
 from flatclust import spatial
-from flatclust.clustering import _neighbour_pass, cluster_tree, components_bruteforce, dbscan_cluster
-from flatclust.density import KdeModel, kde_counts_batch, kde_eval
-from flatclust.spatial import (
-    GridIndex,
-    _sum_of_squares,
-    brute_count_within,
-    brute_indices_within,
-    sorted_line_counts,
-    sq_dists,
-)
+from flatclust.clustering import _neighbour_pass, cluster_tree, dbscan_cluster
+from flatclust.density import KdeModel, kde_counts_batch
+from flatclust.spatial import GridIndex, _sum_of_squares, sorted_line_counts, sq_dists
+from oracles import brute_count_within, brute_indices_within, components_bruteforce, kde_eval
 
 
 def _brute_pairs(pts, r):
@@ -259,8 +253,8 @@ def test_scan_and_tree_answer_as_brute_force(index_path, sd):
 
 
 def test_scan_budget_routes_each_query():
-    # work is pair tests times coordinates: the points' own pairs decide
-    # whether __init__ builds the tree, and each query's own work its path
+    # work is pair tests times coordinates: each query's own work decides
+    # its path, and only a query past the budget builds the tree
     rng = np.random.default_rng(42)
     budget = spatial._SCAN_BUDGET
     n = next(n for n in range(2, 10**4) if (n + 1) * n // 2 * 4 > budget)  # the largest n whose pairs scan
@@ -271,7 +265,10 @@ def test_scan_budget_routes_each_query():
     assert inside._tree is None
     inside.counts_within(inside.points[: budget // (4 * n) + 1], 0.3)
     assert inside._tree is not None
-    assert GridIndex(rng.uniform(0.0, 1.0, size=(n + 1, 4)))._tree is not None
+    outside = GridIndex(rng.uniform(0.0, 1.0, size=(n + 1, 4)))
+    assert outside._tree is None
+    outside.pair_sq_dists(0.3)
+    assert outside._tree is not None
     line = GridIndex(rng.uniform(0.0, 1.0, size=(5000, 1)))
     line.counts_within(line.points, 0.1)
     assert line._tree is None  # a line counts runs of its sort, whatever the work
