@@ -63,8 +63,8 @@ def kde_counts_batch(model: KdeModel, queries: np.ndarray) -> np.ndarray:
     """Ball counts |B(q, delta) n sample| for every row q of queries.
 
     The index decides every count by the same sq_dists predicate as its
-    kd-tree single-query path, GridIndex.count_within, so batch results
-    equal looped single-query results exactly; tests hold them equal to the
+    single-query scan, GridIndex.count_within, so batch results equal
+    looped single-query results exactly; tests hold them equal to the
     kde_eval reference in tests/oracles.py, which takes that path. The
     index refuses a misshapen or non-finite query.
     """

@@ -4,19 +4,18 @@ Every answer is decided by `sq_dists(...) <= r * r`, the one
 squared-distance kernel, which the brute-force references in
 tests/oracles.py use too, so indexed, batched and brute-force answers
 agree bit for bit, closed balls and ties included (<=, never <). On a
-line, one sort counts every ball: each ball is a run of the sorted
-points, whose ends a searchsorted guess finds and the predicate checks,
-or bisects (_line_runs), so neither
-GridIndex.counts_within nor sorted_line_counts needs a tree there. A
-small counts_within or pair_sq_dists tests every pair with the predicate,
-tile by tile, so it neither builds a tree nor imports scipy.spatial.
-Every other query goes to a kd-tree (Bentley 1975; `scipy.spatial.cKDTree`),
-which only prefilters: it is asked for radii widened or narrowed by a
-relative slack, and every point it cannot settle goes to the predicate.
-Approximate neighbor answers are not allowed anywhere in the pipeline.
+line each ball is a run of the sorted points, whose ends a searchsorted
+guess finds and the predicate checks, or bisects (_line_runs). Off a line
+GridIndex sweeps bands, a fixed-radius sweep as in Bentley, Stanat &
+Williams (1977): each point's band, all of the points or its run on one
+sorted coordinate, holds its ball, and tiles of rows test the bands with
+the predicate. No answer anywhere in the pipeline is approximate.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -29,27 +28,15 @@ __all__ = [
     "sorted_line_counts",
 ]
 
-# Relative radius slack of the kd prefilter. The tree's own distance
-# arithmetic differs from sq_dists by a few ulps of the distance (about
-# 1e-15 relative), far inside 1e-9, so a tree hit at r * (1 - SLACK) is
-# surely within r and every point within r is a tree hit at r * (1 + SLACK).
-SLACK = 1e-9
-
-# Candidate pairs per block of pair_sq_dists' coordinate gathers, and
-# elements per tile of the exact scan.
+# Pair tests per tile of the sweep, and pairs per block of clustering's union-find.
 _PAIR_BLOCK = 1 << 16
 
-# Work, in coordinate differences (pair tests x dim), up to which
-# counts_within off a line and pair_sq_dists test every pair instead of
-# asking the kd-tree, so they need neither the tree nor scipy.spatial's
-# import (GridIndex._kdtree). A scan costs its work whatever the answer; the
-# tree's cost grows with the answer. On uniform points at sd 1-16 (2-core
-# Xeon, scipy 1.17, import excluded), at 2^20 a count scan took 0.9-1.4 ms
-# against 4.0-5.6 ms for the tree built and asked, and a pair scan 2.5-7.4
-# ms against 0.7-19 ms from sparse to dense answers; at 2^22 a pair scan
-# took 9-35 ms. The experiment registry's indexes, up to 2^19, sit inside.
-# The benchmark's series_tree pair pass, 499,500 pairs at sd 8 (about
-# 2^22), sits outside: there the scan took 10.6 ms and the tree 6.0 ms.
+# Work, in coordinate differences (pair tests x dim), up to which the sweep
+# tests every pair with no sort: each band is all of the points. Past it the
+# sweep sorts, which costs O(n log n) before any test. A whole-band count
+# took 0.9-1.4 ms at 2^20 on uniform points at sd 1-16 (2-core Xeon). The
+# experiment registry's indexes, up to 2^19, sit inside; the benchmark's
+# series_tree pair pass, 499,500 pairs at sd 8 (about 2^22), sits outside.
 _SCAN_BUDGET = 1 << 20
 
 
@@ -111,7 +98,7 @@ def _checked_radius(r) -> float:
 
 
 def _checked_queries(x, dim: int, single: bool = False) -> np.ndarray:
-    """x as float query vectors of length dim, refused as cKDTree refuses them when misshapen or non-finite.
+    """x as float query vectors of length dim; a misshapen or non-finite query is an error.
 
     A single query is one vector of shape (dim,); otherwise a (q, dim) array.
     """
@@ -182,39 +169,21 @@ def sorted_line_counts(xs: np.ndarray, r: float) -> np.ndarray:
 class GridIndex:
     """Exact radius queries over a fixed point set.
 
-    A kd-tree prefilters and sq_dists refilters. On a line counts_within
-    reads each ball as a run of the sorted points (_line_runs) instead, and
-    a counts_within off a line or a pair_sq_dists whose work is within
-    _SCAN_BUDGET tests every pair with the predicate (_scan_counts,
-    _scan_pairs). The first query that needs the tree builds it.
+    On a line counts_within reads each ball as a run of the sorted points
+    (_line_runs). Off a line counts_within and pair_sq_dists sweep bands
+    (_layout, _sweep), and a single query scans every point.
     """
 
     def __init__(self, points: np.ndarray):
         points = checked_points(points)
         self.points = points
-        self._tree = None
         self._sorted = np.sort(points[:, 0]) if points.shape[1] == 1 else None
-
-    def _scans(self, tests: int) -> bool:
-        """Whether `tests` pair tests over the points' dimension are within _SCAN_BUDGET."""
-        return tests * self.points.shape[1] <= _SCAN_BUDGET
-
-    def _kdtree(self):
-        """The kd-tree over the points, built by the first query that needs it."""
-        if self._tree is None:
-            # deferred: importing scipy.spatial takes about 0.35 s and 35 MB of resident
-            # memory (2-core Xeon, scipy 1.17), which `import flatclust` does not pay
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self.points)
-        return self._tree
 
     def indices_within(self, x, r: float) -> np.ndarray:
         """Indices (ascending) of all points with |p - x| <= r."""
         r = _checked_radius(r)
         x = _checked_queries(x, self.points.shape[1], single=True)
-        cand = np.asarray(self._kdtree().query_ball_point(x, r * (1.0 + SLACK)), dtype=np.intp)
-        return np.sort(cand[sq_dists(self.points[cand], x) <= r * r])
+        return np.flatnonzero(sq_dists(self.points, x) <= r * r)
 
     def count_within(self, x, r: float) -> int:
         return int(self.indices_within(x, r).size)
@@ -222,55 +191,24 @@ class GridIndex:
     def counts_within(self, queries: np.ndarray, r: float) -> np.ndarray:
         """Ball counts |B(q, r)| for every row q of queries.
 
-        On a line each count is the length of the query's run. Within the
-        scan budget every (query, point) pair is tested (_scan_counts).
-        Otherwise the tree counts each ball at r * (1 - SLACK), all surely
-        inside, and at r * (1 + SLACK), a superset; where the two agree that
-        is the count. Only the rows that differ fetch their candidates for
-        the exact refilter, so no full pair list is ever built.
+        On a line each count is the length of the query's run. Otherwise the
+        shorter of the queries and the points make the rows of the sweep's
+        tiles, so every inner loop runs along the longer side, and each count
+        sums a tile's row or column.
         """
         r = _checked_radius(r)
         queries = _checked_queries(np.atleast_2d(queries), self.points.shape[1])
         if self._sorted is not None:
             first, stop = _line_runs(self._sorted, queries[:, 0], r)
             return stop - first
-        if self._scans(queries.shape[0] * self.points.shape[0]):
-            return self._scan_counts(queries, r)
-        tree = self._kdtree()
-        lo = tree.query_ball_point(queries, r * (1.0 - SLACK), return_length=True)
-        hi = tree.query_ball_point(queries, r * (1.0 + SLACK), return_length=True)
-        counts = np.asarray(lo, dtype=np.intp)
-        rows = np.nonzero(lo != hi)[0]
-        if rows.size:
-            cand = tree.query_ball_point(queries[rows], r * (1.0 + SLACK))
-            owner = np.repeat(rows, [len(c) for c in cand])
-            idx = np.concatenate(cand).astype(np.intp)
-            inside = sq_dists(self.points[idx], queries[owner]) <= r * r
-            counts[rows] = np.bincount(owner[inside], minlength=queries.shape[0])[rows]
-        return counts
-
-    def _scan_counts(self, queries: np.ndarray, r: float) -> np.ndarray:
-        """counts_within by testing every (query, point) pair with the sq_dists predicate.
-
-        Tiles of at most _PAIR_BLOCK pairs go through _tile_sq into buffers
-        made once, so besides a coordinate-major copy of the points the call
-        holds its tile buffers and the counts.
-        """
-        n = self.points.shape[0]
-        width = min(n, _PAIR_BLOCK)
-        rows = max(1, min(queries.shape[0], _PAIR_BLOCK // width))
-        columns = np.ascontiguousarray(self.points.T)
-        diff, sq = np.empty((2, rows, width))
-        inside = np.empty((rows, width), dtype=bool)
+        by_row = queries.shape[0] <= self.points.shape[0]
+        layout = _layout(*((queries, self.points) if by_row else (self.points, queries)), r)
         counts = np.zeros(queries.shape[0], dtype=np.intp)
-        with row_loops(width):  # each query's row of differences is one inner loop
-            for lo in range(0, queries.shape[0], rows):
-                block = queries[lo : lo + rows].T
-                for start in range(0, n, width):
-                    tile = (slice(0, block.shape[1]), slice(0, min(width, n - start)))
-                    _tile_sq(block, columns[:, start : start + width], diff[tile], sq[tile])
-                    np.less_equal(sq[tile], r * r, out=inside[tile])
-                    counts[lo : lo + block.shape[1]] += np.count_nonzero(inside[tile], axis=1)
+        for (lo, hi, c0, c1), keep, _ in _sweep(layout, r):
+            counts[slice(lo, hi) if by_row else slice(c0, c1)] += np.count_nonzero(keep, axis=int(by_row))
+        order = layout[0 if by_row else 1]
+        if order is not None:
+            counts[order] = counts.copy()
         return counts
 
     def counts_within_all(self, r: float) -> np.ndarray:
@@ -280,91 +218,151 @@ class GridIndex:
     def pair_sq_dists(self, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(src, dst, sq) of every index pair with |p_src - p_dst| <= r.
 
-        Each pair is listed once, src < dst, in the tree's own order or, on
-        the scan path, ascending by src then dst: no caller needs another.
-        src and dst are int32 while the point count fits, np.intp otherwise.
-        sq holds each pair's sq_dists value, so any smaller radius r'
-        selects its own pairs exactly by `sq <= r' * r'`. Within the scan
-        budget every pair is tested (_scan_pairs). Otherwise the tree is
-        asked once, and the refilter gathers one coordinate column at a
-        time: the same rounded operations as sq_dists(p[src], p[dst]),
-        without gathering whole rows.
+        Each pair is listed once, src < dst, ascending by src then dst within
+        the scan budget and by position along the sort past it; no caller
+        needs an order. src and dst are int32 while the point count fits,
+        np.intp otherwise. sq holds each pair's sq_dists value, so any
+        smaller radius r' selects its own pairs exactly by `sq <= r' * r'`.
 
-        Per candidate pair the refilter holds src and dst, 4 bytes each
-        while n fits in int32, and sq, 8 bytes. The tree's own (P, 2) pair
-        array goes once its columns are copied, and the coordinate gathers
-        go through two buffers of _PAIR_BLOCK pairs that every block and
-        coordinate reuses. When every candidate is within r, as all are but
-        ties at the slack, the arrays are returned without a compacting copy.
+        The tiles run twice: first to count the pairs within r, then to write
+        each tile's at its offset in arrays of exactly that size. A tile that
+        keeps at most one pair in 16 it tests keeps them from the first run,
+        4 + 8 bytes each, rather than run again. So besides coordinate-major
+        points and the bands, the call holds its tile buffers and 4 + 4 + 8
+        bytes per kept pair while n fits in int32, nothing per pair tested.
         """
         r = _checked_radius(r)
         n = self.points.shape[0]
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-        if self._scans(n * (n - 1) // 2):
-            return self._scan_pairs(r, index)
-        pairs = self._kdtree().query_pairs(r * (1.0 + SLACK), output_type="ndarray")
-        src = pairs[:, 0].astype(index)
-        dst = pairs[:, 1].astype(index)
-        del pairs
-        sq = np.empty(src.size)
-        a, b = np.empty((2, min(src.size, _PAIR_BLOCK)))
-        columns = np.ascontiguousarray(self.points.T)
-        for lo in range(0, src.size, _PAIR_BLOCK):
-            s, d = src[lo : lo + _PAIR_BLOCK], dst[lo : lo + _PAIR_BLOCK]
-            ga, gb = a[: s.size], b[: s.size]
-            # every index is in range, so "clip" changes nothing; the default "raise" buffers out in a copy
-            diffs = (
-                np.subtract(np.take(col, s, out=ga, mode="clip"), np.take(col, d, out=gb, mode="clip"), out=ga)
-                for col in columns
-            )
-            _sum_of_squares(diffs, out=sq[lo : lo + s.size])
-        keep = sq <= r * r
-        if keep.all():
-            return src, dst, sq
-        src = src[keep]  # one copy at a time
-        dst = dst[keep]
-        return src, dst, sq[keep]
+        layout = _layout(self.points, self.points, r, later=True)
+        order = None if layout[0] is None else layout[0].astype(index)
+        sparse = {}
 
-    def _scan_pairs(self, r: float, index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """pair_sq_dists by testing every pair i < j with the sq_dists predicate.
+        def place(positions: np.ndarray, out: np.ndarray) -> None:  # the points at these positions of the order
+            if order is None:
+                np.copyto(out, positions, casting="unsafe")
+            else:
+                np.take(order, positions, out=out)
 
-        Row strips, each against every later point, go through _tile_sq in
-        tiles of at most _PAIR_BLOCK pairs (one row, if longer), into
-        buffers made once. The strips run twice: first to count the pairs
-        within r, then to write them into arrays of exactly that size. So
-        besides a coordinate-major copy of the points the call holds its
-        tile buffers and the kept pairs, 4 + 4 + 8 bytes each while n fits
-        in int32, and nothing per pair tested.
-        """
-        n = self.points.shape[0]
-        rows = max(1, _PAIR_BLOCK // max(1, n - 1))
-        columns = np.ascontiguousarray(self.points.T)
-        diff, sq = np.empty((2, min(rows, n - 1) * (n - 1)))
-        inside = np.empty(sq.size, dtype=bool)
-        later = np.tri(min(rows, n - 1), dtype=bool).T  # (t, c) with c >= t
+        def counted():
+            for i, (tile, keep, sq) in enumerate(_sweep(layout, r, True)):
+                k = np.count_nonzero(keep)
+                if 0 < k <= keep.size // 16:
+                    flat = np.flatnonzero(keep)
+                    sparse[i] = tile, keep.shape[1], flat.astype(index), sq.ravel()[flat]
+                yield k
 
-        def strips():
-            for lo in range(0, n - 1, rows):
-                # rows lo..lo+h-1 against points lo+1..n-1: (t, c) is the pair (lo + t, lo + 1 + c)
-                h, w = min(rows, n - 1 - lo), n - 1 - lo
-                d, s, keep = (buf[: h * w].reshape(h, w) for buf in (diff, sq, inside))
-                _tile_sq(columns[:, lo : lo + h], columns[:, lo + 1 :], d, s)
-                np.less_equal(s, r * r, out=keep)
-                keep[:, :h] &= later[:h, :h]  # each pair once, j > i
-                yield lo, s, keep
+        kept = np.fromiter(counted(), np.intp)
+        dense = kept > 0
+        dense[list(sparse)] = False
+        end = np.cumsum(kept, out=kept)  # where each tile's pairs end in the output
+        src, dst, out = (np.empty(end[-1] if end.size else 0, dtype=t) for t in (index, index, float))
 
-        with row_loops(n - 1):  # each row's differences to the later points are one inner loop
-            size = sum(int(np.count_nonzero(keep)) for _, _, keep in strips())
-            src, dst, out = np.empty(size, dtype=index), np.empty(size, dtype=index), np.empty(size)
-            at = 0
-            for lo, s, keep in strips():
-                flat = np.flatnonzero(keep)  # t * w + c
-                t = np.repeat(np.arange(keep.shape[0]), np.count_nonzero(keep, axis=1))
-                stop = at + flat.size
-                np.take(s.ravel(), flat, out=out[at:stop], mode="clip")  # "clip": see pair_sq_dists
-                np.add(t, lo, out=src[at:stop], casting="unsafe")
-                t *= keep.shape[1]
-                flat -= t
-                np.add(flat, lo + 1, out=dst[at:stop], casting="unsafe")
-                at = stop
+        def write(i: int, tile, w: int, flat: np.ndarray) -> None:
+            # position t * w + c of tile i is the pair (lo + t, c0 + c) along the sweep's order
+            lo, _, c0, _ = tile
+            a, b = src[end[i] - flat.size : end[i]], dst[end[i] - flat.size : end[i]]
+            t = flat // w
+            t += lo
+            place(t, a)
+            t -= lo
+            t *= w
+            flat -= t
+            flat += c0
+            place(flat, b)
+            if order is not None:  # the smaller index is src
+                np.maximum(a, b, out=t)
+                np.minimum(a, b, out=a)
+                np.copyto(b, t, casting="unsafe")
+
+        recomputed = itertools.compress(itertools.count(), dense)
+        for i, (tile, keep, sq) in zip(recomputed, _sweep(layout, r, True, dense)):
+            flat = np.flatnonzero(keep)
+            # "clip": every index is in range, and the default "raise" copies
+            np.take(sq.ravel(), flat, out=out[end[i] - flat.size : end[i]], mode="clip")
+            write(i, tile, keep.shape[1], flat)
+            del flat  # before the next tile's
+        for i, (tile, w, flat, sq) in sparse.items():
+            out[end[i] - flat.size : end[i]] = sq
+            write(i, tile, w, flat)
         return src, dst, out
+
+
+def _layout(rows: np.ndarray, columns: np.ndarray, r: float, later: bool = False):
+    """(row order, column order, a, b, first, stop): row i's band is columns first[i]..stop[i]-1 in the column order.
+
+    Every column within r of a row is in its band. Within _SCAN_BUDGET each
+    band is all of the columns, in their given orders (None). Past it rows
+    and columns are sorted on the coordinate of the largest spread, s, and
+    each band is the row's run on s (_line_runs). That is exact: sq_dists
+    adds nonnegative squares and rounding is monotone, so a pair within r
+    has fl(x_s - y_s)**2 <= r*r, the run's own predicate. With later, rows
+    and columns are one point set and each band starts just after its row,
+    so every pair is tested once. first and stop are nondecreasing. a and b
+    are the rows and columns in their orders, coordinate major: b a copy, a
+    a view where no order asks a copy (a row is read once a tile row).
+    """
+    n = columns.shape[0]
+    first = np.arange(1, n) if later else np.broadcast_to(np.intp(0), rows.shape[:1])
+    if (n * (n - 1) // 2 if later else first.size * n) * columns.shape[1] <= _SCAN_BUDGET:
+        b = np.ascontiguousarray(columns.T)
+        return None, None, b if later else rows.T, b, first, np.broadcast_to(np.intp(n), first.shape)
+    spread = np.maximum(rows.max(axis=0), columns.max(axis=0)) - np.minimum(rows.min(axis=0), columns.min(axis=0))
+    s = int(np.argmax(spread))
+    column_order = np.argsort(columns[:, s])
+    b = np.take(columns.T, column_order, axis=1)
+    if later:
+        return column_order, column_order, b, b, first, _line_runs(b[s], b[s], r, np.arange(n))[1][:-1]
+    row_order = np.argsort(rows[:, s])
+    a = np.take(rows.T, row_order, axis=1)
+    return row_order, column_order, a, b, *_line_runs(b[s], a[s], r)
+
+
+def _tiles(first: np.ndarray, stop: np.ndarray):
+    """(lo, hi, c0, c1): rows lo..hi-1 and a column range [c0, c1) that holds each of their bands.
+
+    Bands are nondecreasing, so a block's columns run from its first row's
+    start to its last row's stop. A block of h rows spans at most
+    _PAIR_BLOCK tests: h starts from the first row's band and halves until
+    it fits, down to one row, which is cut into pieces of _PAIR_BLOCK
+    columns if it is longer.
+    """
+    lo = 0
+    while lo < first.size:
+        h = min(first.size - lo, max(1, _PAIR_BLOCK // max(1, int(stop[lo] - first[lo]))))
+        while h > 1 and h * int(stop[lo + h - 1] - first[lo]) > _PAIR_BLOCK:
+            h //= 2
+        c0, c1 = int(first[lo]), int(stop[lo + h - 1])
+        step = max(1, _PAIR_BLOCK if h == 1 else c1 - c0)
+        for piece in range(c0, c1, step):
+            yield lo, lo + h, piece, min(c1, piece + step)
+        lo += h
+
+
+def _sweep(layout, r: float, later: bool = False, only=None):
+    """((lo, hi, c0, c1), keep, sq) per tile of the layout's bands, or per tile where only is true.
+
+    sq[t, c] = sq_dists(a[:, lo + t], b[:, c]) and keep = sq <= r*r for
+    c0 <= c < c1, with the layout's coordinate-major rows a and columns b.
+    With later, as in _layout, keep holds only the columns after each row.
+    Every tile goes through _tile_sq into buffers the size of the largest
+    tile, made once and reused, so a consumer is done with one tile before
+    it takes the next.
+    """
+    _, _, a, b, first, stop = layout
+    size = max(((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in _tiles(first, stop)), default=0)
+    diff, sq = np.empty((2, size))
+    inside = np.empty(size, dtype=bool)
+    # a tile of h > 1 rows has h - 1 <= w columns, so h <= isqrt(size) + 1
+    upper = np.tri(math.isqrt(size) + 1, dtype=bool).T if later else None  # (t, c) with c >= t
+    tiles = _tiles(first, stop)
+    for lo, hi, c0, c1 in tiles if only is None else itertools.compress(tiles, only):
+        shape = (hi - lo, c1 - c0)
+        d, s, keep = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (diff, sq, inside))
+        with row_loops(shape[1]):  # each row's differences are one inner loop
+            _tile_sq(a[:, lo:hi], b[:, c0:c1], d, s)
+            np.less_equal(s, r * r, out=keep)
+            if later and shape[0] > 1:  # a block of rows is one tile, starting just after its first row
+                m = min(shape)
+                keep[:, :m] &= upper[: shape[0], :m]
+        yield (lo, hi, c0, c1), keep, s

@@ -3,12 +3,13 @@ import pytest
 from flatclust import spatial
 
 
-@pytest.fixture(params=["tree", "scan"])
+@pytest.fixture(params=["whole", "sorted"])
 def index_path(request, monkeypatch):
-    """Run a GridIndex test once through each exact path off a line.
+    """Run a GridIndex test once through each band of the sweep off a line.
 
-    A scan budget of 0 sends every query with work to the kd-tree; one past
-    every fixture's work sends counts_within and pair_sq_dists to the scan.
+    A scan budget of 0 sends every query with work to the sorted bands,
+    except where their tiles would test more pairs than the whole band
+    holds; one past every fixture's work makes every band all of the points.
     """
-    monkeypatch.setattr(spatial, "_SCAN_BUDGET", 0 if request.param == "tree" else 1 << 62)
+    monkeypatch.setattr(spatial, "_SCAN_BUDGET", 0 if request.param == "sorted" else 1 << 62)
     return request.param

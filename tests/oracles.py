@@ -1,12 +1,12 @@
 """Brute-force references that the tests hold the pipeline equal to.
 
 Each one decides its answer the slow, obvious way: a full pairwise
-distance matrix and a naive union-find, a full scan per ball, one kd-tree
-query per density estimate, a two-sided kernel. They import from
-flatclust only the distance kernel, the parameter checks and the data
-types (tests/test_exports.py keeps that list), so a refactor of the code
-they check cannot change them along with it. kde_eval's count comes from
-GridIndex.count_within, the kd-tree's single-query path, which no
+distance matrix and a naive union-find, a full scan per ball, one
+single-point query per density estimate, a two-sided kernel. They import
+from flatclust only the distance kernel, the parameter checks and the
+data types (tests/test_exports.py keeps that list), so a refactor of the
+code they check cannot change them along with it. kde_eval's count comes
+from GridIndex.count_within, the index's single-query scan, which no
 pipeline query takes.
 """
 
@@ -120,8 +120,9 @@ def kde_eval(model: KdeModel, x) -> float:
 
     Reference implementation: tests hold kde_eval_batch and the core-point
     sets of the clustering equal to it. Its count comes from the index's
-    kd-tree, on a line and at any size too, so kde_eval_batch's sorted runs
-    and exact scan are checked against an independent path.
+    single-query scan of every point, on a line and at any size too, so
+    kde_eval_batch's sorted runs and band sweep are checked against an
+    independent path.
     """
     return model.index.count_within(x, model.delta) / model.normalizer
 

@@ -347,22 +347,21 @@ def _traced_peak(call):
 @pytest.mark.parametrize("sd, n, delta", [(2, 2000, 0.1), (8, 1000, 0.5)])
 def test_cluster_tree_peak_bytes_per_candidate_pair(sd, n, delta):
     # The neighbour pass sets cluster_tree's peak on dense points. Per
-    # candidate pair it holds int32 src and dst, copied once from the
-    # tree's pair array, and sq; gathers go through block-sized buffers and
-    # nothing is copied where every pair is kept: 24-27 traced bytes, where
-    # an int64 sort key and whole-size gathers once took 57. The ladder's
-    # union-find holds n pointers and a few block-sized arrays, 7-10 bytes
-    # a pair here for its first level.
+    # kept pair it holds int32 src and dst and sq, written into arrays of
+    # exactly that size by the band sweep, whose tiles go through
+    # block-sized buffers; an int64 sort key and whole-size gathers once took
+    # 57 traced bytes. The ladder's union-find holds n pointers and a few
+    # block-sized arrays, 7-10 bytes a pair here for its first level.
     rng = np.random.default_rng(60 + sd)
     pts = rng.uniform(0.0, 1.0, size=(n, sd))
-    assert n * (n - 1) // 2 * sd > spatial._SCAN_BUDGET  # the pairs come from the tree, not the scan
+    assert n * (n - 1) // 2 * sd > spatial._SCAN_BUDGET  # the pairs come from sorted bands
     index = GridIndex(pts)
     pairs = index.pair_sq_dists(2 * delta)[0].size
     assert pairs >= 10**5
     # about nine points in ten are core at the top level, so its labeler
     # masks pairs out of every block; at k = 1 all are core
     ks = (int(np.percentile(index.counts_within_all(delta), 10)), 1)
-    cluster_tree(pts[:50], delta, (3,))  # scipy's deferred imports are not the pass's memory
+    cluster_tree(pts[:50], delta, (3,))  # first-call allocations are not the pass's memory
     tree, peak = _traced_peak(lambda: cluster_tree(pts, delta, ks))
     assert 0 < np.count_nonzero(tree.levels[0].labeling.assignments != NOISE) < n
     assert peak / pairs < 30

@@ -65,8 +65,8 @@ class TestKdeEval:
     @pytest.mark.usefixtures("index_path")
     @pytest.mark.parametrize("sd", [1, 3])
     def test_batch_matches_single(self, sd):
-        # on a line the batch counts sorted runs, off it it scans or asks the
-        # kd-tree, and kde_eval always asks the kd-tree
+        # on a line the batch counts sorted runs, off it it sweeps whole or
+        # sorted bands, and kde_eval always scans every point
         rng = np.random.default_rng(13)
         pts = rng.uniform(0, 1, size=(257, sd))
         model = KdeModel(pts, delta=0.2)

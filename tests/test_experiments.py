@@ -186,20 +186,29 @@ class TestNoisyKdeGap:
         assert r.checks["gap_le_zprime_eps_over_delta"]
         assert r.checks["gap_nonincreasing_le_1_inversion"]
 
-    def test_pinned_report_is_the_same_through_the_tree_and_the_scan(self, monkeypatch):
-        # the pinned config's counts are within the scan budget; a budget of
-        # 0 sends them to the kd-tree, and the brute-force recount holds both
+    def test_pinned_report_is_the_same_through_whole_and_sorted_bands(self, monkeypatch):
+        # the pinned config's counts are within the scan budget, so every band
+        # is all of the points; a budget of 0 sends them to sorted bands, and
+        # the brute-force recount holds both
         pin = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())["reports"]["noisy_kde_gap"]
-        docs, built = [], []
-        tree = spatial.GridIndex._kdtree
-        monkeypatch.setattr(spatial.GridIndex, "_kdtree", lambda index: built.append(budget) or tree(index))
-        for budget in (spatial._SCAN_BUDGET, 0):
+        docs, laid_out = [], set()
+        layout = spatial._layout
+
+        def recorded(*args, **kwargs):
+            out = layout(*args, **kwargs)
+            laid_out.add((budget, out[0] is not None))
+            return out
+
+        monkeypatch.setattr(spatial, "_layout", recorded)
+        default = spatial._SCAN_BUDGET
+        for budget in (default, 0):
             monkeypatch.setattr(spatial, "_SCAN_BUDGET", budget)
             report = run_experiment("noisy_kde_gap", pin["config"])
             assert report.checks["pointwise_recount_bound"], budget
             docs.append(json.dumps(report.to_document(), sort_keys=True))
         assert docs[0] == docs[1]
-        assert built and set(built) == {0}  # only the zero budget asked a tree
+        # only the zero budget sorted, and it sorted every count it laid out
+        assert laid_out == {(default, False), (0, True)}
         assert hashlib.sha256(docs[0].encode()).hexdigest() == pin["sha256"]
 
     # tile edges: T - 1, T, T + 1 and 2T - 1, 2T, 2T + 1 for the tile of T = 64 queries

@@ -48,16 +48,17 @@ def test_import_loads_no_scipy(module):
     assert _scipy_modules_after(f"import {module}") == []
 
 
-def test_counts_within_the_scan_budget_load_no_scipy_spatial():
-    """A KdeModel past the scan budget for its own pairs builds no kd-tree for counts within it."""
+def test_queries_on_both_sides_of_the_scan_budget_load_no_scipy_spatial():
+    """A KdeModel's counts within and past the scan budget, its pairs and a single query load no scipy.spatial."""
     counts = (
         "import numpy as np\n"
         "from flatclust import spatial\n"
         "from flatclust.density import KdeModel, kde_counts_batch\n"
         "pts = np.random.default_rng(0).uniform(size=(2000, 2))\n"
-        "assert 2000 * 1999 // 2 * 2 > spatial._SCAN_BUDGET >= 100 * 2000 * 2\n"
+        "assert 2000 * 2000 * 2 > 2000 * 1999 // 2 * 2 > spatial._SCAN_BUDGET >= 100 * 2000 * 2\n"
         "model = KdeModel(pts, 0.05)\n"
-        "assert kde_counts_batch(model, pts[:100]).min() >= 1 and model.index._tree is None"
+        "assert kde_counts_batch(model, pts[:100]).min() >= 1 and kde_counts_batch(model, pts).min() >= 1\n"
+        "assert model.index.pair_sq_dists(0.05)[0].size and model.index.count_within(pts[0], 0.05) >= 1"
     )
     assert "scipy.spatial" not in _scipy_modules_after(counts)
 
@@ -78,7 +79,7 @@ def test_oracles_stay_apart_from_the_code_they_check():
     """tests/oracles.py imports from flatclust only the kernel, checks and data types; no module holds an oracle.
 
     The one path into the code under test is kde_eval's model.index.count_within,
-    the kd-tree single-query path, which no pipeline query takes.
+    the index's single-query scan, which no pipeline query takes.
     """
     tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     imported = set()
@@ -142,12 +143,35 @@ def _tree_command_modules(tmp_path, n: int) -> list[str]:
 
 
 def test_tree_command_loads_no_csgraph(tmp_path):
-    """`flatclust tree` labels its levels without scipy.sparse.csgraph, and still clusters through scipy.spatial."""
+    """`flatclust tree` labels its levels without scipy.sparse.csgraph, and past the scan budget clusters without scipy.spatial."""
     n = 800
-    assert n * (n - 1) // 2 * 4 > spatial._SCAN_BUDGET  # past the scan budget, the pair pass asks the kd-tree
+    assert n * (n - 1) // 2 * 4 > spatial._SCAN_BUDGET  # past the scan budget, the pair pass sweeps sorted bands
     loaded = _tree_command_modules(tmp_path, n)
-    assert "scipy.spatial" in loaded  # the probe clustered off a line, through the tree
+    assert "scipy.spatial" not in loaded
     assert not _loads_csgraph(loaded)
+
+
+def test_series_tree_commands_load_no_scipy_spatial(tmp_path):
+    """`flatclust cluster` and `flatclust tree` on the benchmark's series_tree inputs load no scipy.spatial.
+
+    1000 series in three clusters, flattened to sd = 8, at delta 0.08: the
+    pair pass is past the scan budget, so it sweeps sorted bands.
+    """
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    run = (
+        f"import os; sys.path.insert(0, {perfbench!r}); os.chdir({str(tmp_path)!r})\n"
+        "from pathlib import Path\n"
+        "import workloads\n"
+        "from flatclust.cli import main\n"
+        "inputs = workloads.SeriesTree(1, Path('.'))\n"
+        "inputs.setup()\n"
+        "assert (inputs.n, inputs.sizes['sd'], workloads.TREE_CONFIG['delta']) == (1000, 8, 0.08)\n"
+        "for command in ('cluster', 'tree'):\n"
+        "    argv = [command, '--config', str(inputs.config), '--input', str(inputs.input), '--outdir', command]\n"
+        "    assert main(argv) == 0"
+    )
+    assert 1000 * 999 // 2 * 8 > spatial._SCAN_BUDGET
+    assert "scipy.spatial" not in _scipy_modules_after(run)
 
 
 def test_small_tree_command_loads_no_scipy(tmp_path):
@@ -158,8 +182,8 @@ def test_small_tree_command_loads_no_scipy(tmp_path):
 def test_no_experiment_loads_scipy_optimize():
     """Every registered experiment at its pinned config leaves scipy.optimize, scipy.sparse.csgraph and scipy.spatial unloaded.
 
-    Their only indexes off a line are within GridIndex's scan budget, so no
-    kd-tree is built. compensating loads no scipy at all.
+    No GridIndex query loads scipy.spatial, and their only indexes off a
+    line are within its scan budget. compensating loads no scipy at all.
     """
     pinned = Path(__file__).parent / "pinned_reports.json"
     run_all = (
@@ -181,7 +205,7 @@ def test_line_experiments_load_no_scipy():
     """kde_rate, sandwich, hartigan and smoothing_rate at their pinned configs load no scipy module.
 
     The first three count balls and cluster on a line, where GridIndex.counts_within
-    and the sweep read runs of one sort and build no kd-tree.
+    and the clustering sweep read runs of one sort.
     """
     pinned = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())["reports"]
     configs = {name: pinned[name]["config"] for name in ("kde_rate", "sandwich", "hartigan", "smoothing_rate")}

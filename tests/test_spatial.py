@@ -228,13 +228,28 @@ def test_counts_from_one_pass_equal_every_counting_path(sd):
             assert np.array_equal(sorted_line_counts(pts[order, 0], r), want[order]), case
 
 
+def _sorted_layouts(monkeypatch) -> list[bool]:
+    """Record, for every sweep a GridIndex query lays out from now on, whether its bands are sorted runs."""
+    sorted_ = []
+    layout = spatial._layout
+
+    def recorded(*args, **kwargs):
+        out = layout(*args, **kwargs)
+        sorted_.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(spatial, "_layout", recorded)
+    return sorted_
+
+
 @pytest.mark.parametrize("sd", [2, 3, 8, 16])
-def test_scan_and_tree_answer_as_brute_force(index_path, sd):
+def test_whole_and_sorted_bands_answer_as_brute_force(index_path, monkeypatch, sd):
     # lattice ties at exactly r, duplicates, outliers and tiny spacings, with
     # other queries than the points (q != n) and answers that are empty
     rng = np.random.default_rng(70 + sd)
     cases = list(_hard_point_sets(rng, sd))
     cases.append((rng.uniform(0.0, 1.0, size=(40, sd)), 0.0))  # distinct points: no pair at r = 0
+    sorted_ = _sorted_layouts(monkeypatch)
     empty = 0
     for case, (pts, r) in enumerate(cases):
         queries = np.vstack([pts[::3], rng.integers(0, 11, size=(17, sd)) * 0.1, np.full((2, sd), 50.0)])
@@ -248,30 +263,79 @@ def test_scan_and_tree_answer_as_brute_force(index_path, sd):
         assert set(pairs) == _brute_pairs(pts, r), (sd, case)
         assert np.array_equal(sq, sq_dists(pts[src], pts[dst])), (sd, case)
         assert src.dtype == dst.dtype == np.int32
-        assert (index._tree is None) == (index_path == "scan"), (sd, case)
+    assert sorted_ == [index_path == "sorted"] * 2 * len(cases)
     assert empty > 0 and GridIndex(cases[-1][0]).pair_sq_dists(0.0)[0].size == 0
 
 
-def test_scan_budget_routes_each_query():
+def _band_edge_cases(rng, sd):
+    """(points, queries, r): sets where a band is everything, ends on a tie, or is empty."""
+    same = np.full((30, sd), 0.375)
+    yield same, np.vstack([same[:3], same[:3] + 0.25, same[:3] - 0.5]), 0.25  # one point thirty times
+    yield same, same[:5], 0.0
+    # points exactly r apart on the widest coordinate, all else equal: every band ends on a closed-ball tie
+    line = np.zeros((24, sd))
+    line[:, 0] = rng.permutation(np.arange(24)) * 0.25
+    line[::5, 1:] = 0.125  # these are just out of their neighbours' balls, though inside their bands
+    yield line, np.vstack([line, line + 0.125]), 0.25
+    yield line, line[:7], 0.5
+    flat = np.full((40, sd), 0.5)  # zero spread on every axis but for exact duplicates
+    flat[::2] = 0.25
+    yield flat, flat[:9], 0.0
+    yield flat, flat[:9], 0.25 * np.sqrt(sd)
+    cloud = rng.uniform(0.0, 1.0, size=(60, sd))
+    far = np.vstack([np.full((5, sd), -3.0), np.full((5, sd), 4.0), cloud[:3] + 2.0])
+    yield cloud, far, 0.3  # queries outside the points' range: empty bands
+
+
+@pytest.mark.parametrize("sd", [2, 3, 8])
+def test_band_edge_cases_answer_as_brute_force(index_path, monkeypatch, sd):
+    rng = np.random.default_rng(90 + sd)
+    sorted_ = _sorted_layouts(monkeypatch)
+    cases = list(_band_edge_cases(rng, sd))
+    for case, (pts, queries, r) in enumerate(cases):
+        index = GridIndex(pts)
+        want = np.array([brute_count_within(pts, q, r) for q in queries])
+        assert np.array_equal(index.counts_within(queries, r), want), (sd, case)
+        assert np.array_equal(index.counts_within_all(r), [brute_count_within(pts, p, r) for p in pts]), (sd, case)
+        src, dst, sq = index.pair_sq_dists(r)
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        assert len(set(pairs)) == len(pairs) and set(pairs) == _brute_pairs(pts, r), (sd, case)
+        assert np.array_equal(sq, sq_dists(pts[src], pts[dst])), (sd, case)
+    assert sorted_ == [index_path == "sorted"] * 3 * len(cases)
+    assert GridIndex(cases[-1][0]).counts_within(cases[-1][1], 0.3)[:10].tolist() == [0] * 10
+
+
+@pytest.mark.parametrize("n, q", [(4, 131_072), (16, 32_768)])
+def test_few_points_many_queries_answer_as_brute_force(index_path, n, q):
+    # the points are the tiles' rows and the queries their long inner loops
+    rng = np.random.default_rng(n)
+    pts = rng.integers(0, 5, size=(n, 2)) * 0.25
+    queries = np.vstack([rng.integers(-1, 6, size=(q // 2, 2)) * 0.25, rng.uniform(-0.5, 1.5, size=(q - q // 2, 2))])
+    for r in (0.0, 0.25, 0.6):
+        # the predicate is symmetric, so each point's brute-force ball among the queries counts it once per query
+        want = sum(np.bincount(brute_indices_within(queries, p, r), minlength=q) for p in pts)
+        assert np.array_equal(GridIndex(pts).counts_within(queries, r), want), r
+
+
+def test_scan_budget_routes_each_query(monkeypatch):
     # work is pair tests times coordinates: each query's own work decides
-    # its path, and only a query past the budget builds the tree
+    # whether its bands are all of the points or sorted runs
     rng = np.random.default_rng(42)
     budget = spatial._SCAN_BUDGET
     n = next(n for n in range(2, 10**4) if (n + 1) * n // 2 * 4 > budget)  # the largest n whose pairs scan
+    sorted_ = _sorted_layouts(monkeypatch)
     inside = GridIndex(rng.uniform(0.0, 1.0, size=(n, 4)))
-    assert inside._tree is None
     inside.pair_sq_dists(0.3)
     inside.counts_within(inside.points[: budget // (4 * n)], 0.3)
-    assert inside._tree is None
+    assert sorted_ == [False, False]
     inside.counts_within(inside.points[: budget // (4 * n) + 1], 0.3)
-    assert inside._tree is not None
+    assert sorted_ == [False, False, True]
     outside = GridIndex(rng.uniform(0.0, 1.0, size=(n + 1, 4)))
-    assert outside._tree is None
     outside.pair_sq_dists(0.3)
-    assert outside._tree is not None
+    assert sorted_ == [False, False, True, True]
     line = GridIndex(rng.uniform(0.0, 1.0, size=(5000, 1)))
     line.counts_within(line.points, 0.1)
-    assert line._tree is None  # a line counts runs of its sort, whatever the work
+    assert len(sorted_) == 4  # a line counts runs of its sort, whatever the work
 
 
 def _traced_peak(call):
@@ -288,8 +352,9 @@ def _traced_peak(call):
 def test_scan_memory_is_its_tiles_and_its_answer(monkeypatch, block, sd):
     # pair_sq_dists holds its tile buffers and the kept pairs, 4 + 4 + 8
     # bytes each, and counts_within its tile buffers and the counts, besides
-    # a coordinate-major copy of the points; nothing is held per pair
-    # tested, which blocks of 2^10 would show, at any size within the budget
+    # a coordinate-major copy of the points, or for counts of the longer of
+    # the points and the queries; nothing is held per pair tested, which
+    # blocks of 2^10 would show, at any size within the budget
     monkeypatch.setattr(spatial, "_PAIR_BLOCK", block)
     budget = spatial._SCAN_BUDGET
     rng = np.random.default_rng(43 + sd)
@@ -302,20 +367,19 @@ def test_scan_memory_is_its_tiles_and_its_answer(monkeypatch, block, sd):
         tile = min(rows, n - 1) * (n - 1)
         for r in (0.0, 0.5 * np.sqrt(sd), 2.0 * np.sqrt(sd)):  # none, some and every pair kept
             (src, _, _), peak = _traced_peak(lambda: index.pair_sq_dists(r))
-            # diff, sq and keep buffers, the strip's index temporaries, and the points' columns
+            # diff, sq and keep buffers, the triangle mask, the tile's index temporaries, and the points' columns
             assert peak <= 40 * tile + 8 * n * sd + 16 * src.size + 16384, (n, r, peak, src.size)
     square = math.isqrt(budget // sd)
     for q, n in ((1, budget // sd), (square, square), (budget // (sd * 300), 300)):
         pts = rng.uniform(0.0, 1.0, size=(n, sd))
         queries = rng.uniform(0.0, 1.0, size=(q, sd))
         index = GridIndex(pts)
-        index._tree = None  # past the budget for its own pairs, __init__ built one; the scan needs none
-        width = min(n, block)
-        tile = max(1, min(q, block // width)) * width
+        # the shorter side makes the rows, and the longer side's columns are cut to the block
+        width = min(max(q, n), block)
+        tile = max(1, min(q, n, block // width)) * width
         counts, peak = _traced_peak(lambda: index.counts_within(queries, 0.5))
-        assert index._tree is None
-        # diff, sq and the inside mask, the row sums' cast buffer, and the points' columns
-        assert peak <= 25 * tile + 8 * n * sd + 8 * counts.size + 16384, (q, n, peak)
+        # diff, sq and the inside mask, the row sums' cast buffer, and the longer side's columns
+        assert peak <= 25 * tile + 8 * max(q, n) * sd + 8 * counts.size + 16384, (q, n, peak)
 
 
 def test_sorted_line_counts_small_cases():
