@@ -224,19 +224,17 @@ class GridIndex:
         np.intp otherwise. sq holds each pair's sq_dists value, so any
         smaller radius r' selects its own pairs exactly by `sq <= r' * r'`.
 
-        The tiles run twice: first to count the pairs within r, then to write
-        each tile's at its offset in arrays of exactly that size. A tile that
-        keeps at most one pair in 16 it tests keeps them from the first run,
-        4 + 8 bytes each, rather than run again. So besides coordinate-major
-        points and the bands, the call holds its tile buffers and 4 + 4 + 8
-        bytes per kept pair while n fits in int32, nothing per pair tested.
+        The tiles run twice: first to count the pairs within r, then, for
+        the tiles that keep any, to write them at their offset in arrays of
+        exactly that size. So besides coordinate-major points and the bands,
+        the call holds its tile buffers and 4 + 4 + 8 bytes per kept pair
+        while n fits in int32, nothing per pair tested.
         """
         r = _checked_radius(r)
         n = self.points.shape[0]
         index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
         layout = _layout(self.points, self.points, r, later=True)
         order = None if layout[0] is None else layout[0].astype(index)
-        sparse = {}
 
         def place(positions: np.ndarray, out: np.ndarray) -> None:  # the points at these positions of the order
             if order is None:
@@ -244,24 +242,18 @@ class GridIndex:
             else:
                 np.take(order, positions, out=out)
 
-        def counted():
-            for i, (tile, keep, sq) in enumerate(_sweep(layout, r, True)):
-                k = np.count_nonzero(keep)
-                if 0 < k <= keep.size // 16:
-                    flat = np.flatnonzero(keep)
-                    sparse[i] = tile, keep.shape[1], flat.astype(index), sq.ravel()[flat]
-                yield k
-
-        kept = np.fromiter(counted(), np.intp)
-        dense = kept > 0
-        dense[list(sparse)] = False
+        kept = np.fromiter((np.count_nonzero(keep) for _, keep, _ in _sweep(layout, r, True)), np.intp)
+        written = kept > 0
         end = np.cumsum(kept, out=kept)  # where each tile's pairs end in the output
         src, dst, out = (np.empty(end[-1] if end.size else 0, dtype=t) for t in (index, index, float))
-
-        def write(i: int, tile, w: int, flat: np.ndarray) -> None:
-            # position t * w + c of tile i is the pair (lo + t, c0 + c) along the sweep's order
-            lo, _, c0, _ = tile
-            a, b = src[end[i] - flat.size : end[i]], dst[end[i] - flat.size : end[i]]
+        tiles = itertools.compress(itertools.count(), written)  # no array of tile numbers
+        for i, ((lo, _, c0, _), keep, sq) in zip(tiles, _sweep(layout, r, True, written)):
+            flat = np.flatnonzero(keep)
+            start = end[i] - flat.size
+            # "clip": every index is in range, and the default "raise" copies
+            np.take(sq.ravel(), flat, out=out[start : end[i]], mode="clip")
+            # position t * w + c of the tile is the pair (lo + t, c0 + c) along the sweep's order
+            a, b, w = src[start : end[i]], dst[start : end[i]], keep.shape[1]
             t = flat // w
             t += lo
             place(t, a)
@@ -274,17 +266,7 @@ class GridIndex:
                 np.maximum(a, b, out=t)
                 np.minimum(a, b, out=a)
                 np.copyto(b, t, casting="unsafe")
-
-        recomputed = itertools.compress(itertools.count(), dense)
-        for i, (tile, keep, sq) in zip(recomputed, _sweep(layout, r, True, dense)):
-            flat = np.flatnonzero(keep)
-            # "clip": every index is in range, and the default "raise" copies
-            np.take(sq.ravel(), flat, out=out[end[i] - flat.size : end[i]], mode="clip")
-            write(i, tile, keep.shape[1], flat)
-            del flat  # before the next tile's
-        for i, (tile, w, flat, sq) in sparse.items():
-            out[end[i] - flat.size : end[i]] = sq
-            write(i, tile, w, flat)
+            del flat, t  # before the next tile's
         return src, dst, out
 
 
